@@ -1,11 +1,15 @@
 """Irrep decomposition of degenerate levels and symmetry-adapted bases.
 
-Traces of the permutation representation on a level give its characters;
-the standard character inner product turns those into irrep multiplicities,
-and the character projectors yield orthonormal symmetry-adapted linear
-combinations (SALCs).  All characters and multiplicities must round to
-integers within 1e-6 (the underlying kernels are good to 1e-9); a breach is
-a hard :class:`NumericalIntegrityError`, never a silent round.
+A level with n_sym quanta in the degenerate modes carries the n_sym-th
+symmetric power of the (N-1)-dimensional mode representation, so its
+characters are exact integers read off a generating function (no
+representation matrix is built for them).  The character inner product
+turns them into irrep multiplicities, guarded to be non-negative integers
+that account for the whole degeneracy.  The character projectors, built
+from the float representation matrices, yield orthonormal symmetry-adapted
+linear combinations (SALCs); their ranks are checked against the
+multiplicities, and a breach of any guard is a hard
+:class:`NumericalIntegrityError`, never a silent round.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .symgroup import (
     CycleType,
     IrrepId,
     all_permutations,
-    class_representative,
     cycle_type,
 )
 
@@ -38,7 +41,7 @@ class LevelCharacters:
 
     n_particles: int
     degeneracy: int
-    traces: Mapping[CycleType, float]
+    traces: Mapping[CycleType, int]
 
 
 def _guard_int(value: float, what: str) -> int:
@@ -49,17 +52,20 @@ def _guard_int(value: float, what: str) -> int:
 
 
 def level_characters(model: OscillatorModel, level: LevelDescriptor) -> LevelCharacters:
-    """Trace of the permutation action for one representative per class."""
+    """Exact integer trace of the permutation action, per class.
+
+    For a permutation of cycle type lambda the mode representation W has
+    sum_n t^n trace(Sym^n W) = 1/det(1 - tW) = (1 - t) / prod_l (1 - t^l)
+    (Molien series), so the level's trace is the t^n_sym coefficient.
+    """
+    n = level.n_sym
     traces = {}
     for ct in _cycle_types(model.n_particles):
-        rep = class_representative(ct)
-        traces[ct] = float(np.trace(permutation_action_matrix(model, level, rep)))
-    ident = (1,) * model.n_particles
-    _guard_int(traces[ident], "identity trace")
-    if round(traces[ident]) != level.degeneracy:
-        raise NumericalIntegrityError(
-            f"identity trace {traces[ident]} != degeneracy {level.degeneracy}"
-        )
+        series = [1] + [0] * n  # 1 / prod_l (1 - t^l), up to t^n
+        for length in ct:
+            for k in range(length, n + 1):
+                series[k] += series[k - length]
+        traces[ct] = series[n] - (series[n - 1] if n else 0)
     return LevelCharacters(
         n_particles=model.n_particles, degeneracy=level.degeneracy, traces=traces
     )
@@ -115,6 +121,8 @@ class SalcSet:
     ``vectors`` has shape (copies * dimension, degeneracy); the split of a
     multidimensional irrep block into partners is convention-dependent
     (fixed here by the orthonormalization of the projected column space).
+    Signs are fixed: in each vector the first component whose magnitude
+    exceeds 1e-8 (``_RANK_TOL``) is positive.
     """
 
     irrep: IrrepId
@@ -162,12 +170,15 @@ def salc(
             f"projected rank {rank} != multiplicity * dimension {expected} "
             f"for irrep {irrep.label} at level {level.quanta_key}"
         )
-    vectors = u[:, :rank].T.copy()
     # kept singular values of a projector must be 1
     if rank and np.abs(s[:rank] - 1.0).max() > _RANK_TOL:
         raise NumericalIntegrityError(
             f"projector spectrum deviates from 0/1 for {irrep.label}"
         )
+    # the SVD's signs flip under rounding-level changes of proj: fix them
+    vectors = u[:, :rank].T.copy()
+    lead = np.argmax(np.abs(vectors) > _RANK_TOL, axis=1)
+    vectors *= np.sign(vectors[np.arange(rank), lead])[:, None]
     return SalcSet(irrep=irrep, copies=mults[irrep], vectors=vectors)
 
 

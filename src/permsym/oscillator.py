@@ -4,9 +4,13 @@ The Hamiltonian couples N identical unit-frequency oscillators pairwise with
 strength xi.  An orthogonal change of variables decouples it into N - 1
 degenerate modes with force constant k = 1 - xi and one totally symmetric
 mode with k' = 1 + (N-1) xi, giving a closed-form spectrum.  Permutations of
-the particles act orthogonally on the degenerate modes, and this module
-computes the resulting representation matrices on each degenerate level by
-exact polynomial substitution (no quadrature).
+the particles act orthogonally on the degenerate modes, W = U P U^T.  The
+modes share one width, so a level's states are the monomials
+prod_i (a†_i)^{m_i} / sqrt(m_i!) of fixed total degree n_sym, and a
+permutation acts on them by the substitution a† -> W^T a†.  This module
+builds the resulting representation matrices, and the expansion of each
+level over one-particle orbitals, from that substitution (no quadrature,
+no Hermite tables).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import _polybasis as pb
 from .errors import NumericalIntegrityError, UnboundModelError
 from .symgroup import Permutation
 
@@ -30,7 +33,6 @@ QuantaPattern = tuple[int, ...]
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
 
 _ORTHO_TOL = 1e-12
-_KERNEL_TOL = 1e-9
 
 
 def _normal_mode_matrix(n_particles: int) -> np.ndarray:
@@ -186,8 +188,31 @@ def enumerate_levels(model: OscillatorModel, max_total_quanta: int) -> list[Leve
 
 
 def hermite_poly(n: int) -> tuple[int, ...]:
-    """Physicists' Hermite polynomial, ascending integer coefficients."""
-    return pb.hermite_coefficients(n)
+    """Physicists' Hermite polynomial H_n, ascending integer coefficients.
+
+    Built from H_{k+1}(q) = 2q H_k(q) - 2k H_{k-1}(q).
+    """
+    if n < 0:
+        raise ValueError(f"Hermite degree must be >= 0, got {n}")
+    prev, cur = [], [1]
+    for k in range(n):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= 2 * k * c
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """All ways to split ``total`` quanta over ``parts`` modes, in
+    lexicographic order."""
+    if parts == 1:
+        return [(total,)]
+    return [
+        (q,) + rest
+        for q in range(total + 1)
+        for rest in _compositions(total - q, parts - 1)
+    ]
 
 
 def level_patterns(n_particles: int, n_sym: int) -> list[tuple[int, ...]]:
@@ -195,18 +220,7 @@ def level_patterns(n_particles: int, n_sym: int) -> list[tuple[int, ...]]:
 
     This ordering fixes the basis for every representation matrix.
     """
-    nmodes = n_particles - 1
-    out = []
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == nmodes - 1:
-            out.append(prefix + (remaining,))
-            return
-        for q in range(remaining + 1):
-            rec(prefix + (q,), remaining - q)
-
-    rec((), n_sym)
-    return out
+    return _compositions(n_sym, n_particles - 1)
 
 
 @dataclass(frozen=True)
@@ -262,7 +276,12 @@ def _norm_constant(pattern: QuantaPattern, k: float, k_prime: float) -> float:
 def eigenfunction(model: OscillatorModel, pattern: Sequence[int]) -> HermiteGaussian:
     """Exact normalized eigenfunction as Hermite polynomial x Gaussian."""
     pattern = _check_pattern(model, pattern)
-    poly = pb.hermite_product(pattern[:-1])
+    coeffs = [hermite_poly(q) for q in pattern[:-1]]
+    terms = (
+        (exps, math.prod(c[e] for c, e in zip(coeffs, exps)))
+        for exps in itertools.product(*(range(len(c)) for c in coeffs))
+    )
+    poly = {exps: float(value) for exps, value in terms if value}
     return HermiteGaussian(
         pattern=pattern,
         poly=poly,
@@ -298,6 +317,42 @@ def mode_action(model: OscillatorModel, p: Permutation) -> np.ndarray:
     return v[:nm, :nm]
 
 
+def _substitution_matrix(rows: np.ndarray, degree: int) -> np.ndarray:
+    """Matrix of the substitution a†_i -> sum_j rows[i, j] a†_j on the
+    normalized states |m> = prod_i (a†_i)^{m_i} / sqrt(m_i!) with
+    ``degree`` quanta in all.
+
+    Entry [m', m] is the coefficient of |m'> in the image of |m>, rows and
+    columns in :func:`_compositions` order: the coefficient of the monomial
+    a†^{m'} in the substituted a†^m, weighted by sqrt(m'! / m!).  It is
+    built one quantum at a time: |m> = a†_i |m - e_i> / sqrt(m_i) for the
+    first occupied mode i, and a†_j |m''> = sqrt(m''_j + 1) |m'' + e_j>.
+    Every term keeps the degree, so nothing can leak out of the level.
+    """
+    n_in, n_out = rows.shape
+    outs, ins = [(0,) * n_out], [(0,) * n_in]
+    mat = np.ones((1, 1))
+    for n in range(1, degree + 1):
+        out_index = {m: k for k, m in enumerate(outs)}
+        in_index = {m: k for k, m in enumerate(ins)}
+        outs, ins = _compositions(n, n_out), _compositions(n, n_in)
+        first = [next(i for i, q in enumerate(m) if q) for m in ins]
+        parents = [in_index[_lowered(m, i)] for m, i in zip(ins, first)]
+        # image of |m - e_i> / sqrt(m_i), still to be raised by a†_i
+        lowered = mat[:, parents] / np.sqrt([m[i] for m, i in zip(ins, first)])
+        mat = np.zeros((len(outs), len(ins)))
+        for j in range(n_out):
+            hit = [k for k, m in enumerate(outs) if m[j]]
+            lower = [out_index[_lowered(outs[k], j)] for k in hit]
+            raise_j = np.sqrt([[outs[k][j]] for k in hit])
+            mat[hit] += raise_j * lowered[lower] * rows[first, j]
+    return mat
+
+
+def _lowered(m: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return m[:i] + (m[i] - 1,) + m[i + 1:]
+
+
 @functools.lru_cache(maxsize=None)
 def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], np.ndarray]:
     """D(p) for every permutation p on the level basis (cached).
@@ -309,36 +364,11 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], n
     from .symgroup import all_permutations  # local to avoid cycle at import
 
     model = make_model(n_particles, 0.0)
-    patterns = level_patterns(n_particles, n_sym)
-    index = {pat: i for i, pat in enumerate(patterns)}
-    dim = len(patterns)
-    norms = np.array(
-        [
-            math.sqrt(np.prod([2.0**a * math.factorial(a) for a in pat]))
-            for pat in patterns
-        ]
-    )
-    out = {}
-    for p in all_permutations(n_particles):
-        w = mode_action(model, p)
-        # operator substitutes q -> V^T q, i.e. variable i -> sum_j w[j, i] q_j
-        rows = w.T
-        mat = np.zeros((dim, dim))
-        for col, pat in enumerate(patterns):
-            poly = pb.hermite_product(pat)
-            expanded = pb.hermite_expansion(pb.linear_substitution(poly, rows))
-            for bpat, coeff in expanded.items():
-                if sum(bpat) != n_sym:
-                    if abs(coeff) > _KERNEL_TOL:
-                        raise NumericalIntegrityError(
-                            f"degree leakage {coeff:.2e} expanding level "
-                            f"(N={n_particles}, n_sym={n_sym})"
-                        )
-                    continue
-                row = index[bpat]
-                mat[row, col] = coeff * norms[row] / norms[col]
-        out[p.images] = mat
-    return out
+    # the operator of p substitutes a†_i -> sum_j w[j, i] a†_j
+    return {
+        p.images: _substitution_matrix(mode_action(model, p).T, n_sym)
+        for p in all_permutations(n_particles)
+    }
 
 
 def permutation_action_matrix(
@@ -375,28 +405,10 @@ def uncoupled_expansion(
     """
     model = make_model(n_particles, 0.0)
     total = n_sym + n_last
-    patterns = level_patterns(n_particles, n_sym)
-    orb_patterns = sorted(
-        pat
-        for pat in itertools.product(range(total + 1), repeat=n_particles)
-        if sum(pat) == total
-    )
+    orb_patterns = _compositions(total, n_particles)
     index = {pat: j for j, pat in enumerate(orb_patterns)}
-    coeffs = np.zeros((len(patterns), len(orb_patterns)))
-    for a, pat in enumerate(patterns):
-        full = pat + (n_last,)
-        poly = pb.hermite_product(full)
-        # variable i is y_i = sum_j U[i, j] x_j
-        expanded = pb.hermite_expansion(pb.linear_substitution(poly, model.U))
-        src_norm = math.sqrt(np.prod([2.0**q * math.factorial(q) for q in full]))
-        for mpat, c in expanded.items():
-            if sum(mpat) != total:
-                if abs(c) > _KERNEL_TOL:
-                    raise NumericalIntegrityError(
-                        f"degree leakage {c:.2e} in uncoupled expansion"
-                    )
-                continue
-            dst_norm = math.sqrt(np.prod([2.0**q * math.factorial(q) for q in mpat]))
-            coeffs[a, index[mpat]] = c * dst_norm / src_norm
+    level_cols = [index[pat + (n_last,)] for pat in level_patterns(n_particles, n_sym)]
+    # mode a†_i = sum_j U[i, j] a†_j over the particles' unit oscillators
+    coeffs = _substitution_matrix(model.U, total)[:, level_cols].T.copy()
     coeffs.setflags(write=False)  # cached; callers must not mutate
     return orb_patterns, coeffs

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from permsym import ci as cimod
@@ -98,6 +99,18 @@ class TestIrreps:
             "A1": 0, "A2": 0, "E": 0, "T1": 0, "T2": 1
         }
 
+    @pytest.mark.parametrize("n,max_quanta", [(3, 14), (4, 12), (3, 20), (4, 20)])
+    def test_deep_cutoff_accounts_for_every_state(self, capsys, n, max_quanta):
+        data = run_json(
+            capsys, "irreps", "--n", str(n), "--xi", "0.1",
+            "--max-quanta", str(max_quanta),
+        )
+        dims = {"A1": 1, "A2": 1, "E": 2, "T1": 3, "T2": 3}
+        assert len(data["levels"]) == (max_quanta + 1) * (max_quanta + 2) // 2
+        for lv in data["levels"]:
+            content = sum(dims[lbl] * m for lbl, m in lv["irrep_mults"].items())
+            assert content == lv["degeneracy"]
+
     def test_csv_flattens_mults(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -118,6 +131,14 @@ class TestProject:
         # one-dimensional span of psi_30 - sqrt(3) psi_12 (normalized basis)
         ratio = comp[(3, 0)] / comp[(1, 2)]
         assert abs(ratio) == pytest.approx(3**-0.5, abs=1e-8)
+        # sign convention: the first nonzero component is positive
+        assert vec == pytest.approx([0.0, 3**0.5 / 2, 0.0, -0.5], abs=1e-8)
+
+    def test_deep_level(self, capsys):
+        data = run_json(capsys, "project", "--n", "3", "--nsym", "12", "--irrep", "E")
+        vecs = np.array(data["vectors"])
+        assert vecs.shape == (2 * data["copies"], 13)
+        assert np.abs(vecs @ vecs.T - np.eye(len(vecs))).max() < 1e-8
 
     def test_unknown_irrep_exits_1(self, capsys):
         rc, _, err = run_cli(

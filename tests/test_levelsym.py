@@ -43,6 +43,19 @@ class TestLevelCharacters:
         for traces in by_type.values():
             assert max(traces) - min(traces) < 1e-9
 
+    @pytest.mark.parametrize("n,max_nsym", [(3, 20), (4, 10)])
+    def test_matrix_traces_equal_integer_characters(self, n, max_nsym):
+        """trace D(g) of the representation matrices equals the integer
+        character of the symmetric-power formula, for every g."""
+        model = osc.make_model(n, 0.1)
+        for n_sym in range(max_nsym + 1):
+            lv = osc.make_level(model, n_sym, 0)
+            traces = ls.level_characters(model, lv).traces
+            assert all(type(t) is int for t in traces.values())
+            for p in sg.all_permutations(n):
+                d = osc.permutation_action_matrix(model, lv, p)
+                assert abs(np.trace(d) - traces[sg.cycle_type(p)]) < 1e-9
+
 
 class TestIrrepMultiplicities:
     def test_n3_ladder(self, model3, t3):
@@ -197,6 +210,18 @@ class TestSalc:
                 for other, proj in projs.items():
                     if other != lbl:
                         assert np.linalg.norm(proj @ vec) < 1e-9
+
+    @pytest.mark.parametrize("n,max_nsym", [(3, 6), (4, 4)])
+    def test_sign_convention(self, n, max_nsym):
+        """In every vector the first component above the rank tolerance is
+        positive, whichever signs the SVD picked."""
+        model = osc.make_model(n, 0.1)
+        table = sg.character_table(n)
+        for n_sym in range(max_nsym + 1):
+            lv = osc.make_level(model, n_sym, 0)
+            for irrep in table.irreps:
+                for vec in ls.salc(model, lv, table, irrep).vectors:
+                    assert vec[np.abs(vec) > 1e-8][0] > 0
 
     def test_counts_match_multiplicity_times_dimension(self, model4, t4):
         lv = osc.make_level(model4, 4, 0)

@@ -265,7 +265,9 @@ class TestPermutationAction:
 
 
 class TestUncoupledExpansion:
-    @pytest.mark.parametrize("n,n_sym,n_last", [(3, 2, 1), (3, 4, 0), (4, 3, 0)])
+    @pytest.mark.parametrize(
+        "n,n_sym,n_last", [(3, 2, 1), (3, 4, 0), (4, 3, 0), (3, 12, 0)]
+    )
     def test_rows_orthonormal(self, n, n_sym, n_last):
         _, coeffs = osc.uncoupled_expansion(n, n_sym, n_last)
         gram = coeffs @ coeffs.T
