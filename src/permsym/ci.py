@@ -1,12 +1,15 @@
 """Configuration interaction over Slater determinants of oscillator orbitals.
 
 The one-particle basis is the first M eigenfunctions of the uncoupled
-unit-frequency oscillator, which makes the one-body part diagonal and
-reduces every two-body integral to a product of tridiagonal position matrix
-elements.  The full determinant space (all C(2M, N) selections, optionally
-filtered to one M_s sector) is diagonalized densely; total spin is measured
-on each eigenvector, never imposed on the basis.  Comparing the resulting
-spectrum against the exact levels exposes the missing ones.
+unit-frequency oscillator, which makes the one-body part diagonal.  The
+pair coupling is half the square of the total position minus a one-body
+term, so H, like S^2, is assembled from one vectorized one-body-operator
+builder acting on integer occupation arrays and bitmasks of the
+determinants (string-based CI in the manner of Knowles and Handy, 1984).
+The determinant space (all C(2M, N) selections, optionally filtered to one
+M_s sector) is diagonalized densely in (M_s, parity) blocks; total spin is
+measured on each eigenvector, never imposed on the basis.  Comparing the
+resulting spectrum against the exact levels exposes the missing ones.
 """
 
 from __future__ import annotations
@@ -14,19 +17,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import BasisTooSmallError, DimensionCapError, NumericalIntegrityError
+from .errors import BasisTooSmallError, NumericalIntegrityError
 from .oscillator import LevelDescriptor, OscillatorModel
 from .spin import AllowedIrrepMap, _s_from_eigenvalue
 
 _S2_GUARD = 1e-6
-_PARITY_COMPONENT_TOL = 1e-8
-
-#: brute-force product-basis caps: M^N stays diagonalizable densely
-_ORACLE_CAPS = {3: 8, 4: 6}
+#: relative width of a run of degenerate energies
+_DEGENERACY_TOL = 1e-9
+#: determinants are int64 bitmasks over the spin-orbitals
+_MASK_BITS = 63
 
 
 @dataclass(frozen=True, order=True)
@@ -50,14 +53,6 @@ class SpinOrbital:
         return cls(orbital=index // 2, ms2=+1 if index % 2 == 0 else -1)
 
 
-def _orb(index: int) -> int:
-    return index // 2
-
-
-def _spin_bit(index: int) -> int:
-    return index % 2
-
-
 @dataclass(frozen=True)
 class SlaterDeterminant:
     """Occupied spin-orbital indices, strictly increasing (Pauli + canonical
@@ -79,11 +74,11 @@ class SlaterDeterminant:
 
     @property
     def ms(self) -> float:
-        return sum(0.5 if _spin_bit(i) == 0 else -0.5 for i in self.occupied)
+        return sum(0.5 if i % 2 == 0 else -0.5 for i in self.occupied)
 
     @property
     def orbital_quanta(self) -> int:
-        return sum(_orb(i) for i in self.occupied)
+        return sum(i // 2 for i in self.occupied)
 
     def spin_orbitals(self) -> tuple[SpinOrbital, ...]:
         return tuple(SpinOrbital.from_index(i) for i in self.occupied)
@@ -149,118 +144,114 @@ def build_basis(
     return out
 
 
-def _pair_interaction(a: int, b: int, c: int, d: int, xi: float) -> float:
-    """<ab|v|cd> for v = xi * x_1 x_2, spin-orthogonality included."""
-    if _spin_bit(a) != _spin_bit(c) or _spin_bit(b) != _spin_bit(d):
-        return 0.0
-    return xi * x_matrix_element(_orb(a), _orb(c)) * x_matrix_element(_orb(b), _orb(d))
+def _occupations(basis: Sequence[SlaterDeterminant]) -> np.ndarray:
+    """(dim, N) integer array: row i lists the occupied spin-orbitals of
+    basis[i] in ascending order."""
+    if not basis:
+        raise ValueError("empty determinant basis")
+    occ = np.array([det.occupied for det in basis], dtype=np.int64)
+    if occ.max() >= _MASK_BITS:
+        raise ValueError(f"at most {_MASK_BITS // 2} orbitals fit a determinant mask")
+    return occ
 
 
-def _antisymmetrized(a: int, b: int, c: int, d: int, xi: float) -> float:
-    return _pair_interaction(a, b, c, d, xi) - _pair_interaction(a, b, d, c, xi)
+def _masks(occ: np.ndarray) -> np.ndarray:
+    return (np.int64(1) << occ).sum(axis=1)
 
 
-def hamiltonian_element(
-    d1: SlaterDeterminant, d2: SlaterDeterminant, model: OscillatorModel
-) -> float:
-    """Slater-Condon matrix element of the coupled-oscillator Hamiltonian.
+def _occupations_of(masks: np.ndarray, n: int) -> np.ndarray:
+    bits = (masks[:, None] >> np.arange(_MASK_BITS)) & 1
+    return np.nonzero(bits)[1].reshape(len(masks), n)
 
-    Cases: identical determinants, single excitation, double excitation;
-    anything differing in more than two spin-orbitals vanishes.
+
+def _one_body(occ: np.ndarray, op: np.ndarray):
+    """sum_pq op[p, q] a+_p a_q applied to every determinant of ``occ``.
+
+    Returns (target masks, source rows, values), one entry per surviving
+    term.  The fermion sign is the parity of the number of occupied
+    spin-orbitals strictly between p and q.
     """
-    if d1.n != d2.n:
-        raise ValueError(f"determinant sizes differ: {d1.n} vs {d2.n}")
-    if d1.n != model.n_particles:
-        raise ValueError(
-            f"determinants have {d1.n} particles, model has {model.n_particles}"
-        )
-    xi = model.xi
-    occ1, occ2 = d1.occupied, d2.occupied
-    set1, set2 = set(occ1), set(occ2)
-    only1 = sorted(set1 - set2)
-    only2 = sorted(set2 - set1)
-    if len(only1) > 2:
-        return 0.0
+    masks = _masks(occ)
+    p, q = np.nonzero(op)
 
-    if not only1:
-        val = sum(core_energy(_orb(i)) for i in occ1)
-        val += sum(
-            _antisymmetrized(p, q, p, q, xi) for p, q in itertools.combinations(occ1, 2)
-        )
-        return val
+    def holds(orbitals):
+        return ((masks[:, None] >> orbitals) & 1).astype(bool)
 
-    common = set1 & set2
-    if len(only1) == 1:
-        p, q = only1[0], only2[0]
-        sign = (-1) ** (occ1.index(p) + occ2.index(q))
-        # one-body term <p|h|q> vanishes off-diagonal in this orbital basis
-        val = sum(_antisymmetrized(p, r, q, r, xi) for r in common)
-        return sign * val
+    src, term = np.nonzero(holds(q) & (~holds(p) | (p == q)))
+    p, q = p[term], q[term]
+    rows = occ[src]
+    between = (
+        (rows > np.minimum(p, q)[:, None]) & (rows < np.maximum(p, q)[:, None])
+    ).sum(axis=1)
+    targets = (masks[src] ^ (np.int64(1) << q)) | (np.int64(1) << p)
+    return targets, src, op[p, q] * (1 - 2 * (between % 2))
 
-    p1, p2 = only1
-    q1, q2 = only2
-    sign = (-1) ** (occ1.index(p1) + occ1.index(p2) + occ2.index(q1) + occ2.index(q2))
-    return sign * _antisymmetrized(p1, p2, q1, q2, xi)
+
+def _position(n_orbitals: int) -> np.ndarray:
+    """x on the interleaved spin-orbital index (spin-free)."""
+    m = range(n_orbitals)
+    return np.kron([[x_matrix_element(a, b) for b in m] for a in m], np.eye(2))
+
+
+def _gram(targets: np.ndarray, src: np.ndarray, values: np.ndarray, dim: int):
+    """A^T A for the operator A given by its entries over the basis columns;
+    the images (rows of A) are indexed by np.unique over their masks."""
+    images, rows = np.unique(targets, return_inverse=True)
+    a = np.zeros((len(images), dim))
+    a[rows.reshape(-1), src] = values
+    return images, a.T @ a
 
 
 def hamiltonian_matrix(
     model: OscillatorModel, basis: Sequence[SlaterDeterminant]
 ) -> np.ndarray:
-    """Dense symmetric CI matrix; assembly order never affects the entries."""
+    """Dense symmetric CI matrix over any set of determinants.
+
+    The pair coupling is (xi/2)[(sum_i x_i)^2 - sum_i x_i^2].  With X the
+    one-body position operator on the M orbitals the basis reaches and Q
+    the one-body operator of the truncated product x_M x_M, the two-body
+    part X.X - Q is exact on those orbitals, so H = H1 + (xi/2)(X^T X - Q).
+    The images of X are indexed over the masks they reach, so the basis
+    may be a full sector, a reordering or a subset.
+    """
+    occ = _occupations(basis)
     dim = len(basis)
-    masks = [sum(1 << i for i in det.occupied) for det in basis]
-    h = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            if (masks[i] ^ masks[j]).bit_count() > 4:
-                continue
-            val = hamiltonian_element(basis[i], basis[j], model)
-            h[i, j] = val
-            h[j, i] = val
+    if occ.shape[1] != model.n_particles:
+        raise ValueError(
+            f"determinants have {occ.shape[1]} particles, "
+            f"model has {model.n_particles}"
+        )
+    n_orb = int(occ.max()) // 2 + 1
+    x = _position(n_orb)
+    h1 = np.kron(np.diag([core_energy(a) for a in range(n_orb)]), np.eye(2))
+    targets, src, values = _one_body(occ, h1 - 0.5 * model.xi * (x @ x))
+    masks = _masks(occ)
+    order = np.argsort(masks)
+    pos = order[np.searchsorted(masks, targets, sorter=order).clip(max=dim - 1)]
+    hit = masks[pos] == targets
+    h = np.bincount(
+        pos[hit] * dim + src[hit], weights=values[hit], minlength=dim * dim
+    ).reshape(dim, dim)
+    h += 0.5 * model.xi * _gram(*_one_body(occ, x), dim)[1]
     return h
 
 
-def _apply_flip(det: tuple[int, ...], create: int, destroy: int):
-    """a†_create a_destroy on an index-sorted determinant; None if it dies."""
-    if destroy not in det:
-        return None
-    pos = det.index(destroy)
-    phase = -1 if pos % 2 else 1
-    rest = det[:pos] + det[pos + 1 :]
-    if create in rest:
-        return None
-    ins = sum(1 for r in rest if r < create)
-    if ins % 2:
-        phase = -phase
-    return phase, rest[:ins] + (create,) + rest[ins:]
-
-
 def s_squared_matrix(basis: Sequence[SlaterDeterminant]) -> np.ndarray:
-    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis."""
-    index = {det.occupied: i for i, det in enumerate(basis)}
+    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis, with S- = S+^T.
+
+    The basis must hold every determinant that S-S+ reaches (a full M_s
+    sector does); otherwise a ValueError is raised.
+    """
+    occ = _occupations(basis)
     dim = len(basis)
-    max_orb = max((_orb(i) for det in basis for i in det.occupied), default=0)
-    s2 = np.zeros((dim, dim))
-    for col, det in enumerate(basis):
-        ms = det.ms
-        s2[col, col] += ms * (ms + 1.0)
-        occ = det.occupied
-        for i in range(max_orb + 1):
-            up = _apply_flip(occ, 2 * i, 2 * i + 1)  # S+ on orbital i
-            if up is None:
-                continue
-            ph1, mid = up
-            for k in range(max_orb + 1):
-                down = _apply_flip(mid, 2 * k + 1, 2 * k)  # S- on orbital k
-                if down is None:
-                    continue
-                ph2, fin = down
-                row = index.get(fin)
-                if row is None:
-                    raise ValueError(
-                        "S^2 leaves the given basis; use a full M_s sector"
-                    )
-                s2[row, col] += ph1 * ph2
+    n_orb = int(occ.max()) // 2 + 1
+    s_plus = np.kron(np.eye(n_orb), [[0.0, 1.0], [0.0, 0.0]])  # a+_(a,up) a_(a,dn)
+    images, s2 = _gram(*_one_body(occ, s_plus), dim)
+    back = _one_body(_occupations_of(images, occ.shape[1]), s_plus.T)[0]
+    if not np.isin(back, _masks(occ)).all():
+        raise ValueError("S^2 leaves the given basis; use a full M_s sector")
+    ms = 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
+    s2[np.diag_indices(dim)] += ms * (ms + 1.0)
     return s2
 
 
@@ -282,16 +273,22 @@ class CIResult:
     states: tuple[CIState, ...]
 
 
-def _state_parity(basis: Sequence[SlaterDeterminant], vec: np.ndarray) -> int:
-    nonzero = np.abs(vec) > _PARITY_COMPONENT_TOL
-    parities = {(-1) ** basis[i].orbital_quanta for i in np.nonzero(nonzero)[0]}
-    if len(parities) != 1:
-        raise NumericalIntegrityError("eigenvector mixes orbital parities")
-    return parities.pop()
+def _runs(values: np.ndarray):
+    """(start, stop) of each run of ascending values that lie within
+    _DEGENERACY_TOL (relative) of the run's first value."""
+    i = 0
+    while i < len(values):
+        j = i + 1
+        while j < len(values) and (
+            values[j] - values[i] <= _DEGENERACY_TOL * max(1.0, abs(values[i]))
+        ):
+            j += 1
+        yield i, j
+        i = j
 
 
 def _resolve_degenerate_clusters(
-    evals: np.ndarray, evecs: np.ndarray, s2: np.ndarray, dtol: float = 1e-9
+    evals: np.ndarray, evecs: np.ndarray, s2: np.ndarray
 ) -> None:
     """Rotate each degenerate eigenvalue cluster onto S^2 eigenvectors.
 
@@ -302,72 +299,70 @@ def _resolve_degenerate_clusters(
     and leaves the eigenvalues untouched.  Signs are normalized so the
     largest-magnitude component of every vector is positive.
     """
-    i = 0
-    dim = len(evals)
-    while i < dim:
-        j = i
-        while j < dim and evals[j] - evals[i] <= dtol * max(1.0, abs(evals[i])):
-            j += 1
+    for i, j in _runs(evals):
         if j - i > 1:
             block = evecs[:, i:j]
             small = block.T @ s2 @ block
             _, rot = np.linalg.eigh(0.5 * (small + small.T))
             evecs[:, i:j] = block @ rot
-        for col in range(i, j):
-            lead = np.argmax(np.abs(evecs[:, col]))
-            if evecs[lead, col] < 0:
-                evecs[:, col] = -evecs[:, col]
-        i = j
+    lead = np.argmax(np.abs(evecs), axis=0)
+    evecs *= np.where(evecs[lead, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
 
 
 def ci_solve(model: OscillatorModel, basis: Sequence[SlaterDeterminant]) -> CIResult:
     """Dense symmetric eigensolution with deterministic output.
 
-    The basis is split into M_s blocks (H commutes with S_z), each block is
-    diagonalized separately, and states are merged by ascending energy with
-    an (energy, M_s, block index) tie-break.  Total spin is measured from
-    <S^2> on each eigenvector (degenerate clusters are first rotated onto
-    S^2 eigenvectors) and guarded to a half-integer.
-    """
-    if not basis:
-        raise ValueError("empty determinant basis")
-    basis = list(basis)
-    blocks: dict[float, list[int]] = {}
-    for i, det in enumerate(basis):
-        blocks.setdefault(det.ms, []).append(i)
+    H and S^2 conserve M_s and the parity of the total orbital quanta, so
+    the basis is split into (M_s, parity) blocks, each taken in
+    lexicographic determinant order and diagonalized separately; the
+    result does not depend on the order of ``basis``.  Total spin is
+    measured from <S^2> on each eigenvector (degenerate clusters are first
+    rotated onto S^2 eigenvectors) and guarded to a half-integer.
 
-    entries = []
-    for ms in sorted(blocks):
-        idx = blocks[ms]
+    State order: ascending energy, except that inside a run of energies
+    within 1e-9 (relative) of its lowest member, states are ordered by
+    (M_s, parity, index within the block).
+    """
+    basis = list(basis)
+    occ = _occupations(basis)
+    ms = 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
+    parity = 1 - 2 * ((occ // 2).sum(axis=1) % 2)
+    canon = np.lexsort(occ.T[::-1])
+    blocks = []  # (basis rows, eigenvectors) per (M_s, parity) block
+    entries = []  # (energy, M_s, parity, index in block, S, block)
+    for key in sorted(set(zip(ms.tolist(), parity.tolist()))):
+        idx = canon[(ms[canon] == key[0]) & (parity[canon] == key[1])]
         sub = [basis[i] for i in idx]
-        h = hamiltonian_matrix(model, sub)
-        evals, evecs = np.linalg.eigh(h)
+        evals, evecs = np.linalg.eigh(hamiltonian_matrix(model, sub))
         s2 = s_squared_matrix(sub)
         _resolve_degenerate_clusters(evals, evecs, s2)
-        for j, e in enumerate(evals):
-            vec = evecs[:, j]
-            s2v = float(vec @ s2 @ vec)
-            s = _s_from_eigenvalue(s2v)
-            if abs(s * (s + 1) - s2v) >= _S2_GUARD:
-                raise NumericalIntegrityError(
-                    f"<S^2> = {s2v} is not S(S+1) for any half-integer S"
-                )
-            par = _state_parity(sub, vec)
-            full = np.zeros(len(basis))
-            full[idx] = vec
-            entries.append((float(e), ms, j, s, par, full))
+        s2v = np.einsum("ij,ij->j", evecs, s2 @ evecs)
+        spins = np.array([_s_from_eigenvalue(v) for v in s2v])
+        bad = np.abs(spins * (spins + 1) - s2v) >= _S2_GUARD
+        if bad.any():
+            raise NumericalIntegrityError(
+                f"<S^2> = {s2v[bad][0]} is not S(S+1) for any half-integer S"
+            )
+        entries += [
+            (float(e), *key, j, float(s), len(blocks))
+            for j, (e, s) in enumerate(zip(evals, spins))
+        ]
+        blocks.append((idx, evecs))
 
-    entries.sort(key=lambda t: (t[0], t[1], t[2]))
-    eigenvalues = np.array([t[0] for t in entries])
-    eigenvectors = np.column_stack([t[5] for t in entries])
-    states = tuple(
-        CIState(energy=t[0], s=t[3], ms=t[1], parity=t[4]) for t in entries
-    )
+    entries.sort()
+    for i, j in _runs(np.array([t[0] for t in entries])):
+        entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:4])
+    eigenvectors = np.zeros((len(basis), len(basis)))
+    for col, (_, _, _, j, _, b) in enumerate(entries):
+        idx, evecs = blocks[b]
+        eigenvectors[idx, col] = evecs[:, j]
     return CIResult(
         basis=tuple(basis),
-        eigenvalues=eigenvalues,
+        eigenvalues=np.array([t[0] for t in entries]),
         eigenvectors=eigenvectors,
-        states=states,
+        states=tuple(
+            CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, _, s, _ in entries
+        ),
     )
 
 
@@ -528,57 +523,3 @@ def compare(
         vacuous=vacuous,
         forbidden_irreps=tuple(sorted(forbidden)),
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def product_basis_oracle(
-    model: OscillatorModel, n_orbitals: int, cluster_tol: float = 1e-7
-) -> list[tuple[float, int]]:
-    """Dense spectrum of H on the non-antisymmetrized M^N product basis.
-
-    Realizes the full permutation-symmetric spectrum, including the levels
-    that antisymmetrized (CI) calculations cannot reach; low-lying
-    eigenvalues converge to the closed form.  Returns (energy, degeneracy)
-    pairs with eigenvalues clustered within ``cluster_tol``.
-    """
-    n = model.n_particles
-    cap = _ORACLE_CAPS.get(n)
-    if cap is None or n_orbitals > cap:
-        raise DimensionCapError(
-            f"product-basis oracle limited to M <= {cap} for N={n}; "
-            f"got M={n_orbitals}"
-        )
-    h1 = np.diag([core_energy(a) for a in range(n_orbitals)])
-    x1 = np.zeros((n_orbitals, n_orbitals))
-    for a in range(n_orbitals):
-        for b in range(n_orbitals):
-            x1[a, b] = x_matrix_element(a, b)
-    eye = np.eye(n_orbitals)
-
-    def kron_chain(ops: Iterable[np.ndarray]) -> np.ndarray:
-        out = np.array([[1.0]])
-        for op in ops:
-            out = np.kron(out, op)
-        return out
-
-    dim = n_orbitals**n
-    h = np.zeros((dim, dim))
-    for site in range(n):
-        h += kron_chain(h1 if k == site else eye for k in range(n))
-    for i, j in itertools.combinations(range(n), 2):
-        h += model.xi * kron_chain(
-            x1 if k in (i, j) else eye for k in range(n)
-        )
-    evals = np.linalg.eigvalsh(h)
-    out: list[tuple[float, int]] = []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j < len(evals) and evals[j] - evals[i] <= cluster_tol:
-            j += 1
-        out.append((float(np.mean(evals[i:j])), j - i))
-        i = j
-    return out

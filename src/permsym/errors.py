@@ -16,7 +16,3 @@ class UnboundModelError(ValueError):
 
 class BasisTooSmallError(ValueError):
     """Fewer spin-orbitals than particles; no determinant can be formed."""
-
-
-class DimensionCapError(ValueError):
-    """A brute-force oracle was asked for a basis too large to handle densely."""

@@ -16,6 +16,7 @@ cross-validation (a test failure, not a runtime recovery).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -357,7 +358,14 @@ def antisymmetrize_space_spin(
         seed_index = int(candidates[0])
     elif not (0 <= seed_index < level.degeneracy):
         raise ValueError(f"seed index {seed_index} out of range")
-    spatial = proj[:, seed_index]
+    return _antisymmetrize(level, proj[:, seed_index], spin_product)
+
+
+def _antisymmetrize(
+    level: LevelDescriptor, spatial: np.ndarray, spin_product: SpinProduct
+) -> SpaceSpinFunction:
+    """Antisymmetrize (spatial vector over the level basis) x spin product."""
+    n = spin_product.n
     if np.linalg.norm(spatial) < _ZERO_TOL:
         return SpaceSpinFunction(False, 0.0, None, {})
     spatial = spatial / np.linalg.norm(spatial)
@@ -401,16 +409,19 @@ def antisymmetrize_space_spin(
     return SpaceSpinFunction(True, norm, s_value, dets)
 
 
+@functools.lru_cache(maxsize=None)
+def _s_squared(n: int) -> np.ndarray:
+    return s_squared_matrix(n)
+
+
 def _measure_spin(n: int, coeffs: Mapping) -> float:
     """<S^2> of a product-space vector, spin factor only."""
-    s2 = s_squared_matrix(n)
-    basis = spin_basis(n)
-    bidx = {labels: i for i, labels in enumerate(basis)}
+    s2 = _s_squared(n)
     # group coefficients by orbital pattern
     grouped: dict[tuple[int, ...], np.ndarray] = {}
     for (pat, labels), c in coeffs.items():
         vec = grouped.setdefault(pat, np.zeros(2**n))
-        vec[bidx[labels]] += c
+        vec[_basis_index(labels)] += c
     num = 0.0
     den = 0.0
     for vec in grouped.values():
@@ -429,14 +440,14 @@ def constructive_allowed_spins(
     the set of total spins of the surviving antisymmetrized functions.
 
     An empty set proves the irrep forbidden at this level: a single zero
-    does not, but exhaustion over the finite space does.
+    does not, but exhaustion over the finite space does.  The projector is
+    built once and shared by every (spin product, seed) pair.
     """
+    proj = character_projector(model, level, table, irrep)
     spins: set[float] = set()
     for labels in spin_basis(model.n_particles):
         for seed in range(level.degeneracy):
-            res = antisymmetrize_space_spin(
-                model, level, table, irrep, SpinProduct(labels), seed_index=seed
-            )
+            res = _antisymmetrize(level, proj[:, seed], SpinProduct(labels))
             if res.nonzero:
                 spins.add(res.s_value)
     return spins

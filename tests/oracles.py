@@ -1,0 +1,168 @@
+"""Test-only reference implementations.
+
+``hamiltonian_element`` is the textbook Slater-Condon casework for the
+coupled-oscillator Hamiltonian, element by element.  The package builds H
+from one-body operators instead; this oracle checks it entrywise.
+``product_basis_oracle`` diagonalizes H on the non-antisymmetrized product
+basis, which holds the forbidden levels too.
+"""
+
+import itertools
+
+import numpy as np
+
+from permsym.ci import SlaterDeterminant, core_energy, x_matrix_element
+
+
+def _orb(index):
+    return index // 2
+
+
+def _spin_bit(index):
+    return index % 2
+
+
+def _pair_interaction(a, b, c, d, xi):
+    """<ab|v|cd> for v = xi * x_1 x_2, spin-orthogonality included."""
+    if _spin_bit(a) != _spin_bit(c) or _spin_bit(b) != _spin_bit(d):
+        return 0.0
+    return xi * x_matrix_element(_orb(a), _orb(c)) * x_matrix_element(_orb(b), _orb(d))
+
+
+def _antisymmetrized(a, b, c, d, xi):
+    return _pair_interaction(a, b, c, d, xi) - _pair_interaction(a, b, d, c, xi)
+
+
+def hamiltonian_element(d1: SlaterDeterminant, d2: SlaterDeterminant, model) -> float:
+    """Slater-Condon matrix element of the coupled-oscillator Hamiltonian.
+
+    Cases: identical determinants, single excitation, double excitation;
+    anything differing in more than two spin-orbitals vanishes.
+    """
+    if d1.n != d2.n:
+        raise ValueError(f"determinant sizes differ: {d1.n} vs {d2.n}")
+    if d1.n != model.n_particles:
+        raise ValueError(
+            f"determinants have {d1.n} particles, model has {model.n_particles}"
+        )
+    xi = model.xi
+    occ1, occ2 = d1.occupied, d2.occupied
+    set1, set2 = set(occ1), set(occ2)
+    only1 = sorted(set1 - set2)
+    only2 = sorted(set2 - set1)
+    if len(only1) > 2:
+        return 0.0
+
+    if not only1:
+        val = sum(core_energy(_orb(i)) for i in occ1)
+        val += sum(
+            _antisymmetrized(p, q, p, q, xi) for p, q in itertools.combinations(occ1, 2)
+        )
+        return val
+
+    common = set1 & set2
+    if len(only1) == 1:
+        p, q = only1[0], only2[0]
+        sign = (-1) ** (occ1.index(p) + occ2.index(q))
+        # one-body term <p|h|q> vanishes off-diagonal in this orbital basis
+        val = sum(_antisymmetrized(p, r, q, r, xi) for r in common)
+        return sign * val
+
+    p1, p2 = only1
+    q1, q2 = only2
+    sign = (-1) ** (occ1.index(p1) + occ1.index(p2) + occ2.index(q1) + occ2.index(q2))
+    return sign * _antisymmetrized(p1, p2, q1, q2, xi)
+
+
+def slater_condon_matrix(model, basis) -> np.ndarray:
+    """Dense H over ``basis``, one Slater-Condon element at a time."""
+    return np.array([[hamiltonian_element(d1, d2, model) for d2 in basis] for d1 in basis])
+
+
+def _apply_flip(det, create, destroy):
+    """a+_create a_destroy on an index-sorted determinant; None if it dies."""
+    if destroy not in det:
+        return None
+    pos = det.index(destroy)
+    phase = -1 if pos % 2 else 1
+    rest = det[:pos] + det[pos + 1 :]
+    if create in rest:
+        return None
+    ins = sum(1 for r in rest if r < create)
+    if ins % 2:
+        phase = -phase
+    return phase, rest[:ins] + (create,) + rest[ins:]
+
+
+def s_squared_loop(basis) -> np.ndarray:
+    """S^2 = S-S+ + Sz(Sz+1), one determinant and one spin flip at a time."""
+    index = {det.occupied: i for i, det in enumerate(basis)}
+    max_orb = max(_orb(i) for det in basis for i in det.occupied)
+    s2 = np.zeros((len(basis), len(basis)))
+    for col, det in enumerate(basis):
+        s2[col, col] += det.ms * (det.ms + 1.0)
+        for i in range(max_orb + 1):
+            up = _apply_flip(det.occupied, 2 * i, 2 * i + 1)  # S+ on orbital i
+            if up is None:
+                continue
+            for k in range(max_orb + 1):
+                down = _apply_flip(up[1], 2 * k + 1, 2 * k)  # S- on orbital k
+                if down is not None:
+                    s2[index[down[1]], col] += up[0] * down[0]
+    return s2
+
+
+class DimensionCapError(ValueError):
+    """A brute-force oracle was asked for a basis too large to handle densely."""
+
+
+#: brute-force product-basis caps: M^N stays diagonalizable densely
+_ORACLE_CAPS = {3: 8, 4: 6}
+
+
+def product_basis_oracle(model, n_orbitals, cluster_tol=1e-7):
+    """Dense spectrum of H on the non-antisymmetrized M^N product basis.
+
+    Realizes the full permutation-symmetric spectrum, including the levels
+    that antisymmetrized (CI) calculations cannot reach; low-lying
+    eigenvalues converge to the closed form.  Returns (energy, degeneracy)
+    pairs with eigenvalues clustered within ``cluster_tol``.
+    """
+    n = model.n_particles
+    cap = _ORACLE_CAPS.get(n)
+    if cap is None or n_orbitals > cap:
+        raise DimensionCapError(
+            f"product-basis oracle limited to M <= {cap} for N={n}; "
+            f"got M={n_orbitals}"
+        )
+    h1 = np.diag([core_energy(a) for a in range(n_orbitals)])
+    x1 = np.zeros((n_orbitals, n_orbitals))
+    for a in range(n_orbitals):
+        for b in range(n_orbitals):
+            x1[a, b] = x_matrix_element(a, b)
+    eye = np.eye(n_orbitals)
+
+    def kron_chain(ops):
+        out = np.array([[1.0]])
+        for op in ops:
+            out = np.kron(out, op)
+        return out
+
+    dim = n_orbitals**n
+    h = np.zeros((dim, dim))
+    for site in range(n):
+        h += kron_chain(h1 if k == site else eye for k in range(n))
+    for i, j in itertools.combinations(range(n), 2):
+        h += model.xi * kron_chain(
+            x1 if k in (i, j) else eye for k in range(n)
+        )
+    evals = np.linalg.eigvalsh(h)
+    out = []
+    i = 0
+    while i < len(evals):
+        j = i
+        while j < len(evals) and evals[j] - evals[i] <= cluster_tol:
+            j += 1
+        out.append((float(np.mean(evals[i:j])), j - i))
+        i = j
+    return out

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from conftest import first_quantized_determinant_matrix
 from permsym import ci as cimod
 from permsym import cli
@@ -209,16 +210,16 @@ def test_criterion_08_missing_levels_n4(model4, t4, ci4_m8):
 
 def test_criterion_09_oracle_equivalence(model3):
     with _report("9", "brute-force product-basis oracle reproduces the "
-                 "closed form to 1e-5; Slater-Condon matrix matches the "
+                 "closed form to 1e-5; the CI matrix matches the "
                  "first-quantized oracle to 1e-10"):
-        spectrum = cimod.product_basis_oracle(model3, 8)
+        spectrum = oracles.product_basis_oracle(model3, 8)
         assert abs(spectrum[0][0] - 1.4964059) < 1e-5
         for n_sym, n_last in [(0, 0), (1, 0), (0, 1), (2, 0)]:
             exact = osc.level_energy(model3, n_sym, n_last)
             assert min(abs(e - exact) for e, _ in spectrum) < 1e-5
         basis, oracle = first_quantized_determinant_matrix(model3, 4)
-        sc = cimod.hamiltonian_matrix(model3, basis)
-        assert np.abs(sc - oracle).max() < 1e-10
+        h = cimod.hamiltonian_matrix(model3, basis)
+        assert np.abs(h - oracle).max() < 1e-10
 
 
 def test_criterion_10_property_suites(model3, ci3_m10):

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import first_quantized_determinant_matrix
 from permsym import ci as cimod
 from permsym import levelsym as ls
 from permsym import oscillator as osc
 from permsym import spin
-from permsym.errors import BasisTooSmallError, DimensionCapError
+from permsym.errors import BasisTooSmallError
 
 
 def quadrature_x_element(a, b, nodes=64):
@@ -105,38 +106,67 @@ class TestBuildBasis:
 
 
 class TestHamiltonianElement:
+    """The Slater-Condon oracle of tests/oracles.py."""
+
     def test_diagonal_uncoupled(self):
         m = osc.make_model(3, 0.0)
         det = cimod.SlaterDeterminant((0, 1, 2))  # phi0 a, phi0 b, phi1 a
-        assert cimod.hamiltonian_element(det, det, m) == pytest.approx(2.5)
+        assert oracles.hamiltonian_element(det, det, m) == pytest.approx(2.5)
 
     def test_three_differences_vanish(self, model3):
         d1 = cimod.SlaterDeterminant((0, 1, 2))
         d2 = cimod.SlaterDeterminant((3, 4, 5))
-        assert cimod.hamiltonian_element(d1, d2, model3) == 0.0
+        assert oracles.hamiltonian_element(d1, d2, model3) == 0.0
 
     def test_size_mismatch(self, model3):
         d1 = cimod.SlaterDeterminant((0, 1))
         d2 = cimod.SlaterDeterminant((0, 1, 2))
         with pytest.raises(ValueError):
-            cimod.hamiltonian_element(d1, d2, model3)
+            oracles.hamiltonian_element(d1, d2, model3)
         with pytest.raises(ValueError):
-            cimod.hamiltonian_element(d1, d1, model3)
+            oracles.hamiltonian_element(d1, d1, model3)
 
     def test_hermitian_exactly(self, model3):
         basis = cimod.build_basis(3, 3)
         for d1 in basis[:10]:
             for d2 in basis[:10]:
-                assert cimod.hamiltonian_element(d1, d2, model3) == (
-                    cimod.hamiltonian_element(d2, d1, model3)
+                assert oracles.hamiltonian_element(d1, d2, model3) == (
+                    oracles.hamiltonian_element(d2, d1, model3)
                 )
 
     def test_matrix_matches_first_quantized_oracle(self, model3):
         """Slater-Condon vs explicit antisymmetrization on the product
         space, entrywise to 1e-10 (N=3, M=4)."""
         basis, oracle = first_quantized_determinant_matrix(model3, 4)
-        sc = cimod.hamiltonian_matrix(model3, basis)
+        sc = oracles.slater_condon_matrix(model3, basis)
         assert np.abs(sc - oracle).max() < 1e-10
+
+
+class TestHamiltonianMatrix:
+    @pytest.mark.parametrize("n,m_orb", [(3, 6), (4, 5)])
+    @pytest.mark.parametrize("xi", [-0.3, 0.1, 0.7])
+    @pytest.mark.parametrize("variant", ["sector", "shuffled", "subset"])
+    def test_matches_slater_condon(self, n, m_orb, xi, variant):
+        model = osc.make_model(n, xi)
+        basis = cimod.build_basis(n, m_orb, ms=0.5 if n % 2 else 0.0)
+        rng = np.random.default_rng(7)
+        if variant == "shuffled":
+            basis = [basis[i] for i in rng.permutation(len(basis))]
+        elif variant == "subset":
+            keep = np.sort(rng.choice(len(basis), len(basis) // 2, replace=False))
+            basis = [basis[i] for i in keep]
+        h = cimod.hamiltonian_matrix(model, basis)
+        assert np.array_equal(h, h.T)
+        assert np.abs(h - oracles.slater_condon_matrix(model, basis)).max() < 1e-12
+
+    def test_particle_count_mismatch(self, model3):
+        with pytest.raises(ValueError, match="particles"):
+            cimod.hamiltonian_matrix(model3, cimod.build_basis(4, 3, ms=0.0))
+
+    def test_mask_width_guard(self, model3):
+        basis = [cimod.SlaterDeterminant((0, 1, 63))]  # orbital 31
+        with pytest.raises(ValueError, match="31 orbitals"):
+            cimod.hamiltonian_matrix(model3, basis)
 
 
 class TestCISolve:
@@ -187,6 +217,38 @@ class TestCISolve:
         e2 = cimod.ci_solve(model3, shuffled).eigenvalues
         assert np.abs(e1 - e2).max() < 1e-10
 
+    def test_states_invariant_under_basis_order(self, model4):
+        basis = cimod.build_basis(4, 5)
+        r1 = cimod.ci_solve(model4, basis)
+        r2 = cimod.ci_solve(model4, list(reversed(basis)))
+        assert r1.states == r2.states
+        assert np.array_equal(r1.eigenvectors, r2.eigenvectors[::-1])
+
+    def test_state_order_rule(self, model4):
+        """Ascending energy; inside a run of energies within 1e-9 the
+        states go by (M_s, parity, index within the block)."""
+        result = cimod.ci_solve(model4, cimod.build_basis(4, 5))
+        energies = result.eigenvalues
+        start, quintets = 0, 0
+        for k in range(1, len(energies) + 1):
+            width = 1e-9 * max(1.0, abs(energies[start]))
+            if k < len(energies) and energies[k] - energies[start] <= width:
+                continue
+            keys = [(st.ms, st.parity) for st in result.states[start:k]]
+            assert keys == sorted(keys)
+            quintets += k - start >= 5  # the M_s members of S=2 share a run
+            start = k
+        assert quintets
+
+    def test_eigenvectors_have_one_parity(self, model4):
+        result = cimod.ci_solve(model4, cimod.build_basis(4, 5))
+        det_parity = np.array(
+            [(-1) ** det.orbital_quanta for det in result.basis]
+        )
+        for j, st in enumerate(result.states):
+            support = np.abs(result.eigenvectors[:, j]) > 0
+            assert set(det_parity[support]) == {st.parity}
+
     def test_variational_bound_and_monotonicity(self, model3):
         lowest_allowed = osc.level_energy(model3, 1, 0)
         previous = None
@@ -231,6 +293,13 @@ class TestLowestN4:
 
 
 class TestS2Matrix:
+    @pytest.mark.parametrize("n,m_orb,ms", [(3, 5, 0.5), (3, 4, "all"), (4, 4, 0.0)])
+    def test_matches_loop_oracle(self, n, m_orb, ms):
+        basis = cimod.build_basis(n, m_orb, ms=ms)
+        basis = [basis[i] for i in np.random.default_rng(3).permutation(len(basis))]
+        s2 = cimod.s_squared_matrix(basis)
+        assert np.array_equal(s2, oracles.s_squared_loop(basis))
+
     def test_requires_full_ms_sector(self, model3):
         # S-S+ maps (0a, 1a, 2b) onto (0b, 1a, 2a); removing the image
         # leaves a basis S^2 cannot act on
@@ -285,7 +354,7 @@ class TestCompare:
     ):
         """Product-basis oracle realizes the full spectrum; the part absent
         from CI is precisely the pure-A1 (forbidden) levels."""
-        oracle = cimod.product_basis_oracle(model3, 8)
+        oracle = oracles.product_basis_oracle(model3, 8)
         levels = self._decorated(model3, t3, 3)
         for lv in levels:
             gap = min(abs(e - lv.energy) for e, _ in oracle)
@@ -320,12 +389,12 @@ class TestCompare:
 
 class TestProductBasisOracle:
     def test_ground_state_value(self, model3):
-        spectrum = cimod.product_basis_oracle(model3, 8)
+        spectrum = oracles.product_basis_oracle(model3, 8)
         assert spectrum[0][0] == pytest.approx(1.4964059, abs=1e-5)
 
     def test_uncoupled_ladder(self):
         m = osc.make_model(3, 0.0)
-        spectrum = cimod.product_basis_oracle(m, 4)
+        spectrum = oracles.product_basis_oracle(m, 4)
         assert [(round(e, 9), d) for e, d in spectrum[:3]] == [
             (1.5, 1),
             (2.5, 3),
@@ -333,10 +402,10 @@ class TestProductBasisOracle:
         ]
 
     def test_dimension_cap(self, model3, model4):
-        with pytest.raises(DimensionCapError):
-            cimod.product_basis_oracle(model3, 9)
-        with pytest.raises(DimensionCapError):
-            cimod.product_basis_oracle(model4, 7)
+        with pytest.raises(oracles.DimensionCapError):
+            oracles.product_basis_oracle(model3, 9)
+        with pytest.raises(oracles.DimensionCapError):
+            oracles.product_basis_oracle(model4, 7)
 
 
 class TestDeterminism:

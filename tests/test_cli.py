@@ -1,6 +1,11 @@
 import csv
 import io
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +199,17 @@ class TestCi:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("n,xi,orbitals", [(3, 0.825, 10), (4, 0.9, 8)])
+    def test_strong_coupling_all_ms(self, capsys, n, xi, orbitals):
+        """Near the top of the bound window these exited 2 with "eigenvector
+        mixes orbital parities" (the smallest M at which they did)."""
+        data = run_json(
+            capsys, "ci", "--n", str(n), "--xi", str(xi),
+            "--orbitals", str(orbitals), "--ms", "all",
+        )
+        assert len(data["states"]) == data["basis_size"] == math.comb(2 * orbitals, n)
+        assert {row["parity"] for row in data["states"]} == {-1, 1}
+
 
 class TestCompare:
     def test_n3_experiment(self, capsys):
@@ -335,3 +351,22 @@ class TestOutputErrors:
         )
         assert rc == 1
         assert err
+
+
+def test_cli_import_needs_numpy_only():
+    """The package declares numpy as its only dependency: importing the CLI
+    in a fresh interpreter must not pull in scipy."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, permsym.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
