@@ -7,25 +7,31 @@ term, so H, like S^2, is assembled from one vectorized one-body-operator
 builder acting on integer occupation arrays and bitmasks of the
 determinants (string-based CI in the manner of Knowles and Handy, 1984).
 The determinant space (all C(2M, N) selections, optionally filtered to one
-M_s sector) is diagonalized densely in (M_s, parity) blocks; total spin is
-measured on each eigenvector, never imposed on the basis.  Comparing the
-resulting spectrum against the exact levels exposes the missing ones.
+M_s sector) is spin-adapted: each configuration of orbital occupations
+times each spin eigenfunction of its open shells is one configuration
+state function (CSF; Pauncz, Spin Eigenfunctions, 1979), and H is
+diagonalized densely in one block of CSFs per (S, parity), so total spin
+holds by construction.  Comparing the resulting spectrum against the exact
+levels exposes the missing ones.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from . import spin
 from .errors import BasisTooSmallError, NumericalIntegrityError
-from .oscillator import LevelDescriptor, OscillatorModel
-from .spin import AllowedIrrepMap, _s_from_eigenvalue
+from .oscillator import LevelDescriptor, OscillatorModel, level_energy
+from .spin import AllowedIrrepMap
 
-_S2_GUARD = 1e-6
+#: largest |S^2 f - S(S+1) f| a spin function may show
+_SPIN_GUARD = 1e-10
 #: relative width of a run of degenerate energies
 _DEGENERACY_TOL = 1e-9
 #: determinants are int64 bitmasks over the spin-orbitals
@@ -255,6 +261,51 @@ def s_squared_matrix(basis: Sequence[SlaterDeterminant]) -> np.ndarray:
     return s2
 
 
+@functools.lru_cache(maxsize=None)
+def _spin_strings(k: int, n_beta: int) -> np.ndarray:
+    """Spin strings of k open shells with n_beta of them beta, ascending.
+
+    A string is an index into the 2^k product basis of
+    ``spin.s_squared_matrix(k)``: bit k-1-j is set when shell j is beta.
+    """
+    strings = np.array([i for i in range(1 << k) if bin(i).count("1") == n_beta])
+    strings.setflags(write=False)  # cached: shared by every caller
+    return strings
+
+
+@functools.lru_cache(maxsize=None)
+def spin_functions(k: int, n_beta: int, s: float) -> np.ndarray:
+    """Orthonormal total-spin-``s`` eigenfunctions of k open shells with
+    n_beta of them beta, as columns over ``_spin_strings(k, n_beta)``.
+
+    The M_s = s members are an eigenbasis of the k-site S^2 on its
+    highest-weight strings; each lower M_s applies S- to the one above and
+    renormalizes, so column j is one member of the same multiplet in every
+    M_s.  Each set is checked against S(S+1) once, when it is built.
+    """
+    m = k / 2 - n_beta
+    if not abs(m) <= s <= k / 2 or (k / 2 - s) % 1:
+        raise ValueError(f"no S={s} spin function of {k} shells at M_s={m}")
+    strings = _spin_strings(k, n_beta)
+    s2 = spin._s_squared(k)[np.ix_(strings, strings)]  # spin.s_squared_matrix, cached
+    if m == s:
+        evals, evecs = np.linalg.eigh(s2)
+        funcs = evecs[:, np.abs(evals - s * (s + 1)) < 0.5]
+    else:
+        above = _spin_strings(k, n_beta - 1)
+        # S- turns one alpha shell beta: string b is reached from a when
+        # the bits of b are those of a plus one
+        lower = (np.bitwise_and(strings[:, None], above) == above) * 1.0
+        funcs = lower @ spin_functions(k, n_beta - 1, s)
+        funcs /= math.sqrt(s * (s + 1) - m * (m + 1))
+    if np.abs(s2 @ funcs - s * (s + 1) * funcs).max(initial=0.0) > _SPIN_GUARD:
+        raise NumericalIntegrityError(
+            f"spin functions of {k} shells miss S(S+1) for S={s}"
+        )
+    funcs.setflags(write=False)
+    return funcs
+
+
 @dataclass(frozen=True)
 class CIState:
     energy: float
@@ -264,13 +315,60 @@ class CIState:
 
 
 @dataclass(frozen=True)
+class _CSFBlock:
+    """The configuration state functions of one (M_s, parity, S) block.
+
+    ``rows`` are the basis indices of its determinants, ordered by open-
+    shell count, then configuration, then spin string; ``groups`` holds
+    (number of configurations, spin functions) per open-shell count.  The
+    CSF transform K is block diagonal, one copy of the spin functions per
+    configuration, and ``coeffs`` are the eigenvectors over the CSFs.
+    """
+
+    ms: float
+    parity: int
+    s: float
+    rows: np.ndarray
+    groups: tuple[tuple[int, np.ndarray], ...]
+    evals: np.ndarray
+    coeffs: np.ndarray
+
+
+def _to_csf(groups, x: np.ndarray) -> np.ndarray:
+    """K^T x, for x over the block's determinants in block order.  With
+    every spin-function matrix of ``groups`` transposed, this is K x."""
+    out, at = [], 0
+    for n_conf, funcs in groups:
+        d, f = funcs.shape
+        part = x[at : at + n_conf * d].reshape(n_conf, d, -1)
+        out.append((funcs.T @ part).reshape(n_conf * f, -1))
+        at += n_conf * d
+    return np.concatenate(out)
+
+
+@dataclass(frozen=True)
 class CIResult:
-    """Eigensolution over the determinant basis, labelled per state."""
+    """Eigensolution over the determinant basis, labelled per state.
+
+    ``eigenvectors`` (column j belongs to eigenvalues[j]) is the dense
+    dim x dim matrix; it is assembled from the CSF blocks on first access.
+    """
 
     basis: tuple[SlaterDeterminant, ...]
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray          # column j belongs to eigenvalues[j]
     states: tuple[CIState, ...]
+    blocks: tuple[_CSFBlock, ...] = field(repr=False)
+    columns: np.ndarray = field(repr=False)  # (block, index in block) per state
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        out = np.zeros((len(self.basis), len(self.basis)))
+        for b, block in enumerate(self.blocks):
+            cols = np.nonzero(self.columns[:, 0] == b)[0]
+            k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block.groups]
+            vecs = _to_csf(k_transposed, block.coeffs[:, self.columns[cols, 1]])
+            out[np.ix_(block.rows, cols)] = vecs
+        return out
 
 
 def _runs(values: np.ndarray):
@@ -287,82 +385,109 @@ def _runs(values: np.ndarray):
         i = j
 
 
-def _resolve_degenerate_clusters(
-    evals: np.ndarray, evecs: np.ndarray, s2: np.ndarray
-) -> None:
-    """Rotate each degenerate eigenvalue cluster onto S^2 eigenvectors.
+def _sectors(occ: np.ndarray):
+    """Split the determinants into (M_s, parity) sectors, solve order first.
 
-    An exact level can host several total spins at one energy; the raw
-    eigensolver is free to mix them, which would leave <S^2> between
-    S(S+1) values.  Diagonalizing S^2 inside each cluster restores definite
-    spin, fixes the degenerate-block orthonormalization deterministically,
-    and leaves the eigenvalues untouched.  Signs are normalized so the
-    largest-magnitude component of every vector is positive.
+    Yields (M_s, parity, rows, open-shell groups): ``rows`` are basis
+    indices ordered by open-shell count k, configuration and spin string,
+    and each group is (k, beta open shells, first position in rows,
+    configurations) for one k.
+    Raises ValueError unless every configuration present comes with all of
+    its spin strings.
     """
-    for i, j in _runs(evals):
-        if j - i > 1:
-            block = evecs[:, i:j]
-            small = block.T @ s2 @ block
-            _, rot = np.linalg.eigh(0.5 * (small + small.T))
-            evecs[:, i:j] = block @ rot
-    lead = np.argmax(np.abs(evecs), axis=0)
-    evecs *= np.where(evecs[lead, np.arange(evecs.shape[1])] < 0, -1.0, 1.0)
+    n = occ.shape[1]
+    orb, beta = occ // 2, occ % 2
+    pair = orb[:, 1:] == orb[:, :-1]
+    edge = np.zeros((len(occ), 1), dtype=bool)
+    single = ~(np.hstack([edge, pair]) | np.hstack([pair, edge]))
+    k = single.sum(axis=1)
+    later = k[:, None] - np.cumsum(single, axis=1)  # open shells after this one
+    string = (single * beta << later).sum(axis=1)
+    config = (np.int64(1) << 2 * orb).sum(axis=1)  # occupation numbers, base 4
+    ms = 0.5 * (n - 2 * beta.sum(axis=1))
+    parity = 1 - 2 * (orb.sum(axis=1) % 2)
+    order = np.lexsort((string, config, k))
+    sectors = set(zip(ms.tolist(), parity.tolist()))
+    for m, p in sorted(sectors, key=lambda t: (abs(t[0]), -t[0], t[1])):
+        rows = order[(ms[order] == m) & (parity[order] == p)]
+        groups = []
+        k_rows = np.unique(k[rows], return_index=True, return_counts=True)
+        for kk, at, size in zip(*(v.tolist() for v in k_rows)):
+            n_beta = round(kk / 2 - m)
+            expected = _spin_strings(kk, n_beta)
+            d, group = len(expected), rows[at : at + size]
+            if (
+                size % d
+                or (config[group].reshape(-1, d) != config[group[::d], None]).any()
+                or (string[group].reshape(-1, d) != expected).any()
+            ):
+                raise ValueError(
+                    "a configuration lacks some of its spin partners; "
+                    "use a full M_s sector"
+                )
+            groups.append((kk, n_beta, at, config[group[::d]]))
+        yield m, p, rows, groups
 
 
 def ci_solve(model: OscillatorModel, basis: Sequence[SlaterDeterminant]) -> CIResult:
-    """Dense symmetric eigensolution with deterministic output.
+    """Spin-adapted dense eigensolution with deterministic output.
 
-    H and S^2 conserve M_s and the parity of the total orbital quanta, so
-    the basis is split into (M_s, parity) blocks, each taken in
-    lexicographic determinant order and diagonalized separately; the
-    result does not depend on the order of ``basis``.  Total spin is
-    measured from <S^2> on each eigenvector (degenerate clusters are first
-    rotated onto S^2 eigenvectors) and guarded to a half-integer.
+    H conserves M_s, the parity of the total orbital quanta and the total
+    spin S.  Each (M_s, parity) sector of the basis is ordered by open-shell
+    count, configuration and spin string, and H on it is transformed to
+    configuration state functions: a configuration with k open shells
+    times each spin function of ``spin_functions``.  H is then diagonalized
+    in one block per S, so every spin label holds by construction.  Each
+    (S, parity) block is solved once, in the sector of smallest |M_s| that
+    holds it (+M_s on a tie); the other sectors reuse its eigenpairs through
+    their own lowered spin functions, so the members of a multiplet carry
+    bitwise-equal energies.  The result does not depend on the order of
+    ``basis``; a basis that lacks a spin partner of one of its
+    determinants raises ValueError.
 
     State order: ascending energy, except that inside a run of energies
     within 1e-9 (relative) of its lowest member, states are ordered by
-    (M_s, parity, index within the block).
+    (M_s, parity, S, index within the block).
     """
     basis = list(basis)
     occ = _occupations(basis)
-    ms = 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
-    parity = 1 - 2 * ((occ // 2).sum(axis=1) % 2)
-    canon = np.lexsort(occ.T[::-1])
-    blocks = []  # (basis rows, eigenvectors) per (M_s, parity) block
-    entries = []  # (energy, M_s, parity, index in block, S, block)
-    for key in sorted(set(zip(ms.tolist(), parity.tolist()))):
-        idx = canon[(ms[canon] == key[0]) & (parity[canon] == key[1])]
-        sub = [basis[i] for i in idx]
-        evals, evecs = np.linalg.eigh(hamiltonian_matrix(model, sub))
-        s2 = s_squared_matrix(sub)
-        _resolve_degenerate_clusters(evals, evecs, s2)
-        s2v = np.einsum("ij,ij->j", evecs, s2 @ evecs)
-        spins = np.array([_s_from_eigenvalue(v) for v in s2v])
-        bad = np.abs(spins * (spins + 1) - s2v) >= _S2_GUARD
-        if bad.any():
-            raise NumericalIntegrityError(
-                f"<S^2> = {s2v[bad][0]} is not S(S+1) for any half-integer S"
+    solved = {}  # (S, parity, configurations) -> (eigenvalues, coefficients)
+    blocks = []
+    for ms, parity, rows, groups in _sectors(occ):
+        h = None
+        for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
+            carrying = [g for g in groups if g[0] >= 2 * s]
+            start = carrying[0][2]
+            spin_groups = tuple(
+                (len(conf), spin_functions(kk, n_beta, s))
+                for kk, n_beta, _, conf in carrying
             )
-        entries += [
-            (float(e), *key, j, float(s), len(blocks))
-            for j, (e, s) in enumerate(zip(evals, spins))
-        ]
-        blocks.append((idx, evecs))
+            key = (s, parity, np.concatenate([c for *_, c in carrying]).tobytes())
+            if key not in solved:
+                if h is None:
+                    h = hamiltonian_matrix(model, [basis[i] for i in rows])
+                part = _to_csf(spin_groups, h[start:, start:])
+                solved[key] = np.linalg.eigh(_to_csf(spin_groups, part.T))
+            evals, coeffs = solved[key]
+            blocks.append(
+                _CSFBlock(ms, parity, s, rows[start:], spin_groups, evals, coeffs)
+            )
 
-    entries.sort()
+    entries = sorted(
+        (float(e), b.ms, b.parity, b.s, j, i)
+        for i, b in enumerate(blocks)
+        for j, e in enumerate(b.evals)
+    )
     for i, j in _runs(np.array([t[0] for t in entries])):
-        entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:4])
-    eigenvectors = np.zeros((len(basis), len(basis)))
-    for col, (_, _, _, j, _, b) in enumerate(entries):
-        idx, evecs = blocks[b]
-        eigenvectors[idx, col] = evecs[:, j]
+        entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:5])
     return CIResult(
         basis=tuple(basis),
         eigenvalues=np.array([t[0] for t in entries]),
-        eigenvectors=eigenvectors,
         states=tuple(
-            CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, _, s, _ in entries
+            CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _, _ in entries
         ),
+        blocks=tuple(blocks),
+        columns=np.array([(t[5], t[4]) for t in entries]),
     )
 
 
@@ -449,9 +574,12 @@ def compare(
 
     Every exact level must carry irrep multiplicities.  The convergence
     horizon is the energy of the first allowed level that no CI state
-    reproduces within tol (clipped to the top of the enumerated list); only
-    CI states below the horizon are classified.  Levels below the horizon
-    with no matching CI state are reported missing.
+    reproduces within tol, clipped to the top of the enumerated list and to
+    tol below the lowest level the list leaves out: with cutoff the largest
+    n_sym + n_last given, that is the lowest level of the cutoff+1 shell,
+    since energies rise with both quanta.  Only CI states below the horizon
+    are classified.  Levels below the horizon with no matching CI state are
+    reported missing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -474,6 +602,10 @@ def compare(
 
     evals = ci_result.eigenvalues
     horizon = levels[-1].energy + tol if levels else 0.0
+    if levels:
+        shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
+        unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
+        horizon = min(horizon, unlisted - tol)
     for lv in levels:
         if not has_allowed_content(lv):
             continue

@@ -4,14 +4,26 @@
 coupled-oscillator Hamiltonian, element by element.  The package builds H
 from one-body operators instead; this oracle checks it entrywise.
 ``product_basis_oracle`` diagonalizes H on the non-antisymmetrized product
-basis, which holds the forbidden levels too.
+basis, which holds the forbidden levels too.  ``ci_solve_dense`` is the
+determinant-basis CI that measures total spin instead of imposing it.
 """
 
 import itertools
 
 import numpy as np
 
-from permsym.ci import SlaterDeterminant, core_energy, x_matrix_element
+from permsym.ci import (
+    CIState,
+    SlaterDeterminant,
+    _occupations,
+    _runs,
+    core_energy,
+    hamiltonian_matrix,
+    s_squared_matrix,
+    x_matrix_element,
+)
+from permsym.errors import NumericalIntegrityError
+from permsym.spin import _s_from_eigenvalue
 
 
 def _orb(index):
@@ -166,3 +178,51 @@ def product_basis_oracle(model, n_orbitals, cluster_tol=1e-7):
         out.append((float(np.mean(evals[i:j])), j - i))
         i = j
     return out
+
+
+def _resolve_degenerate_clusters(evals, evecs, s2):
+    """Rotate each degenerate eigenvalue cluster onto S^2 eigenvectors, in
+    place; the raw eigensolver is free to mix the spins of one level."""
+    for i, j in _runs(evals):
+        if j - i > 1:
+            block = evecs[:, i:j]
+            small = block.T @ s2 @ block
+            _, rot = np.linalg.eigh(0.5 * (small + small.T))
+            evecs[:, i:j] = block @ rot
+
+
+def ci_solve_dense(model, basis, guard=1e-6):
+    """Dense CI over each whole (M_s, parity) block of determinants.
+
+    Total spin is measured: degenerate clusters are rotated onto S^2 and
+    every eigenvector's <S^2> must lie within ``guard`` of some S(S+1).
+    Returns (eigenvalues, states) in the package's state order: ascending
+    energy, and (M_s, parity, index) inside a run of energies within 1e-9.
+    """
+    basis = list(basis)
+    occ = _occupations(basis)
+    ms = 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
+    parity = 1 - 2 * ((occ // 2).sum(axis=1) % 2)
+    canon = np.lexsort(occ.T[::-1])
+    entries = []
+    for key in sorted(set(zip(ms.tolist(), parity.tolist()))):
+        idx = canon[(ms[canon] == key[0]) & (parity[canon] == key[1])]
+        sub = [basis[i] for i in idx]
+        evals, evecs = np.linalg.eigh(hamiltonian_matrix(model, sub))
+        s2 = s_squared_matrix(sub)
+        _resolve_degenerate_clusters(evals, evecs, s2)
+        s2v = np.einsum("ij,ij->j", evecs, s2 @ evecs)
+        spins = np.array([_s_from_eigenvalue(v) for v in s2v])
+        bad = np.abs(spins * (spins + 1) - s2v) >= guard
+        if bad.any():
+            raise NumericalIntegrityError(
+                f"<S^2> = {s2v[bad][0]} is not S(S+1) for any half-integer S"
+            )
+        entries += [
+            (float(e), *key, j, float(s)) for j, (e, s) in enumerate(zip(evals, spins))
+        ]
+    entries.sort()
+    for i, j in _runs(np.array([t[0] for t in entries])):
+        entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:4])
+    states = tuple(CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, _, s in entries)
+    return np.array([t[0] for t in entries]), states

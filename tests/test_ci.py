@@ -284,6 +284,171 @@ class TestCISolve:
             cimod.ci_solve(model3, [])
 
 
+def _lowering(k):
+    """S- on the 2^k spin products, one site operator per tensor factor."""
+    out = np.zeros((2**k, 2**k))
+    for site in range(k):
+        mat = np.array([[1.0]])
+        for j in range(k):
+            mat = np.kron(mat, [[0.0, 0.0], [1.0, 0.0]] if j == site else np.eye(2))
+        out += mat
+    return out
+
+
+SPIN_CASES = [
+    (k, n_beta, s)
+    for k in range(7)
+    for n_beta in range(k + 1)
+    for s in np.arange(abs(k / 2 - n_beta), k / 2 + 0.25).tolist()
+]
+
+
+class TestSpinFunctions:
+    def _embedded(self, k, n_beta, s):
+        out = np.zeros((2**k, math.comb(k, n_beta)))
+        out[cimod._spin_strings(k, n_beta), :] = np.eye(out.shape[1])
+        return out @ cimod.spin_functions(k, n_beta, s)
+
+    @pytest.mark.parametrize("k,n_beta,s", SPIN_CASES)
+    def test_orthonormal_s2_eigenvectors(self, k, n_beta, s):
+        funcs = self._embedded(k, n_beta, s)
+        assert np.abs(funcs.T @ funcs - np.eye(funcs.shape[1])).max() < 1e-12
+        s2 = spin.s_squared_matrix(k)
+        assert np.abs(s2 @ funcs - s * (s + 1) * funcs).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "k,n_beta,s", [(k, nb, s) for k, nb, s in SPIN_CASES if k / 2 - nb - 1 >= -s]
+    )
+    def test_lowering_consistent(self, k, n_beta, s):
+        """Column j at M_s - 1 is S- applied to column j at M_s, normalized."""
+        m = k / 2 - n_beta
+        lowered = _lowering(k) @ self._embedded(k, n_beta, s)
+        lowered /= math.sqrt(s * (s + 1) - m * (m - 1))
+        assert np.abs(lowered - self._embedded(k, n_beta + 1, s)).max() < 1e-12
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_complete(self, k):
+        """The spin functions of all S span every string of each M_s."""
+        for n_beta in range(k + 1):
+            count = sum(
+                cimod.spin_functions(kk, nb, s).shape[1]
+                for kk, nb, s in SPIN_CASES
+                if (kk, nb) == (k, n_beta)
+            )
+            assert count == math.comb(k, n_beta)
+
+    def test_rejects_impossible_spin(self):
+        with pytest.raises(ValueError):
+            cimod.spin_functions(3, 1, 0.0)
+        with pytest.raises(ValueError):
+            cimod.spin_functions(2, 0, 0.0)
+
+
+def _ms_filters(n):
+    """Every sector, the solved one, a lowered one, the top one."""
+    return ["all", 0.5, -0.5, 1.5] if n % 2 else ["all", 0.0, -1.0, 2.0]
+
+
+class TestSpinAdaptedSolve:
+    @pytest.mark.parametrize(
+        "n,m_orb,ms",
+        [
+            (n, m, ms)
+            for n, m in [(3, 5), (3, 8), (4, 4), (4, 6)]
+            for ms in _ms_filters(n)
+        ],
+    )
+    @pytest.mark.parametrize("xi", [-0.3, 0.1, 0.7])
+    def test_matches_dense_oracle(self, n, m_orb, ms, xi):
+        """Same eigenvalues as the dense (M_s, parity) solver that measures
+        <S^2>, and the same (S, M_s, parity) label on each."""
+        model = osc.make_model(n, xi)
+        basis = cimod.build_basis(n, m_orb, ms=ms)
+        result = cimod.ci_solve(model, basis)
+        evals, states = oracles.ci_solve_dense(model, basis)
+        assert np.abs(result.eigenvalues - evals).max() < 1e-10
+
+        def labelled(sts):
+            return sorted((st.s, st.ms, st.parity, st.energy) for st in sts)
+
+        ours, theirs = labelled(result.states), labelled(states)
+        assert [t[:3] for t in ours] == [t[:3] for t in theirs]
+        assert max(abs(a[3] - b[3]) for a, b in zip(ours, theirs)) < 1e-10
+
+    @pytest.mark.parametrize("n,m_orb,xi", [(3, 6, 0.45), (4, 5, 0.6)])
+    def test_multiplet_energies_bitwise_equal(self, n, m_orb, xi):
+        result = cimod.ci_solve(osc.make_model(n, xi), cimod.build_basis(n, m_orb))
+        by_block: dict = {}
+        for st in result.states:
+            sectors = by_block.setdefault((st.s, st.parity), {})
+            sectors.setdefault(st.ms, []).append(st.energy)
+        for (s, _), sectors in by_block.items():
+            assert sorted(sectors) == np.arange(-s, s + 0.5).tolist()
+            first = sorted(sectors[s])
+            assert all(sorted(e) == first for e in sectors.values())
+
+    def test_h_built_only_in_the_solved_sectors(self, monkeypatch):
+        """`ci --ms all` builds H for M_s = +1/2 only; every other sector
+        reuses its eigenpairs."""
+        built = []
+        real = cimod.hamiltonian_matrix
+
+        def spy(model, basis):
+            built.append({det.ms for det in basis})
+            return real(model, basis)
+
+        monkeypatch.setattr(cimod, "hamiltonian_matrix", spy)
+        model = osc.make_model(3, 0.1)
+        cimod.ci_solve(model, cimod.build_basis(3, 5))
+        assert built == [{0.5}, {0.5}]
+
+    @pytest.mark.parametrize("n,m_orb,ms", [(3, 3, 0.5), (3, 4, "all"), (4, 4, 0.0)])
+    def test_missing_spin_partner_raises(self, n, m_orb, ms):
+        basis = cimod.build_basis(n, m_orb, ms=ms)
+        # the first determinant with two open shells of opposite spin
+        victim = next(
+            det for det in basis
+            if len({i // 2 for i in det.occupied}) == det.n
+            and len({i % 2 for i in det.occupied}) == 2
+        )
+        with pytest.raises(ValueError, match="M_s sector"):
+            cimod.ci_solve(osc.make_model(n, 0.1), [d for d in basis if d != victim])
+
+    def test_eigenpairs(self, ci3_m10, model3):
+        """Each energy belongs to its own vector: at N=3 M=10 three states
+        within 1e-9 of 7.1885 carry S = 1/2, 1/2 and 3/2, and a rotation of
+        the cluster onto S^2 that kept the eigenvalues in place paired the
+        S = 3/2 vector with another state's energy."""
+        vecs = ci3_m10.eigenvectors
+        h = cimod.hamiltonian_matrix(model3, list(ci3_m10.basis))
+        assert np.abs(h @ vecs - vecs * ci3_m10.eigenvalues).max() < 1e-10
+        quartet = [
+            st.energy for st in ci3_m10.states
+            if abs(st.energy - 7.1885056) < 1e-6 and st.s == 1.5
+        ]
+        assert quartet == [pytest.approx(7.188505643877, abs=1e-11)]
+
+    @pytest.mark.parametrize("n,m_orb", [(3, 5), (4, 5)])
+    def test_eigenpairs_of_every_sector(self, n, m_orb):
+        """Sectors that reuse another sector's CSF eigenvectors get true
+        eigenvectors of their own H, orthonormal over the whole basis."""
+        model = osc.make_model(n, 0.3)
+        basis = cimod.build_basis(n, m_orb)
+        result = cimod.ci_solve(model, basis)
+        vecs = result.eigenvectors
+        h = cimod.hamiltonian_matrix(model, basis)
+        assert np.abs(h @ vecs - vecs * result.eigenvalues).max() < 1e-10
+        assert np.abs(vecs.T @ vecs - np.eye(len(basis))).max() < 1e-12
+        ms = np.array([det.ms for det in basis])
+        for j, st in enumerate(result.states):
+            assert set(ms[np.abs(vecs[:, j]) > 0]) == {st.ms}
+
+    def test_eigenvectors_built_on_first_access(self, model3):
+        result = cimod.ci_solve(model3, cimod.build_basis(3, 4, ms=0.5))
+        assert "eigenvectors" not in vars(result)
+        assert result.eigenvectors is result.eigenvectors
+
+
 class TestLowestN4:
     def test_lowest_is_singlet(self, ci4_m8, model4):
         exact = osc.level_energy(model4, 2, 0)

@@ -12,6 +12,7 @@ import pytest
 
 from permsym import ci as cimod
 from permsym import cli
+from permsym import oscillator as osc
 from permsym.errors import NumericalIntegrityError
 
 
@@ -225,6 +226,27 @@ class TestCompare:
         assert data["ok"] is True
         assert data["config"]["ms"] == "1/2"
 
+    @pytest.mark.parametrize(
+        "n,xi,orbitals,max_quanta",
+        [(3, 0.3, 12, 3), (3, -0.3, 12, 3), (4, 0.3, 8, 4), (4, 0.1, 8, 5)],
+    )
+    def test_unlisted_levels_are_not_spurious(
+        self, capsys, n, xi, orbitals, max_quanta
+    ):
+        """CI states that reproduce levels above the cutoff were counted as
+        spurious (exit 3); the horizon now stops tol below the lowest level
+        of the cutoff+1 shell."""
+        data = run_json(
+            capsys,
+            "compare", "--n", str(n), "--xi", str(xi), "--orbitals", str(orbitals),
+            "--max-quanta", str(max_quanta), "--tol", "1e-4",
+        )
+        model = osc.make_model(n, xi)
+        shell = max_quanta + 1
+        unlisted = min(osc.level_energy(model, q, shell - q) for q in range(shell + 1))
+        assert data["spurious"] == [] and data["ok"] is True
+        assert data["horizon"] <= unlisted - 1e-4 + 1e-8
+
     def test_exit_3_on_failed_verification(self, capsys, monkeypatch):
         real_compare = cimod.compare
 
@@ -242,6 +264,31 @@ class TestCompare:
         )
         assert rc == 3
         assert json.loads(out)["ok"] is False
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestGolden:
+    """The CLI reproduces each committed artifact byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("compare_n3_m10.json",
+             "compare --n 3 --xi 0.1 --orbitals 10 --max-quanta 4 --tol 1e-4"),
+            ("compare_n4_m8.json",
+             "compare --n 4 --xi 0.1 --orbitals 8 --max-quanta 4 --tol 1e-4"),
+            ("ci_n3_m6_xi0.45.json", "ci --n 3 --xi 0.45 --orbitals 6 --ms all"),
+            ("ci_n4_m5_xi0.6.json", "ci --n 4 --xi 0.6 --orbitals 5 --ms all"),
+            ("allowed_n3.json", "allowed --n 3 --verify constructive"),
+            ("allowed_n4.json", "allowed --n 4 --verify constructive"),
+        ],
+    )
+    def test_reproduces_artifact(self, capsys, name, argv):
+        rc, out, err = run_cli(capsys, *argv.split())
+        assert rc == 0, err
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestExitCodes:
