@@ -38,31 +38,11 @@ _DEGENERACY_TOL = 1e-9
 _MASK_BITS = 63
 
 
-@dataclass(frozen=True, order=True)
-class SpinOrbital:
-    """One-particle basis function: oscillator orbital x spin projection.
-
-    ``ms2`` is twice the spin projection (+1 for alpha, -1 for beta).  The
-    flat index interleaves spins: index = 2 * orbital + (0 if alpha else 1),
-    which realizes the canonical "by orbital, then spin" order.
-    """
-
-    orbital: int
-    ms2: int
-
-    @property
-    def index(self) -> int:
-        return 2 * self.orbital + (0 if self.ms2 > 0 else 1)
-
-    @classmethod
-    def from_index(cls, index: int) -> "SpinOrbital":
-        return cls(orbital=index // 2, ms2=+1 if index % 2 == 0 else -1)
-
-
 @dataclass(frozen=True)
 class SlaterDeterminant:
     """Occupied spin-orbital indices, strictly increasing (Pauli + canonical
-    sign convention)."""
+    sign convention).  Spins interleave: index 2a is orbital a with spin
+    alpha, 2a + 1 is orbital a with spin beta."""
 
     occupied: tuple[int, ...]
 
@@ -85,26 +65,6 @@ class SlaterDeterminant:
     @property
     def orbital_quanta(self) -> int:
         return sum(i // 2 for i in self.occupied)
-
-    def spin_orbitals(self) -> tuple[SpinOrbital, ...]:
-        return tuple(SpinOrbital.from_index(i) for i in self.occupied)
-
-
-def canonicalize(indices: Sequence[int]) -> tuple[SlaterDeterminant, int]:
-    """Sort spin-orbital indices, returning the determinant and the parity
-    of the sorting permutation; swapping two inputs flips the sign."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"repeated spin-orbital in {indices}")
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(indices)):
-        j = i
-        while j > 0 and indices[j - 1] > indices[j]:
-            indices[j - 1], indices[j] = indices[j], indices[j - 1]
-            sign = -sign
-            j -= 1
-    return SlaterDeterminant(tuple(indices)), sign
 
 
 def x_matrix_element(a: int, b: int) -> float:
@@ -142,6 +102,8 @@ def build_basis(
         raise BasisTooSmallError(
             f"{2 * n_orbitals} spin-orbitals cannot hold {n_particles} particles"
         )
+    if n_orbitals > _MASK_BITS // 2:
+        raise ValueError(f"at most {_MASK_BITS // 2} orbitals fit a determinant mask")
     out = []
     for occ in itertools.combinations(range(2 * n_orbitals), n_particles):
         det = SlaterDeterminant(occ)

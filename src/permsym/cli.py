@@ -106,6 +106,8 @@ def _parse_ms(text: str):
         return "all"
     if "/" in text:
         num, den = text.split("/", 1)
+        if float(den) == 0:
+            raise UsageError(f"--ms {text}: zero denominator")
         return float(num) / float(den)
     return float(text)
 

@@ -2,8 +2,10 @@
 
 
 class NumericalIntegrityError(RuntimeError):
-    """A quantity that must round to an exact integer (or half-integer)
-    failed its rounding guard, or a projected subspace has the wrong rank.
+    """An exact symmetry result failed its check: a character inner product
+    is not a non-negative integer, a measured total spin is not a
+    half-integer within its guard, a projected subspace has the wrong rank,
+    or a dimension count does not add up.
 
     Symmetry results are exact; a guard breach means the build is wrong,
     so this is never silently recovered from.

@@ -3,9 +3,9 @@
 A level with n_sym quanta in the degenerate modes carries the n_sym-th
 symmetric power of the (N-1)-dimensional mode representation, so its
 characters are exact integers read off a generating function (no
-representation matrix is built for them).  The character inner product
-turns them into irrep multiplicities, guarded to be non-negative integers
-that account for the whole degeneracy.  The character projectors, built
+representation matrix is built for them).  The exact character inner
+product (:func:`symgroup.decompose`) turns them into irrep multiplicities,
+checked to account for the whole degeneracy.  The character projectors, built
 from the float representation matrices, yield orthonormal symmetry-adapted
 linear combinations (SALCs); their ranks are checked against the
 multiplicities, and a breach of any guard is a hard
@@ -29,9 +29,9 @@ from .symgroup import (
     IrrepId,
     all_permutations,
     cycle_type,
+    decompose,
 )
 
-_ROUND_GUARD = 1e-6
 _RANK_TOL = 1e-8
 
 
@@ -42,13 +42,6 @@ class LevelCharacters:
     n_particles: int
     degeneracy: int
     traces: Mapping[CycleType, int]
-
-
-def _guard_int(value: float, what: str) -> int:
-    rounded = round(value)
-    if abs(value - rounded) >= _ROUND_GUARD:
-        raise NumericalIntegrityError(f"{what} = {value!r} is not an integer")
-    return int(rounded)
 
 
 def level_characters(model: OscillatorModel, level: LevelDescriptor) -> LevelCharacters:
@@ -80,22 +73,13 @@ def _cycle_types(n_particles: int) -> list[CycleType]:
 def irrep_multiplicities(
     chars: LevelCharacters, table: CharacterTable
 ) -> dict[IrrepId, int]:
-    """m_Gamma = (1/N!) sum_c size(c) chi_Gamma(c) trace(c), rounding-guarded."""
+    """Exact irrep multiplicities of a level (:func:`symgroup.decompose`),
+    checked to account for its whole degeneracy."""
     if table.n != chars.n_particles:
         raise ValueError(
             f"table is for N={table.n}, characters for N={chars.n_particles}"
         )
-    order = math.factorial(table.n)
-    out = {}
-    for irrep, row in zip(table.irreps, table.chars):
-        acc = sum(
-            cls.size * chi * chars.traces[cls.cycle_type]
-            for cls, chi in zip(table.classes, row)
-        )
-        m = _guard_int(acc / order, f"multiplicity of {irrep.label}")
-        if m < 0:
-            raise NumericalIntegrityError(f"negative multiplicity for {irrep.label}")
-        out[irrep] = m
+    out = decompose(table, chars.traces)
     total = sum(ir.dimension * m for ir, m in out.items())
     if total != chars.degeneracy:
         raise NumericalIntegrityError(
@@ -180,9 +164,3 @@ def salc(
     lead = np.argmax(np.abs(vectors) > _RANK_TOL, axis=1)
     vectors *= np.sign(vectors[np.arange(rank), lead])[:, None]
     return SalcSet(irrep=irrep, copies=mults[irrep], vectors=vectors)
-
-
-def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[IrrepId]:
-    """Irreps whose basis functions are eigenfunctions of every permutation
-    operator: exactly the one-dimensional ones."""
-    return {ir for ir in table.irreps if ir.dimension == 1}

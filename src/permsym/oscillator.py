@@ -153,6 +153,8 @@ class LevelDescriptor:
 
 
 def make_level(model: OscillatorModel, n_sym: int, n_last: int) -> LevelDescriptor:
+    if n_sym < 0 or n_last < 0:
+        raise ValueError(f"negative quanta in level ({n_sym}, {n_last})")
     return LevelDescriptor(
         n_sym=n_sym,
         n_last=n_last,
@@ -187,22 +189,6 @@ def enumerate_levels(model: OscillatorModel, max_total_quanta: int) -> list[Leve
     return levels
 
 
-def hermite_poly(n: int) -> tuple[int, ...]:
-    """Physicists' Hermite polynomial H_n, ascending integer coefficients.
-
-    Built from H_{k+1}(q) = 2q H_k(q) - 2k H_{k-1}(q).
-    """
-    if n < 0:
-        raise ValueError(f"Hermite degree must be >= 0, got {n}")
-    prev, cur = [], [1]
-    for k in range(n):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= 2 * k * c
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """All ways to split ``total`` quanta over ``parts`` modes, in
     lexicographic order."""
@@ -221,75 +207,6 @@ def level_patterns(n_particles: int, n_sym: int) -> list[tuple[int, ...]]:
     This ordering fixes the basis for every representation matrix.
     """
     return _compositions(n_sym, n_particles - 1)
-
-
-@dataclass(frozen=True)
-class HermiteGaussian:
-    """Polynomial part of an exact eigenfunction plus evaluation metadata.
-
-    ``poly`` is over the scaled degenerate-mode coordinates
-    q_i = k**(1/4) y_i; the symmetric-mode Hermite factor and the Gaussian
-    are carried via the stored model constants.
-    """
-
-    pattern: QuantaPattern
-    poly: Mapping[tuple[int, ...], float]
-    normalization: float
-    k: float
-    k_prime: float
-    U: np.ndarray = field(repr=False, compare=False)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Value of the full normalized eigenfunction at particle
-        coordinates ``points`` of shape (..., N)."""
-        pts = np.asarray(points, dtype=float)
-        y = pts @ self.U.T
-        qdeg = self.k**0.25 * y[..., :-1]
-        qlast = self.k_prime**0.25 * y[..., -1]
-        val = np.zeros(pts.shape[:-1])
-        for exps, coeff in self.poly.items():
-            term = np.full(pts.shape[:-1], coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * qdeg[..., i] ** e
-            val = val + term
-        hlast = np.polynomial.hermite.hermval(
-            qlast, [0.0] * self.pattern[-1] + [1.0]
-        )
-        gauss = np.exp(
-            -0.5 * math.sqrt(self.k) * (y[..., :-1] ** 2).sum(axis=-1)
-            - 0.5 * math.sqrt(self.k_prime) * y[..., -1] ** 2
-        )
-        return self.normalization * val * hlast * gauss
-
-
-def _norm_constant(pattern: QuantaPattern, k: float, k_prime: float) -> float:
-    # product of 1D harmonic oscillator norms; the degenerate modes share k
-    out = 1.0
-    for n in pattern[:-1]:
-        out *= k**0.25 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    n = pattern[-1]
-    out *= k_prime**0.25 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    return out
-
-
-def eigenfunction(model: OscillatorModel, pattern: Sequence[int]) -> HermiteGaussian:
-    """Exact normalized eigenfunction as Hermite polynomial x Gaussian."""
-    pattern = _check_pattern(model, pattern)
-    coeffs = [hermite_poly(q) for q in pattern[:-1]]
-    terms = (
-        (exps, math.prod(c[e] for c, e in zip(coeffs, exps)))
-        for exps in itertools.product(*(range(len(c)) for c in coeffs))
-    )
-    poly = {exps: float(value) for exps, value in terms if value}
-    return HermiteGaussian(
-        pattern=pattern,
-        poly=poly,
-        normalization=_norm_constant(pattern, model.k, model.k_prime),
-        k=model.k,
-        k_prime=model.k_prime,
-        U=model.U,
-    )
 
 
 # ---------------------------------------------------------------------------

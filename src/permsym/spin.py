@@ -3,9 +3,10 @@
 Two independent routes decide which spatial irreps survive total
 antisymmetrization:
 
-* the character route: decompose each total-spin eigenspace of the
-  2^N-dimensional spin space into irreps, then ask for which spin species
-  the product with a given spatial irrep contains the sign irrep;
+* the character route, in exact integers: the characters of the spin
+  functions of each total spin S come from a generating function
+  (:func:`spin_character`), and spatial Gamma is allowed with S iff
+  Gamma (x) (those spin functions) contains the sign irrep;
 * the constructive route: project a level eigenfunction onto an irrep,
   multiply by a concrete spin product, antisymmetrize over simultaneous
   space-spin label permutations, and check whether anything survives.
@@ -33,11 +34,12 @@ from .oscillator import (
 )
 from .symgroup import (
     CharacterTable,
+    CycleType,
     IrrepId,
     Permutation,
     all_permutations,
     character_table,
-    class_representative,
+    decompose,
     parity,
     sign_irrep,
 )
@@ -105,17 +107,6 @@ def permute_labels(p: Permutation, labels: Sequence) -> tuple:
     return tuple(out)
 
 
-def spin_permutation_matrix(n: int, p: Permutation) -> np.ndarray:
-    """2^N x 2^N 0/1 matrix permuting the tensor factors of the spin basis."""
-    if p.n != n:
-        raise ValueError(f"permutation size {p.n} != N {n}")
-    dim = 2**n
-    mat = np.zeros((dim, dim))
-    for labels in spin_basis(n):
-        mat[_basis_index(permute_labels(p, labels)), _basis_index(labels)] = 1.0
-    return mat
-
-
 def s_squared_matrix(n: int) -> np.ndarray:
     """Total-spin operator S^2 = Sz^2 + (S+S- + S-S+)/2 on the product basis,
     built from the elementary one-site spin matrices.  Real and symmetric."""
@@ -162,84 +153,71 @@ class MultipletTable:
         return sum(round(2 * s + 1) * c for s, c in self.counts.items())
 
 
-def _spin_eigenspaces(n: int) -> list[tuple[float, np.ndarray]]:
-    """(S, orthonormal eigenbasis columns) per total-spin eigenspace."""
-    evals, evecs = np.linalg.eigh(s_squared_matrix(n))
-    spaces = []
-    i = 0
-    while i < len(evals):
-        j = i
-        while j < len(evals) and abs(evals[j] - evals[i]) < 1e-8:
-            j += 1
-        s = _s_from_eigenvalue(float(np.mean(evals[i:j])))
-        spaces.append((s, evecs[:, i:j]))
-        i = j
-    return spaces
+def spin_character(n: int, s: float, cycle_type: CycleType) -> int:
+    """Trace of a permutation of ``cycle_type`` on the spin functions of
+    total spin S, one member (M_s = S) of each multiplet.
+
+    A permutation fixes a spin product iff each of its cycles is all alpha
+    or all beta, so prod_l (1 + t^l) counts the fixed products by their
+    number b of betas.  The M_s = S space (b = N/2 - S) minus the
+    M_s = S + 1 space is the t^b coefficient of (1 - t) prod_l (1 + t^l).
+    """
+    b, odd = divmod(n - round(2 * s), 2)
+    if odd or not 0 <= b <= n // 2 or sum(cycle_type) != n:
+        raise ValueError(f"no spin S={s} with cycle type {cycle_type} for N={n}")
+    series = [1] + [0] * b  # prod_l (1 + t^l), up to t^b
+    for length in cycle_type:
+        for k in range(b, length - 1, -1):
+            series[k] += series[k - length]
+    return series[b] - (series[b - 1] if b else 0)
+
+
+def _spins(n: int) -> list[float]:
+    """Total spins of N electrons, ascending."""
+    return [(n - 2 * b) / 2 for b in range(n // 2, -1, -1)]
 
 
 def multiplet_table(n: int) -> MultipletTable:
-    """Multiplet counts from diagonalizing S^2 on the 2^N product space."""
+    """Multiplet counts: the number of S multiplets is the trace of the
+    identity on their M_s = S members."""
     if n < 1:
         raise ValueError("need at least one spin")
-    counts: dict[float, int] = {}
-    for s, basis in _spin_eigenspaces(n):
-        dim = basis.shape[1]
-        block = round(2 * s) + 1
-        if dim % block:
-            raise NumericalIntegrityError(
-                f"S={s} eigenspace dimension {dim} not divisible by 2S+1={block}"
-            )
-        counts[s] = counts.get(s, 0) + dim // block
-    table = MultipletTable(n=n, counts=counts)
+    table = MultipletTable(
+        n=n, counts={s: spin_character(n, s, (1,) * n) for s in _spins(n)}
+    )
     if table.dimension() != 2**n:
         raise NumericalIntegrityError("multiplet dimensions do not sum to 2^N")
     return table
 
 
-def _decompose_on_subspace(
-    n: int, table: CharacterTable, basis: np.ndarray
-) -> dict[IrrepId, int]:
-    """Irrep content of a permutation-invariant subspace of spin space."""
-    order = math.factorial(n)
-    traces = {}
-    for cls in table.classes:
-        rep = class_representative(cls.cycle_type)
-        mat = spin_permutation_matrix(n, rep)
-        traces[cls.cycle_type] = float(np.trace(basis.T @ mat @ basis))
-    out = {}
-    for irrep, row in zip(table.irreps, table.chars):
-        acc = sum(
-            cls.size * chi * traces[cls.cycle_type]
-            for cls, chi in zip(table.classes, row)
-        )
-        m = acc / order
-        rounded = round(m)
-        if abs(m - rounded) >= _HALF_GUARD:
-            raise NumericalIntegrityError(
-                f"non-integer spin multiplicity {m} for {irrep.label}"
-            )
-        out[irrep] = int(rounded)
-    return out
+def _spin_traces(table: CharacterTable, s: float) -> dict[CycleType, int]:
+    return {
+        cls.cycle_type: spin_character(table.n, s, cls.cycle_type)
+        for cls in table.classes
+    }
+
+
+def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[IrrepId, int]]:
+    """Irrep content of each total-spin eigenspace (all 2S+1 members of its
+    multiplets) of the spin space."""
+    if table.n != n:
+        raise ValueError(f"table is for N={table.n}, not N={n}")
+    content = {}
+    for s in _spins(n):
+        mults = decompose(table, _spin_traces(table, s))
+        content[s] = {ir: (round(2 * s) + 1) * m for ir, m in mults.items()}
+    return content
 
 
 def spin_irrep_multiplicities(n: int, table: CharacterTable) -> dict[IrrepId, int]:
     """Decomposition of the full 2^N spin space into irreps."""
-    if table.n != n:
-        raise ValueError(f"table is for N={table.n}, not N={n}")
-    dim = 2**n
-    full = np.eye(dim)
-    out = _decompose_on_subspace(n, table, full)
-    if sum(ir.dimension * m for ir, m in out.items()) != dim:
+    out = dict.fromkeys(table.irreps, 0)
+    for content in spin_content_by_s(n, table).values():
+        for ir, m in content.items():
+            out[ir] += m
+    if sum(ir.dimension * m for ir, m in out.items()) != 2**n:
         raise NumericalIntegrityError("spin decomposition does not sum to 2^N")
     return out
-
-
-def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[IrrepId, int]]:
-    """Irrep content of each total-spin eigenspace of the spin space."""
-    return {
-        s: _decompose_on_subspace(n, table, basis)
-        for s, basis in _spin_eigenspaces(n)
-    }
 
 
 @dataclass(frozen=True)
@@ -269,35 +247,18 @@ class AllowedIrrepMap:
 
 def allowed_spatial_irreps(n: int) -> AllowedIrrepMap:
     """Character route: spatial Gamma is allowed with spin S iff the sign
-    irrep occurs in Gamma (x) (irrep content of the S eigenspace)."""
+    irrep occurs in Gamma (x) (the spin functions of total spin S)."""
     table = character_table(n)
     sign = sign_irrep(table)
-    order = math.factorial(n)
-    content = spin_content_by_s(n, table)
+    spin_traces = {s: _spin_traces(table, s) for s in _spins(n)}
     spins: dict[str, tuple[float, ...]] = {}
-    for spatial, srow in zip(table.irreps, table.chars):
-        found = []
-        for s in sorted(content):
-            total = 0
-            for spin_ir, mult in content[s].items():
-                if not mult:
-                    continue
-                spin_row = table.chars[table.irreps.index(spin_ir)]
-                sign_row = table.chars[table.irreps.index(sign)]
-                acc = sum(
-                    cls.size * a * b * c
-                    for cls, a, b, c in zip(table.classes, srow, spin_row, sign_row)
-                )
-                m, rem = divmod(acc, order)
-                if rem:
-                    raise NumericalIntegrityError(
-                        f"non-integer sign-irrep multiplicity in "
-                        f"{spatial.label} x {spin_ir.label}"
-                    )
-                total += mult * m
-            if total:
-                found.append(s)
-        spins[spatial.label] = tuple(found)
+    for spatial, row in zip(table.irreps, table.chars):
+        chi = {c.cycle_type: x for c, x in zip(table.classes, row)}
+        spins[spatial.label] = tuple(
+            s
+            for s, traces in spin_traces.items()
+            if decompose(table, {ct: chi[ct] * t for ct, t in traces.items()})[sign]
+        )
     return AllowedIrrepMap(n=n, spins=spins)
 
 

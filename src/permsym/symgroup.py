@@ -1,8 +1,9 @@
 """Permutations of N labels, conjugacy classes, and character tables.
 
 Ships validated integer character tables for S3 (point-group alias C3v) and
-S4 (alias O), together with exact-rational projection-operator coefficients.
-Everything in this module is integer or ``Fraction`` arithmetic; no floats.
+S4 (alias O), and the character inner product that decomposes any
+representation given by its integer traces.  Everything in this module is
+integer arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import NumericalIntegrityError
 
@@ -348,24 +348,29 @@ def validate_table(table: CharacterTable) -> Optional[str]:
     return None
 
 
-def projector_coefficients(
-    table: CharacterTable, irrep: IrrepId | str
-) -> dict[Permutation, Fraction]:
-    """Coefficients of the character projector P_Gamma.
+def decompose(
+    table: CharacterTable, traces: Mapping[CycleType, int]
+) -> dict[IrrepId, int]:
+    """Irrep multiplicities of a representation from its integer traces per
+    class: m_Gamma = (1/N!) sum_c size(c) chi_Gamma(c) trace(c), exactly.
 
-    The coefficient of group element g is dim(Gamma)/N! * chi_Gamma(class
-    of g); for multidimensional irreps this is the dimension-weighted
-    character projector, the same convention as the printed P_E.
+    Traces of a true representation give non-negative integers; anything
+    else raises :class:`NumericalIntegrityError`.
     """
-    if isinstance(irrep, str):
-        irrep = table.irrep(irrep)
-    if irrep not in table.irreps:
-        raise ValueError(f"irrep {irrep} does not belong to {table.group_name}")
     order = math.factorial(table.n)
     out = {}
-    for p in all_permutations(table.n):
-        chi = table.char(irrep, cycle_type(p))
-        out[p] = Fraction(irrep.dimension * chi, order)
+    for irrep, row in zip(table.irreps, table.chars):
+        acc = sum(
+            cls.size * chi * traces[cls.cycle_type]
+            for cls, chi in zip(table.classes, row)
+        )
+        m, rem = divmod(acc, order)
+        if rem or m < 0:
+            raise NumericalIntegrityError(
+                f"multiplicity of {irrep.label} is {acc}/{order}, "
+                f"not a non-negative integer"
+            )
+        out[irrep] = m
     return out
 
 

@@ -6,9 +6,20 @@ from one-body operators instead; this oracle checks it entrywise.
 ``product_basis_oracle`` diagonalizes H on the non-antisymmetrized product
 basis, which holds the forbidden levels too.  ``ci_solve_dense`` is the
 determinant-basis CI that measures total spin instead of imposing it.
+``spin_content_by_eigh`` decomposes the spin space by diagonalizing S^2 and
+tracing permutation matrices, in floats, against the package's integer
+generating function.  ``eigenfunction`` evaluates the exact eigenfunctions
+as Hermite polynomials times Gaussians, an independent numerical check of
+the representation matrices built from creation operators.  The rest
+(spin-orbital labels, sign-counting sort, exact projector coefficients)
+is bookkeeping that only the tests use.
 """
 
 import itertools
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +34,17 @@ from permsym.ci import (
     x_matrix_element,
 )
 from permsym.errors import NumericalIntegrityError
-from permsym.spin import _s_from_eigenvalue
+from permsym.oscillator import OscillatorModel, QuantaPattern, _check_pattern
+from permsym.spin import _basis_index, _s_from_eigenvalue, permute_labels, spin_basis
+from permsym.spin import s_squared_matrix as spin_s_squared_matrix
+from permsym.symgroup import (
+    CharacterTable,
+    IrrepId,
+    Permutation,
+    all_permutations,
+    class_representative,
+    cycle_type,
+)
 
 
 def _orb(index):
@@ -226,3 +247,212 @@ def ci_solve_dense(model, basis, guard=1e-6):
         entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:4])
     states = tuple(CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, _, s in entries)
     return np.array([t[0] for t in entries]), states
+
+
+# ---------------------------------------------------------------------------
+# spin space, by floats
+
+
+def spin_permutation_matrix(n: int, p: Permutation) -> np.ndarray:
+    """2^N x 2^N 0/1 matrix permuting the tensor factors of the spin basis."""
+    if p.n != n:
+        raise ValueError(f"permutation size {p.n} != N {n}")
+    dim = 2**n
+    mat = np.zeros((dim, dim))
+    for labels in spin_basis(n):
+        mat[_basis_index(permute_labels(p, labels)), _basis_index(labels)] = 1.0
+    return mat
+
+
+def spin_eigenspaces(n: int) -> list[tuple[float, np.ndarray]]:
+    """(S, orthonormal eigenbasis columns) per total-spin eigenspace of the
+    2^N spin space, ascending S."""
+    evals, evecs = np.linalg.eigh(spin_s_squared_matrix(n))
+    spaces = []
+    i = 0
+    while i < len(evals):
+        j = i
+        while j < len(evals) and abs(evals[j] - evals[i]) < 1e-8:
+            j += 1
+        spaces.append((_s_from_eigenvalue(float(np.mean(evals[i:j]))), evecs[:, i:j]))
+        i = j
+    return spaces
+
+
+def spin_content_by_eigh(n: int, table: CharacterTable) -> dict:
+    """Irrep content of each total-spin eigenspace: float traces of the
+    class representatives on the eigenbasis, rounded within 1e-6."""
+    order = math.factorial(n)
+    mats = [
+        spin_permutation_matrix(n, class_representative(c.cycle_type))
+        for c in table.classes
+    ]
+    out = {}
+    for s, basis in spin_eigenspaces(n):
+        traces = [np.trace(basis.T @ mat @ basis) for mat in mats]
+        out[s] = {}
+        for irrep, row in zip(table.irreps, table.chars):
+            acc = sum(c.size * chi * t for c, chi, t in zip(table.classes, row, traces))
+            m = acc / order
+            if abs(m - round(m)) >= 1e-6:
+                raise NumericalIntegrityError(f"multiplicity {m} of {irrep.label}")
+            out[s][irrep] = round(m)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact eigenfunctions as Hermite polynomials times Gaussians
+
+
+def hermite_poly(n: int) -> tuple[int, ...]:
+    """Physicists' Hermite polynomial H_n, ascending integer coefficients.
+
+    Built from H_{k+1}(q) = 2q H_k(q) - 2k H_{k-1}(q).
+    """
+    if n < 0:
+        raise ValueError(f"Hermite degree must be >= 0, got {n}")
+    prev, cur = [], [1]
+    for k in range(n):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= 2 * k * c
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+@dataclass(frozen=True)
+class HermiteGaussian:
+    """Polynomial part of an exact eigenfunction plus evaluation metadata.
+
+    ``poly`` is over the scaled degenerate-mode coordinates
+    q_i = k**(1/4) y_i; the symmetric-mode Hermite factor and the Gaussian
+    are carried via the stored model constants.
+    """
+
+    pattern: QuantaPattern
+    poly: Mapping[tuple[int, ...], float]
+    normalization: float
+    k: float
+    k_prime: float
+    U: np.ndarray = field(repr=False, compare=False)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Value of the full normalized eigenfunction at particle
+        coordinates ``points`` of shape (..., N)."""
+        pts = np.asarray(points, dtype=float)
+        y = pts @ self.U.T
+        qdeg = self.k**0.25 * y[..., :-1]
+        qlast = self.k_prime**0.25 * y[..., -1]
+        val = np.zeros(pts.shape[:-1])
+        for exps, coeff in self.poly.items():
+            term = np.full(pts.shape[:-1], coeff)
+            for i, e in enumerate(exps):
+                if e:
+                    term = term * qdeg[..., i] ** e
+            val = val + term
+        hlast = np.polynomial.hermite.hermval(
+            qlast, [0.0] * self.pattern[-1] + [1.0]
+        )
+        gauss = np.exp(
+            -0.5 * math.sqrt(self.k) * (y[..., :-1] ** 2).sum(axis=-1)
+            - 0.5 * math.sqrt(self.k_prime) * y[..., -1] ** 2
+        )
+        return self.normalization * val * hlast * gauss
+
+
+def _norm_constant(pattern: QuantaPattern, k: float, k_prime: float) -> float:
+    # product of 1D harmonic oscillator norms; the degenerate modes share k
+    out = 1.0
+    for n in pattern[:-1]:
+        out *= k**0.25 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    n = pattern[-1]
+    out *= k_prime**0.25 / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return out
+
+
+def eigenfunction(model: OscillatorModel, pattern: Sequence[int]) -> HermiteGaussian:
+    """Exact normalized eigenfunction as Hermite polynomial x Gaussian."""
+    pattern = _check_pattern(model, pattern)
+    coeffs = [hermite_poly(q) for q in pattern[:-1]]
+    terms = (
+        (exps, math.prod(c[e] for c, e in zip(coeffs, exps)))
+        for exps in itertools.product(*(range(len(c)) for c in coeffs))
+    )
+    poly = {exps: float(value) for exps, value in terms if value}
+    return HermiteGaussian(
+        pattern=pattern,
+        poly=poly,
+        normalization=_norm_constant(pattern, model.k, model.k_prime),
+        k=model.k,
+        k_prime=model.k_prime,
+        U=model.U,
+    )
+
+
+# ---------------------------------------------------------------------------
+# bookkeeping that only the tests use
+
+
+@dataclass(frozen=True, order=True)
+class SpinOrbital:
+    """One-particle basis function: oscillator orbital x spin projection.
+
+    ``ms2`` is twice the spin projection (+1 for alpha, -1 for beta).  The
+    flat index interleaves spins: index = 2 * orbital + (0 if alpha else 1),
+    which realizes the canonical "by orbital, then spin" order.
+    """
+
+    orbital: int
+    ms2: int
+
+    @property
+    def index(self) -> int:
+        return 2 * self.orbital + (0 if self.ms2 > 0 else 1)
+
+    @classmethod
+    def from_index(cls, index: int) -> "SpinOrbital":
+        return cls(orbital=index // 2, ms2=+1 if index % 2 == 0 else -1)
+
+
+def canonicalize(indices: Sequence[int]) -> tuple[SlaterDeterminant, int]:
+    """Sort spin-orbital indices, returning the determinant and the parity
+    of the sorting permutation; swapping two inputs flips the sign."""
+    indices = list(indices)
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"repeated spin-orbital in {indices}")
+    sign = 1
+    # insertion sort, counting transpositions
+    for i in range(1, len(indices)):
+        j = i
+        while j > 0 and indices[j - 1] > indices[j]:
+            indices[j - 1], indices[j] = indices[j], indices[j - 1]
+            sign = -sign
+            j -= 1
+    return SlaterDeterminant(tuple(indices)), sign
+
+
+def projector_coefficients(
+    table: CharacterTable, irrep: IrrepId | str
+) -> dict[Permutation, Fraction]:
+    """Coefficients of the character projector P_Gamma.
+
+    The coefficient of group element g is dim(Gamma)/N! * chi_Gamma(class
+    of g); for multidimensional irreps this is the dimension-weighted
+    character projector, the same convention as the printed P_E.
+    """
+    if isinstance(irrep, str):
+        irrep = table.irrep(irrep)
+    if irrep not in table.irreps:
+        raise ValueError(f"irrep {irrep} does not belong to {table.group_name}")
+    order = math.factorial(table.n)
+    out = {}
+    for p in all_permutations(table.n):
+        chi = table.char(irrep, cycle_type(p))
+        out[p] = Fraction(irrep.dimension * chi, order)
+    return out
+
+
+def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[IrrepId]:
+    """Irreps whose basis functions are eigenfunctions of every permutation
+    operator: exactly the one-dimensional ones."""
+    return {ir for ir in table.irreps if ir.dimension == 1}

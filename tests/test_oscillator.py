@@ -137,15 +137,15 @@ class TestEnumerateLevels:
 
 class TestHermite:
     def test_first_three(self):
-        assert osc.hermite_poly(0) == (1,)
-        assert osc.hermite_poly(1) == (0, 2)
-        assert osc.hermite_poly(2) == (-2, 0, 4)
+        assert oracles.hermite_poly(0) == (1,)
+        assert oracles.hermite_poly(1) == (0, 2)
+        assert oracles.hermite_poly(2) == (-2, 0, 4)
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_recurrence(self, n):
-        hn = osc.hermite_poly(n)
-        hm1 = osc.hermite_poly(n - 1)
-        hm2 = osc.hermite_poly(n - 2)
+        hn = oracles.hermite_poly(n)
+        hm1 = oracles.hermite_poly(n - 1)
+        hm2 = oracles.hermite_poly(n - 2)
         # H_n = 2 q H_{n-1} - 2(n-1) H_{n-2}
         lhs = list(hn)
         rhs = [0] * (n + 1)
@@ -159,23 +159,23 @@ class TestHermite:
 class TestEigenfunction:
     def test_constant_for_symmetric_excitations(self, model3):
         for j in range(3):
-            f = osc.eigenfunction(model3, (0, 0, j))
+            f = oracles.eigenfunction(model3, (0, 0, j))
             assert set(f.poly.keys()) == {(0, 0)}
 
     def test_first_hermite(self, model3):
-        f = osc.eigenfunction(model3, (1, 0, 0))
+        f = oracles.eigenfunction(model3, (1, 0, 0))
         assert f.poly == {(1, 0): 2.0}
 
     def test_second_hermite_scaling(self, model3):
         # polynomial in scaled coordinates is H_2(q1) = 4 q1^2 - 2,
         # i.e. 4 sqrt(k) y1^2 - 2 in mode coordinates
-        f = osc.eigenfunction(model3, (2, 0, 0))
+        f = oracles.eigenfunction(model3, (2, 0, 0))
         assert f.poly[(2, 0)] == pytest.approx(4.0)
         assert f.poly[(0, 0)] == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("pattern", [(0, 0, 0), (2, 1, 1), (0, 3, 2)])
     def test_parity_under_inversion(self, model3, pattern):
-        f = osc.eigenfunction(model3, pattern)
+        f = oracles.eigenfunction(model3, pattern)
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(40, 3))
         vals = f.evaluate(pts)
@@ -237,7 +237,7 @@ class TestPermutationAction:
         lv = osc.make_level(model, n_sym, n_last)
         patterns = osc.level_patterns(n, n_sym)
         funcs = [
-            osc.eigenfunction(model, pat + (n_last,)) for pat in patterns
+            oracles.eigenfunction(model, pat + (n_last,)) for pat in patterns
         ]
         col = patterns.index(pattern[:-1])
         rng = np.random.default_rng(0)
@@ -288,7 +288,7 @@ class TestUncoupledExpansion:
             return norm * h * np.exp(-0.5 * x**2)
 
         for a, pat in enumerate(patterns):
-            f = osc.eigenfunction(m, pat + (n_last,))
+            f = oracles.eigenfunction(m, pat + (n_last,))
             lhs = f.evaluate(pts)
             rhs = np.zeros(len(pts))
             for j, mpat in enumerate(orb_patterns):
@@ -308,7 +308,7 @@ class TestMoreEdges:
 
     def test_negative_hermite_degree(self):
         with pytest.raises(ValueError):
-            osc.hermite_poly(-1)
+            oracles.hermite_poly(-1)
 
     def test_mode_action_size_mismatch(self, model3):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from permsym import levelsym as ls
 from permsym import oscillator as osc
 from permsym import spin
@@ -13,12 +14,12 @@ from permsym import symgroup as sg
 class TestSpinPermutationMatrix:
     def test_identity(self):
         assert np.array_equal(
-            spin.spin_permutation_matrix(3, sg.Permutation.identity(3)), np.eye(8)
+            oracles.spin_permutation_matrix(3, sg.Permutation.identity(3)), np.eye(8)
         )
 
     def test_n2_swap(self):
         # basis order (aa, ab, ba, bb): P12 swaps ab <-> ba
-        mat = spin.spin_permutation_matrix(2, sg.Permutation((2, 1)))
+        mat = oracles.spin_permutation_matrix(2, sg.Permutation((2, 1)))
         expected = np.eye(4)[[0, 2, 1, 3]]
         assert np.array_equal(mat, expected)
 
@@ -31,12 +32,12 @@ class TestSpinPermutationMatrix:
             if spin.permute_labels(cyc, labels) == labels
         )
         assert fixed == 2
-        mat = spin.spin_permutation_matrix(3, cyc)
+        mat = oracles.spin_permutation_matrix(3, cyc)
         assert np.trace(mat) == pytest.approx(2.0)
 
     def test_homomorphism(self):
         perms = sg.all_permutations(3)
-        mats = {p.images: spin.spin_permutation_matrix(3, p) for p in perms}
+        mats = {p.images: oracles.spin_permutation_matrix(3, p) for p in perms}
         for p in perms:
             for q in perms:
                 pq = sg.compose(p, q)
@@ -50,7 +51,7 @@ class TestSTotal:
     def test_s2_commutes_with_permutations(self, n):
         s2 = spin.s_squared_matrix(n)
         for p in sg.all_permutations(n):
-            mat = spin.spin_permutation_matrix(n, p)
+            mat = oracles.spin_permutation_matrix(n, p)
             assert np.abs(s2 @ mat - mat @ s2).max() < 1e-12
 
     def test_multiplet_table_n2(self):
@@ -65,6 +66,40 @@ class TestSTotal:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dimension_sum(self, n):
         assert spin.multiplet_table(n).dimension() == 2**n
+
+
+class TestCharacterRoute:
+    """The integer generating function against the float S^2 route."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_spin_character_is_a_trace_difference(self, n):
+        ms = np.array([spin.SpinProduct(labels).ms for labels in spin.spin_basis(n)])
+        for ct in sg.partitions(n):
+            rep = sg.class_representative(ct)
+            diag = np.diag(oracles.spin_permutation_matrix(n, rep))
+            for s in np.arange(n / 2, -0.25, -1.0):
+                want = diag[ms == s].sum() - diag[ms == s + 1].sum()
+                assert spin.spin_character(n, float(s), ct) == want, (n, s, ct)
+
+    @pytest.mark.parametrize(
+        "n, s, ct", [(3, 1.0, (1, 1, 1)), (3, 2.5, (1, 1, 1)), (4, 0.0, (2, 1))]
+    )
+    def test_spin_character_rejects_bad_input(self, n, s, ct):
+        with pytest.raises(ValueError):
+            spin.spin_character(n, s, ct)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_multiplet_table_matches_eigh(self, n):
+        want = {
+            s: basis.shape[1] // round(2 * s + 1)
+            for s, basis in oracles.spin_eigenspaces(n)
+        }
+        assert spin.multiplet_table(n).counts == want
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_content_by_s_matches_eigh(self, n):
+        table = sg.character_table(n)
+        assert spin.spin_content_by_s(n, table) == oracles.spin_content_by_eigh(n, table)
 
 
 class TestSpinIrrepContent:
@@ -239,7 +274,7 @@ class TestMoreEdges:
 
     def test_spin_matrix_size_mismatch(self):
         with pytest.raises(ValueError):
-            spin.spin_permutation_matrix(3, sg.Permutation((2, 1)))
+            oracles.spin_permutation_matrix(3, sg.Permutation((2, 1)))
 
     def test_antisymmetric_output_n4_triplet(self, model4, t4):
         """Exhaustive transposition sign check on an N=4 survivor."""
