@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,35 +36,6 @@ _SPIN_GUARD = 1e-10
 _DEGENERACY_TOL = 1e-9
 #: determinants are int64 bitmasks over the spin-orbitals
 _MASK_BITS = 63
-
-
-@dataclass(frozen=True)
-class SlaterDeterminant:
-    """Occupied spin-orbital indices, strictly increasing (Pauli + canonical
-    sign convention).  Spins interleave: index 2a is orbital a with spin
-    alpha, 2a + 1 is orbital a with spin beta."""
-
-    occupied: tuple[int, ...]
-
-    def __post_init__(self):
-        occ = tuple(self.occupied)
-        object.__setattr__(self, "occupied", occ)
-        if any(a >= b for a, b in zip(occ, occ[1:])):
-            raise ValueError(f"occupied indices must strictly increase: {occ}")
-        if any(i < 0 for i in occ):
-            raise ValueError(f"negative spin-orbital index in {occ}")
-
-    @property
-    def n(self) -> int:
-        return len(self.occupied)
-
-    @property
-    def ms(self) -> float:
-        return sum(0.5 if i % 2 == 0 else -0.5 for i in self.occupied)
-
-    @property
-    def orbital_quanta(self) -> int:
-        return sum(i // 2 for i in self.occupied)
 
 
 def x_matrix_element(a: int, b: int) -> float:
@@ -84,40 +55,54 @@ def core_energy(a: int) -> float:
     return a + 0.5
 
 
-MsFilter = Union[str, float, None]
-
-
-def _ms_matches(det_ms: float, ms: MsFilter) -> bool:
-    if ms is None or ms == "all":
-        return True
-    return abs(det_ms - float(ms)) < 1e-12
+def _ms(occ: np.ndarray) -> np.ndarray:
+    """M_s of each row: +1/2 per even (alpha) index, -1/2 per odd (beta)."""
+    return 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
 
 
 def build_basis(
-    n_particles: int, n_orbitals: int, ms: MsFilter = "all"
-) -> list[SlaterDeterminant]:
-    """All C(2M, N) determinants over 2M spin-orbitals, optionally filtered
-    to a fixed M_s, in deterministic lexicographic order."""
+    n_particles: int, n_orbitals: int, ms: str | float = "all"
+) -> np.ndarray:
+    """All C(2M, N) determinants over 2M spin-orbitals, or those of one M_s,
+    in lexicographic order.
+
+    A determinant basis is a (dim, N) int64 array: each row lists the
+    occupied spin-orbitals in ascending order (Pauli + canonical sign
+    convention).  Spins interleave: index 2a is orbital a with spin alpha,
+    2a + 1 is orbital a with spin beta.
+    """
     if 2 * n_orbitals < n_particles:
         raise BasisTooSmallError(
             f"{2 * n_orbitals} spin-orbitals cannot hold {n_particles} particles"
         )
     if n_orbitals > _MASK_BITS // 2:
         raise ValueError(f"at most {_MASK_BITS // 2} orbitals fit a determinant mask")
-    out = []
-    for occ in itertools.combinations(range(2 * n_orbitals), n_particles):
-        det = SlaterDeterminant(occ)
-        if _ms_matches(det.ms, ms):
-            out.append(det)
-    return out
+    combos = itertools.combinations(range(2 * n_orbitals), n_particles)
+    occ = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64)
+    occ = occ.reshape(-1, n_particles)
+    if ms != "all":
+        occ = occ[np.abs(_ms(occ) - float(ms)) < 1e-12]
+    return occ
 
 
-def _occupations(basis: Sequence[SlaterDeterminant]) -> np.ndarray:
-    """(dim, N) integer array: row i lists the occupied spin-orbitals of
-    basis[i] in ascending order."""
-    if not basis:
+def _occupations(basis) -> np.ndarray:
+    """The basis as a fresh (dim, N) int64 array, checked: every row holds
+    non-negative, strictly increasing spin-orbital indices that fit a mask."""
+    occ = np.array(basis)
+    if not occ.size:
         raise ValueError("empty determinant basis")
-    occ = np.array([det.occupied for det in basis], dtype=np.int64)
+    if occ.ndim != 2 or occ.dtype.kind not in "iu":
+        raise ValueError(
+            f"determinant basis of {occ.dtype} and shape {occ.shape}, "
+            "not a (dim, N) integer array"
+        )
+    occ = occ.astype(np.int64, copy=False)
+    bad = (occ < 0).any(axis=1) | (np.diff(occ, axis=1) <= 0).any(axis=1)
+    if bad.any():
+        raise ValueError(
+            "occupied indices must be non-negative and strictly increase: "
+            f"{occ[bad][0].tolist()}"
+        )
     if occ.max() >= _MASK_BITS:
         raise ValueError(f"at most {_MASK_BITS // 2} orbitals fit a determinant mask")
     return occ
@@ -170,9 +155,7 @@ def _gram(targets: np.ndarray, src: np.ndarray, values: np.ndarray, dim: int):
     return images, a.T @ a
 
 
-def hamiltonian_matrix(
-    model: OscillatorModel, basis: Sequence[SlaterDeterminant]
-) -> np.ndarray:
+def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
     """Dense symmetric CI matrix over any set of determinants.
 
     The pair coupling is (xi/2)[(sum_i x_i)^2 - sum_i x_i^2].  With X the
@@ -183,7 +166,7 @@ def hamiltonian_matrix(
     may be a full sector, a reordering or a subset.
     """
     occ = _occupations(basis)
-    dim = len(basis)
+    dim = len(occ)
     if occ.shape[1] != model.n_particles:
         raise ValueError(
             f"determinants have {occ.shape[1]} particles, "
@@ -204,21 +187,21 @@ def hamiltonian_matrix(
     return h
 
 
-def s_squared_matrix(basis: Sequence[SlaterDeterminant]) -> np.ndarray:
+def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
     """S^2 = S-S+ + Sz(Sz+1) over the determinant basis, with S- = S+^T.
 
     The basis must hold every determinant that S-S+ reaches (a full M_s
     sector does); otherwise a ValueError is raised.
     """
     occ = _occupations(basis)
-    dim = len(basis)
+    dim = len(occ)
     n_orb = int(occ.max()) // 2 + 1
     s_plus = np.kron(np.eye(n_orb), [[0.0, 1.0], [0.0, 0.0]])  # a+_(a,up) a_(a,dn)
     images, s2 = _gram(*_one_body(occ, s_plus), dim)
     back = _one_body(_occupations_of(images, occ.shape[1]), s_plus.T)[0]
     if not np.isin(back, _masks(occ)).all():
         raise ValueError("S^2 leaves the given basis; use a full M_s sector")
-    ms = 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
+    ms = _ms(occ)
     s2[np.diag_indices(dim)] += ms * (ms + 1.0)
     return s2
 
@@ -316,7 +299,7 @@ class CIResult:
     dim x dim matrix; it is assembled from the CSF blocks on first access.
     """
 
-    basis: tuple[SlaterDeterminant, ...]
+    basis: np.ndarray  # (dim, N) occupations, read-only
     eigenvalues: np.ndarray
     states: tuple[CIState, ...]
     blocks: tuple[_CSFBlock, ...] = field(repr=False)
@@ -357,7 +340,6 @@ def _sectors(occ: np.ndarray):
     Raises ValueError unless every configuration present comes with all of
     its spin strings.
     """
-    n = occ.shape[1]
     orb, beta = occ // 2, occ % 2
     pair = orb[:, 1:] == orb[:, :-1]
     edge = np.zeros((len(occ), 1), dtype=bool)
@@ -366,7 +348,7 @@ def _sectors(occ: np.ndarray):
     later = k[:, None] - np.cumsum(single, axis=1)  # open shells after this one
     string = (single * beta << later).sum(axis=1)
     config = (np.int64(1) << 2 * orb).sum(axis=1)  # occupation numbers, base 4
-    ms = 0.5 * (n - 2 * beta.sum(axis=1))
+    ms = _ms(occ)
     parity = 1 - 2 * (orb.sum(axis=1) % 2)
     order = np.lexsort((string, config, k))
     sectors = set(zip(ms.tolist(), parity.tolist()))
@@ -391,7 +373,7 @@ def _sectors(occ: np.ndarray):
         yield m, p, rows, groups
 
 
-def ci_solve(model: OscillatorModel, basis: Sequence[SlaterDeterminant]) -> CIResult:
+def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
     """Spin-adapted dense eigensolution with deterministic output.
 
     H conserves M_s, the parity of the total orbital quanta and the total
@@ -411,8 +393,8 @@ def ci_solve(model: OscillatorModel, basis: Sequence[SlaterDeterminant]) -> CIRe
     within 1e-9 (relative) of its lowest member, states are ordered by
     (M_s, parity, S, index within the block).
     """
-    basis = list(basis)
     occ = _occupations(basis)
+    occ.setflags(write=False)
     solved = {}  # (S, parity, configurations) -> (eigenvalues, coefficients)
     blocks = []
     for ms, parity, rows, groups in _sectors(occ):
@@ -427,7 +409,7 @@ def ci_solve(model: OscillatorModel, basis: Sequence[SlaterDeterminant]) -> CIRe
             key = (s, parity, np.concatenate([c for *_, c in carrying]).tobytes())
             if key not in solved:
                 if h is None:
-                    h = hamiltonian_matrix(model, [basis[i] for i in rows])
+                    h = hamiltonian_matrix(model, occ[rows])
                 part = _to_csf(spin_groups, h[start:, start:])
                 solved[key] = np.linalg.eigh(_to_csf(spin_groups, part.T))
             evals, coeffs = solved[key]
@@ -443,7 +425,7 @@ def ci_solve(model: OscillatorModel, basis: Sequence[SlaterDeterminant]) -> CIRe
     for i, j in _runs(np.array([t[0] for t in entries])):
         entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:5])
     return CIResult(
-        basis=tuple(basis),
+        basis=occ,
         eigenvalues=np.array([t[0] for t in entries]),
         states=tuple(
             CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _, _ in entries
@@ -479,7 +461,9 @@ class ComparisonReport:
 
     ``missing`` holds exact levels below the convergence horizon that no CI
     state matched; on a successful experiment every one of them carries only
-    forbidden irrep content and ``spurious`` is empty.
+    forbidden irrep content and ``spurious`` is empty.  ``vacuous`` is set
+    when no level with allowed content lies below the horizon, so nothing
+    was verified.
     """
 
     matched: tuple[MatchedState, ...]
@@ -541,7 +525,8 @@ def compare(
     n_sym + n_last given, that is the lowest level of the cutoff+1 shell,
     since energies rise with both quanta.  Only CI states below the horizon
     are classified.  Levels below the horizon with no matching CI state are
-    reported missing.
+    reported missing.  A CI result whose states all have |M_s| above some
+    allowed spin cannot hold that spin's states, so it raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -549,7 +534,13 @@ def compare(
         raise ValueError(
             f"allowed map is for N={allowed.n}, model has N={model.n_particles}"
         )
-    vacuous = not math.isfinite(tol)
+    spins = [s for ss in allowed.spins.values() for s in ss]
+    lowest_ms = min(abs(st.ms) for st in ci_result.states)
+    if spins and min(spins) < lowest_ms:
+        raise ValueError(
+            f"allowed spin S={min(spins):g} has no state with |M_s| >= "
+            f"{lowest_ms:g}, the smallest |M_s| of the CI states"
+        )
     for lv in exact_levels:
         if lv.irrep_mults is None:
             raise ValueError(
@@ -614,6 +605,6 @@ def compare(
         missing=missing,
         spurious=tuple(spurious),
         horizon=float(horizon),
-        vacuous=vacuous,
+        vacuous=not allowed_levels,
         forbidden_irreps=tuple(sorted(forbidden)),
     )

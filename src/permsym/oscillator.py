@@ -20,14 +20,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, UnboundModelError
 from .symgroup import Permutation
-
-QuantaPattern = tuple[int, ...]
 
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
@@ -95,26 +93,6 @@ def make_model(n_particles: int, xi: float) -> OscillatorModel:
         k_prime=1.0 + (n_particles - 1) * xi,
         U=u,
     )
-
-
-def _check_pattern(model: OscillatorModel, pattern: Sequence[int]) -> QuantaPattern:
-    pattern = tuple(int(q) for q in pattern)
-    if len(pattern) != model.n_particles:
-        raise ValueError(
-            f"quanta pattern must have {model.n_particles} entries, got {pattern}"
-        )
-    if any(q < 0 for q in pattern):
-        raise ValueError(f"negative quanta in {pattern}")
-    return pattern
-
-
-def exact_energy(model: OscillatorModel, pattern: Sequence[int]) -> float:
-    """Closed-form eigenvalue for a full quanta pattern (degenerate modes
-    first, symmetric mode last)."""
-    pattern = _check_pattern(model, pattern)
-    n_sym = sum(pattern[:-1])
-    n_last = pattern[-1]
-    return level_energy(model, n_sym, n_last)
 
 
 def level_energy(model: OscillatorModel, n_sym: int, n_last: int) -> float:

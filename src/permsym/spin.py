@@ -197,29 +197,6 @@ def _spin_traces(table: CharacterTable, s: float) -> dict[CycleType, int]:
     }
 
 
-def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[IrrepId, int]]:
-    """Irrep content of each total-spin eigenspace (all 2S+1 members of its
-    multiplets) of the spin space."""
-    if table.n != n:
-        raise ValueError(f"table is for N={table.n}, not N={n}")
-    content = {}
-    for s in _spins(n):
-        mults = decompose(table, _spin_traces(table, s))
-        content[s] = {ir: (round(2 * s) + 1) * m for ir, m in mults.items()}
-    return content
-
-
-def spin_irrep_multiplicities(n: int, table: CharacterTable) -> dict[IrrepId, int]:
-    """Decomposition of the full 2^N spin space into irreps."""
-    out = dict.fromkeys(table.irreps, 0)
-    for content in spin_content_by_s(n, table).values():
-        for ir, m in content.items():
-            out[ir] += m
-    if sum(ir.dimension * m for ir, m in out.items()) != 2**n:
-        raise NumericalIntegrityError("spin decomposition does not sum to 2^N")
-    return out
-
-
 @dataclass(frozen=True)
 class AllowedIrrepMap:
     """For each spatial irrep, the total spins S it can combine with to form
@@ -287,7 +264,6 @@ def antisymmetrize_space_spin(
     table: CharacterTable,
     irrep: IrrepId | str,
     spin_product: SpinProduct | str,
-    seed_index: Optional[int] = None,
 ) -> SpaceSpinFunction:
     """Antisymmetrize the product of an irrep-projected level eigenfunction
     with a concrete spin product, over simultaneous space-spin relabeling.
@@ -299,10 +275,9 @@ def antisymmetrize_space_spin(
     applied.  Survivors are returned as Slater-determinant expansions with
     their measured total spin.
 
-    ``seed_index`` selects which level basis function to project; by
-    default the first one with a surviving projection is used.  A zero
-    result with an explicit seed only shows that combination dies;
-    forbiddenness needs exhaustion (:func:`constructive_allowed_spins`).
+    The seed is the first level basis function whose projection survives.
+    A zero result shows only that this combination dies; forbiddenness
+    needs exhaustion (:func:`constructive_allowed_spins`).
     """
     if isinstance(spin_product, str):
         spin_product = SpinProduct.parse(spin_product)
@@ -311,15 +286,10 @@ def antisymmetrize_space_spin(
         raise ValueError(f"spin product has {spin_product.n} labels, model N={n}")
 
     proj = character_projector(model, level, table, irrep)
-    if seed_index is None:
-        norms = np.linalg.norm(proj, axis=0)
-        candidates = np.nonzero(norms > _ZERO_TOL)[0]
-        if len(candidates) == 0:
-            return SpaceSpinFunction(False, 0.0, None, {})
-        seed_index = int(candidates[0])
-    elif not (0 <= seed_index < level.degeneracy):
-        raise ValueError(f"seed index {seed_index} out of range")
-    return _antisymmetrize(level, proj[:, seed_index], spin_product)
+    candidates = np.nonzero(np.linalg.norm(proj, axis=0) > _ZERO_TOL)[0]
+    if len(candidates) == 0:
+        return SpaceSpinFunction(False, 0.0, None, {})
+    return _antisymmetrize(level, proj[:, candidates[0]], spin_product)
 
 
 def _antisymmetrize(

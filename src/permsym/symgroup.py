@@ -46,9 +46,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
-
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         images = list(range(1, n + 1))
@@ -79,13 +76,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.n != q.n:
         raise ValueError(f"size mismatch: N={p.n} vs N={q.n}")
     return Permutation(tuple(p(q(i)) for i in range(1, p.n + 1)))
-
-
-def inverse(p: Permutation) -> Permutation:
-    images = [0] * p.n
-    for i in range(1, p.n + 1):
-        images[p(i) - 1] = i
-    return Permutation(tuple(images))
 
 
 def parity(p: Permutation) -> int:

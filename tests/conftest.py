@@ -92,6 +92,6 @@ def first_quantized_determinant_matrix(model, n_orbitals):
         for p in itertools.permutations(range(n)):
             idx = 0
             for k in range(n):
-                idx = idx * nso + det.occupied[p[k]]
+                idx = idx * nso + det[p[k]]
             cols[idx, col] += perm_sign(p) / math.sqrt(math.factorial(n))
     return basis, cols.T @ h @ cols

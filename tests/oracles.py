@@ -11,8 +11,11 @@ tracing permutation matrices, in floats, against the package's integer
 generating function.  ``eigenfunction`` evaluates the exact eigenfunctions
 as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.  The rest
-(spin-orbital labels, sign-counting sort, exact projector coefficients)
-is bookkeeping that only the tests use.
+(spin-orbital labels, sign-counting sort, permutation inverse, exact
+projector coefficients, the closed-form energy of a quanta pattern and the
+spin-space content per S) is bookkeeping that only the tests use.
+Determinants are rows of ascending occupied spin-orbitals, as in the
+package's occupation arrays.
 """
 
 import itertools
@@ -25,7 +28,6 @@ import numpy as np
 
 from permsym.ci import (
     CIState,
-    SlaterDeterminant,
     _occupations,
     _runs,
     core_energy,
@@ -34,8 +36,15 @@ from permsym.ci import (
     x_matrix_element,
 )
 from permsym.errors import NumericalIntegrityError
-from permsym.oscillator import OscillatorModel, QuantaPattern, _check_pattern
-from permsym.spin import _basis_index, _s_from_eigenvalue, permute_labels, spin_basis
+from permsym.oscillator import OscillatorModel, level_energy
+from permsym.spin import (
+    _basis_index,
+    _s_from_eigenvalue,
+    _spin_traces,
+    _spins,
+    permute_labels,
+    spin_basis,
+)
 from permsym.spin import s_squared_matrix as spin_s_squared_matrix
 from permsym.symgroup import (
     CharacterTable,
@@ -44,6 +53,7 @@ from permsym.symgroup import (
     all_permutations,
     class_representative,
     cycle_type,
+    decompose,
 )
 
 
@@ -66,20 +76,26 @@ def _antisymmetrized(a, b, c, d, xi):
     return _pair_interaction(a, b, c, d, xi) - _pair_interaction(a, b, d, c, xi)
 
 
-def hamiltonian_element(d1: SlaterDeterminant, d2: SlaterDeterminant, model) -> float:
-    """Slater-Condon matrix element of the coupled-oscillator Hamiltonian.
+def det_ms(det: Sequence[int]) -> float:
+    """M_s of one determinant row: +1/2 per alpha (even) spin-orbital."""
+    return sum(0.5 if i % 2 == 0 else -0.5 for i in det)
+
+
+def hamiltonian_element(d1: Sequence[int], d2: Sequence[int], model) -> float:
+    """Slater-Condon matrix element of the coupled-oscillator Hamiltonian
+    between two determinant rows (ascending occupied spin-orbitals).
 
     Cases: identical determinants, single excitation, double excitation;
     anything differing in more than two spin-orbitals vanishes.
     """
-    if d1.n != d2.n:
-        raise ValueError(f"determinant sizes differ: {d1.n} vs {d2.n}")
-    if d1.n != model.n_particles:
+    occ1, occ2 = tuple(map(int, d1)), tuple(map(int, d2))
+    if len(occ1) != len(occ2):
+        raise ValueError(f"determinant sizes differ: {len(occ1)} vs {len(occ2)}")
+    if len(occ1) != model.n_particles:
         raise ValueError(
-            f"determinants have {d1.n} particles, model has {model.n_particles}"
+            f"determinants have {len(occ1)} particles, model has {model.n_particles}"
         )
     xi = model.xi
-    occ1, occ2 = d1.occupied, d2.occupied
     set1, set2 = set(occ1), set(occ2)
     only1 = sorted(set1 - set2)
     only2 = sorted(set2 - set1)
@@ -129,13 +145,14 @@ def _apply_flip(det, create, destroy):
 
 def s_squared_loop(basis) -> np.ndarray:
     """S^2 = S-S+ + Sz(Sz+1), one determinant and one spin flip at a time."""
-    index = {det.occupied: i for i, det in enumerate(basis)}
-    max_orb = max(_orb(i) for det in basis for i in det.occupied)
-    s2 = np.zeros((len(basis), len(basis)))
-    for col, det in enumerate(basis):
-        s2[col, col] += det.ms * (det.ms + 1.0)
+    dets = [tuple(map(int, row)) for row in basis]
+    index = {det: i for i, det in enumerate(dets)}
+    max_orb = max(_orb(i) for det in dets for i in det)
+    s2 = np.zeros((len(dets), len(dets)))
+    for col, det in enumerate(dets):
+        s2[col, col] += det_ms(det) * (det_ms(det) + 1.0)
         for i in range(max_orb + 1):
-            up = _apply_flip(det.occupied, 2 * i, 2 * i + 1)  # S+ on orbital i
+            up = _apply_flip(det, 2 * i, 2 * i + 1)  # S+ on orbital i
             if up is None:
                 continue
             for k in range(max_orb + 1):
@@ -220,7 +237,6 @@ def ci_solve_dense(model, basis, guard=1e-6):
     Returns (eigenvalues, states) in the package's state order: ascending
     energy, and (M_s, parity, index) inside a run of energies within 1e-9.
     """
-    basis = list(basis)
     occ = _occupations(basis)
     ms = 0.5 * (1 - 2 * (occ % 2)).sum(axis=1)
     parity = 1 - 2 * ((occ // 2).sum(axis=1) % 2)
@@ -228,7 +244,7 @@ def ci_solve_dense(model, basis, guard=1e-6):
     entries = []
     for key in sorted(set(zip(ms.tolist(), parity.tolist()))):
         idx = canon[(ms[canon] == key[0]) & (parity[canon] == key[1])]
-        sub = [basis[i] for i in idx]
+        sub = occ[idx]
         evals, evecs = np.linalg.eigh(hamiltonian_matrix(model, sub))
         s2 = s_squared_matrix(sub)
         _resolve_degenerate_clusters(evals, evecs, s2)
@@ -300,8 +316,52 @@ def spin_content_by_eigh(n: int, table: CharacterTable) -> dict:
     return out
 
 
+def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[IrrepId, int]]:
+    """Irrep content of each total-spin eigenspace (all 2S+1 members of its
+    multiplets) from the package's integer spin characters."""
+    if table.n != n:
+        raise ValueError(f"table is for N={table.n}, not N={n}")
+    content = {}
+    for s in _spins(n):
+        mults = decompose(table, _spin_traces(table, s))
+        content[s] = {ir: (round(2 * s) + 1) * m for ir, m in mults.items()}
+    return content
+
+
+def spin_irrep_multiplicities(n: int, table: CharacterTable) -> dict[IrrepId, int]:
+    """Decomposition of the full 2^N spin space into irreps."""
+    out = dict.fromkeys(table.irreps, 0)
+    for content in spin_content_by_s(n, table).values():
+        for ir, m in content.items():
+            out[ir] += m
+    if sum(ir.dimension * m for ir, m in out.items()) != 2**n:
+        raise NumericalIntegrityError("spin decomposition does not sum to 2^N")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exact eigenfunctions as Hermite polynomials times Gaussians
+
+QuantaPattern = tuple[int, ...]
+
+
+def _check_pattern(model: OscillatorModel, pattern: Sequence[int]) -> QuantaPattern:
+    pattern = tuple(int(q) for q in pattern)
+    if len(pattern) != model.n_particles:
+        raise ValueError(
+            f"quanta pattern must have {model.n_particles} entries, got {pattern}"
+        )
+    if any(q < 0 for q in pattern):
+        raise ValueError(f"negative quanta in {pattern}")
+    return pattern
+
+
+def exact_energy(model: OscillatorModel, pattern: Sequence[int]) -> float:
+    """Closed-form eigenvalue for a full quanta pattern (degenerate modes
+    first, symmetric mode last)."""
+    pattern = _check_pattern(model, pattern)
+    return level_energy(model, sum(pattern[:-1]), pattern[-1])
+
 
 
 def hermite_poly(n: int) -> tuple[int, ...]:
@@ -414,9 +474,20 @@ class SpinOrbital:
         return cls(orbital=index // 2, ms2=+1 if index % 2 == 0 else -1)
 
 
-def canonicalize(indices: Sequence[int]) -> tuple[SlaterDeterminant, int]:
-    """Sort spin-orbital indices, returning the determinant and the parity
-    of the sorting permutation; swapping two inputs flips the sign."""
+def inverse(p: Permutation) -> Permutation:
+    images = [0] * p.n
+    for i in range(1, p.n + 1):
+        images[p(i) - 1] = i
+    return Permutation(tuple(images))
+
+
+def is_identity(p: Permutation) -> bool:
+    return all(img == i + 1 for i, img in enumerate(p.images))
+
+
+def canonicalize(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Sort spin-orbital indices, returning the determinant row and the
+    parity of the sorting permutation; swapping two inputs flips the sign."""
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise ValueError(f"repeated spin-orbital in {indices}")
@@ -428,7 +499,7 @@ def canonicalize(indices: Sequence[int]) -> tuple[SlaterDeterminant, int]:
             indices[j - 1], indices[j] = indices[j], indices[j - 1]
             sign = -sign
             j -= 1
-    return SlaterDeterminant(tuple(indices)), sign
+    return tuple(indices), sign
 
 
 def projector_coefficients(

@@ -55,6 +55,15 @@ class TestOneBodyIntegrals:
             cimod.core_energy(-2)
 
 
+def _checked_entry_points(model):
+    """The functions that take a hand-built determinant basis."""
+    return [
+        lambda basis: cimod.hamiltonian_matrix(model, basis),
+        cimod.s_squared_matrix,
+        lambda basis: cimod.ci_solve(model, basis),
+    ]
+
+
 class TestSpinOrbitalsAndDeterminants:
     def test_index_roundtrip(self):
         for idx in range(12):
@@ -66,11 +75,18 @@ class TestSpinOrbitalsAndDeterminants:
         assert oracles.SpinOrbital(0, -1).index == 1
         assert oracles.SpinOrbital(1, +1).index == 2
 
-    def test_determinant_rejects_repeats_and_disorder(self):
-        with pytest.raises(ValueError):
-            cimod.SlaterDeterminant((1, 1, 2))
-        with pytest.raises(ValueError):
-            cimod.SlaterDeterminant((2, 1))
+    def test_determinant_rejects_repeats_and_disorder(self, model3):
+        """Repeated, descending and negative indices, in any row."""
+        for entry in _checked_entry_points(model3):
+            for row in [(1, 1, 2), (2, 1, 4), (-1, 0, 2)]:
+                with pytest.raises(ValueError, match="non-negative and strictly"):
+                    entry([(0, 1, 2), row])
+
+    def test_basis_is_an_integer_matrix(self, model3):
+        for entry in _checked_entry_points(model3):
+            for basis in [[0, 1, 2], [(0, 1, 2.5)], [(0, 1, 2), (0, 1)]]:
+                with pytest.raises(ValueError, match="integer array|inhomogeneous"):
+                    entry(basis)
 
     def test_canonicalize_sign_flip(self):
         det1, sign1 = oracles.canonicalize([4, 0, 2])
@@ -79,16 +95,21 @@ class TestSpinOrbitalsAndDeterminants:
         assert sign1 == -sign2
 
     def test_ms(self):
-        det = cimod.SlaterDeterminant((0, 1, 2))  # phi0 a, phi0 b, phi1 a
-        assert det.ms == pytest.approx(0.5)
+        det = [0, 1, 2]  # phi0 a, phi0 b, phi1 a
+        assert oracles.det_ms(det) == pytest.approx(0.5)
+        assert det in cimod.build_basis(3, 2, ms=0.5).tolist()
+        assert det not in cimod.build_basis(3, 2, ms=-0.5).tolist()
 
 
 class TestBuildBasis:
     def test_counts_all(self):
-        assert len(cimod.build_basis(3, 2)) == 4  # C(4, 3)
+        basis = cimod.build_basis(3, 2)
+        assert basis.shape == (4, 3)  # C(4, 3)
+        assert basis.dtype == np.int64
+        assert basis.tolist() == [list(c) for c in itertools.combinations(range(4), 3)]
 
     def test_ms_filter_empty(self):
-        assert cimod.build_basis(3, 2, ms=1.5) == []
+        assert cimod.build_basis(3, 2, ms=1.5).shape == (0, 3)
 
     def test_n4_m3_ms0_count(self):
         # brute-force enumerate C(6,4) = 15 and count Ms = 0
@@ -98,7 +119,7 @@ class TestBuildBasis:
             if sum(+1 if i % 2 == 0 else -1 for i in occ) == 0
         ]
         assert len(sel) == 9
-        assert len(cimod.build_basis(4, 3, ms=0.0)) == 9
+        assert cimod.build_basis(4, 3, ms=0.0).tolist() == [list(c) for c in sel]
 
     def test_too_small(self):
         with pytest.raises(BasisTooSmallError):
@@ -110,17 +131,15 @@ class TestHamiltonianElement:
 
     def test_diagonal_uncoupled(self):
         m = osc.make_model(3, 0.0)
-        det = cimod.SlaterDeterminant((0, 1, 2))  # phi0 a, phi0 b, phi1 a
+        det = (0, 1, 2)  # phi0 a, phi0 b, phi1 a
         assert oracles.hamiltonian_element(det, det, m) == pytest.approx(2.5)
 
     def test_three_differences_vanish(self, model3):
-        d1 = cimod.SlaterDeterminant((0, 1, 2))
-        d2 = cimod.SlaterDeterminant((3, 4, 5))
+        d1, d2 = (0, 1, 2), (3, 4, 5)
         assert oracles.hamiltonian_element(d1, d2, model3) == 0.0
 
     def test_size_mismatch(self, model3):
-        d1 = cimod.SlaterDeterminant((0, 1))
-        d2 = cimod.SlaterDeterminant((0, 1, 2))
+        d1, d2 = (0, 1), (0, 1, 2)
         with pytest.raises(ValueError):
             oracles.hamiltonian_element(d1, d2, model3)
         with pytest.raises(ValueError):
@@ -151,10 +170,10 @@ class TestHamiltonianMatrix:
         basis = cimod.build_basis(n, m_orb, ms=0.5 if n % 2 else 0.0)
         rng = np.random.default_rng(7)
         if variant == "shuffled":
-            basis = [basis[i] for i in rng.permutation(len(basis))]
+            basis = basis[rng.permutation(len(basis))]
         elif variant == "subset":
             keep = np.sort(rng.choice(len(basis), len(basis) // 2, replace=False))
-            basis = [basis[i] for i in keep]
+            basis = basis[keep]
         h = cimod.hamiltonian_matrix(model, basis)
         assert np.array_equal(h, h.T)
         assert np.abs(h - oracles.slater_condon_matrix(model, basis)).max() < 1e-12
@@ -164,9 +183,9 @@ class TestHamiltonianMatrix:
             cimod.hamiltonian_matrix(model3, cimod.build_basis(4, 3, ms=0.0))
 
     def test_mask_width_guard(self, model3):
-        basis = [cimod.SlaterDeterminant((0, 1, 63))]  # orbital 31
-        with pytest.raises(ValueError, match="31 orbitals"):
-            cimod.hamiltonian_matrix(model3, basis)
+        for entry in _checked_entry_points(model3):
+            with pytest.raises(ValueError, match="31 orbitals"):
+                entry([(0, 1, 63)])  # orbital 31
 
     def test_build_basis_refuses_wide_bases(self):
         # C(64, 3) determinants would be built before the mask check
@@ -180,7 +199,7 @@ class TestCISolve:
         basis = cimod.build_basis(3, 3)
         result = cimod.ci_solve(m, basis)
         expected = sorted(
-            sum(cimod.core_energy(i // 2) for i in det.occupied) for det in basis
+            sum(cimod.core_energy(i // 2) for i in det) for det in basis
         )
         assert np.abs(result.eigenvalues - np.array(expected)).max() < 1e-12
 
@@ -217,7 +236,7 @@ class TestCISolve:
 
     def test_energy_invariant_under_basis_order(self, model3):
         basis = cimod.build_basis(3, 3)
-        shuffled = list(reversed(basis))
+        shuffled = basis[::-1]
         e1 = cimod.ci_solve(model3, basis).eigenvalues
         e2 = cimod.ci_solve(model3, shuffled).eigenvalues
         assert np.abs(e1 - e2).max() < 1e-10
@@ -225,7 +244,7 @@ class TestCISolve:
     def test_states_invariant_under_basis_order(self, model4):
         basis = cimod.build_basis(4, 5)
         r1 = cimod.ci_solve(model4, basis)
-        r2 = cimod.ci_solve(model4, list(reversed(basis)))
+        r2 = cimod.ci_solve(model4, basis[::-1])
         assert r1.states == r2.states
         assert np.array_equal(r1.eigenvectors, r2.eigenvectors[::-1])
 
@@ -247,9 +266,7 @@ class TestCISolve:
 
     def test_eigenvectors_have_one_parity(self, model4):
         result = cimod.ci_solve(model4, cimod.build_basis(4, 5))
-        det_parity = np.array(
-            [(-1) ** det.orbital_quanta for det in result.basis]
-        )
+        det_parity = (-1) ** (result.basis // 2).sum(axis=1)
         for j, st in enumerate(result.states):
             support = np.abs(result.eigenvectors[:, j]) > 0
             assert set(det_parity[support]) == {st.parity}
@@ -285,8 +302,17 @@ class TestCISolve:
         assert ci3_m10.states[0].parity == -1
 
     def test_empty_basis(self, model3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             cimod.ci_solve(model3, [])
+        with pytest.raises(ValueError, match="empty"):
+            cimod.ci_solve(model3, cimod.build_basis(3, 2, ms=1.5))
+
+    def test_basis_stored_read_only(self, model3):
+        basis = cimod.build_basis(3, 3, ms=0.5)
+        result = cimod.ci_solve(model3, basis)
+        assert np.array_equal(result.basis, basis)
+        assert not result.basis.flags.writeable
+        assert basis.flags.writeable  # the caller's array is left alone
 
 
 def _lowering(k):
@@ -399,7 +425,7 @@ class TestSpinAdaptedSolve:
         real = cimod.hamiltonian_matrix
 
         def spy(model, basis):
-            built.append({det.ms for det in basis})
+            built.append({oracles.det_ms(det) for det in basis})
             return real(model, basis)
 
         monkeypatch.setattr(cimod, "hamiltonian_matrix", spy)
@@ -412,12 +438,11 @@ class TestSpinAdaptedSolve:
         basis = cimod.build_basis(n, m_orb, ms=ms)
         # the first determinant with two open shells of opposite spin
         victim = next(
-            det for det in basis
-            if len({i // 2 for i in det.occupied}) == det.n
-            and len({i % 2 for i in det.occupied}) == 2
+            i for i, det in enumerate(basis)
+            if len({k // 2 for k in det}) == n and len({k % 2 for k in det}) == 2
         )
         with pytest.raises(ValueError, match="M_s sector"):
-            cimod.ci_solve(osc.make_model(n, 0.1), [d for d in basis if d != victim])
+            cimod.ci_solve(osc.make_model(n, 0.1), np.delete(basis, victim, axis=0))
 
     def test_eigenpairs(self, ci3_m10, model3):
         """Each energy belongs to its own vector: at N=3 M=10 three states
@@ -425,7 +450,7 @@ class TestSpinAdaptedSolve:
         the cluster onto S^2 that kept the eigenvalues in place paired the
         S = 3/2 vector with another state's energy."""
         vecs = ci3_m10.eigenvectors
-        h = cimod.hamiltonian_matrix(model3, list(ci3_m10.basis))
+        h = cimod.hamiltonian_matrix(model3, ci3_m10.basis)
         assert np.abs(h @ vecs - vecs * ci3_m10.eigenvalues).max() < 1e-10
         quartet = [
             st.energy for st in ci3_m10.states
@@ -444,7 +469,7 @@ class TestSpinAdaptedSolve:
         h = cimod.hamiltonian_matrix(model, basis)
         assert np.abs(h @ vecs - vecs * result.eigenvalues).max() < 1e-10
         assert np.abs(vecs.T @ vecs - np.eye(len(basis))).max() < 1e-12
-        ms = np.array([det.ms for det in basis])
+        ms = np.array([oracles.det_ms(det) for det in basis])
         for j, st in enumerate(result.states):
             assert set(ms[np.abs(vecs[:, j]) > 0]) == {st.ms}
 
@@ -466,7 +491,7 @@ class TestS2Matrix:
     @pytest.mark.parametrize("n,m_orb,ms", [(3, 5, 0.5), (3, 4, "all"), (4, 4, 0.0)])
     def test_matches_loop_oracle(self, n, m_orb, ms):
         basis = cimod.build_basis(n, m_orb, ms=ms)
-        basis = [basis[i] for i in np.random.default_rng(3).permutation(len(basis))]
+        basis = basis[np.random.default_rng(3).permutation(len(basis))]
         s2 = cimod.s_squared_matrix(basis)
         assert np.array_equal(s2, oracles.s_squared_loop(basis))
 
@@ -474,7 +499,8 @@ class TestS2Matrix:
         # S-S+ maps (0a, 1a, 2b) onto (0b, 1a, 2a); removing the image
         # leaves a basis S^2 cannot act on
         full = cimod.build_basis(3, 3, ms=0.5)
-        basis = [d for d in full if d.occupied != (1, 2, 4)]
+        basis = full[(full != (1, 2, 4)).any(axis=1)]
+        assert len(basis) == len(full) - 1
         with pytest.raises(ValueError, match="M_s sector"):
             cimod.s_squared_matrix(basis)
 
@@ -537,12 +563,15 @@ class TestCompare:
                 assert ci_gap < 1e-6
 
     def test_vacuous_tolerance_flagged(self, ci3_m10, model3, t3):
+        """A tolerance that pushes the horizon below every allowed level
+        verifies nothing; tol=5 matches no state at N=3 M=10."""
         levels = self._decorated(model3, t3, 2)
         allowed = spin.allowed_spatial_irreps(3)
-        report = cimod.compare(
-            model3, ci3_m10, levels, allowed, tol=float("inf")
-        )
-        assert report.vacuous
+        for tol in (float("inf"), 5.0):
+            report = cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
+            assert report.vacuous
+            assert not report.matched
+        assert not cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4).vacuous
 
     def test_rejects_undecorated_levels(self, ci3_m10, model3):
         levels = osc.enumerate_levels(model3, 2)
@@ -615,7 +644,7 @@ class TestCanonicalizeProperty:
             p = sg.Permutation(images)
             shuffled = [base[p(i) - 1] for i in range(1, 5)]
             det, sign = oracles.canonicalize(shuffled)
-            assert det.occupied == tuple(base)
+            assert det == tuple(base)
             assert sign == sg.parity(p)
 
 
@@ -629,7 +658,7 @@ class TestDegenerateSpinResolution:
         assert len(idx) == 2
         spins = {ci3_m10.states[j].s for j in idx}
         assert spins == {0.5, 1.5}
-        s2 = cimod.s_squared_matrix(list(ci3_m10.basis))
+        s2 = cimod.s_squared_matrix(ci3_m10.basis)
         for j in idx:
             vec = ci3_m10.eigenvectors[:, j]
             s = ci3_m10.states[j].s

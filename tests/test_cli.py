@@ -330,6 +330,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(("error:", "usage error:"))
 
+    @pytest.mark.parametrize(
+        "argv,spin,ms",
+        [
+            (["--n", "3", "--orbitals", "8", "--ms", "3/2"], "S=0.5", "1.5"),
+            (["--n", "4", "--orbitals", "6", "--ms", "1"], "S=0", "1"),
+            (["--n", "4", "--orbitals", "4", "--ms", "2"], "S=0", "2"),
+        ],
+        ids=["n3-ms3/2", "n4-ms1", "n4-ms2"],
+    )
+    def test_compare_sector_without_allowed_spin(self, capsys, argv, spin, ms):
+        """An M_s sector above the smallest allowed spin verified nothing
+        and still reported ok; it is a usage error naming both."""
+        rc, out, err = run_cli(
+            capsys, "compare", "--xi", "0.1", "--max-quanta", "3", "--tol", "1e-4",
+            *argv,
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert spin in err and f"|M_s| >= {ms}" in err
+
     def test_integrity_error_exits_2(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalIntegrityError("injected")

