@@ -21,14 +21,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from . import spin
 from .errors import BasisTooSmallError, NumericalIntegrityError
 from .oscillator import LevelDescriptor, OscillatorModel, level_energy
-from .spin import AllowedIrrepMap
+
+if TYPE_CHECKING:
+    from .spin import AllowedIrrepMap
 
 #: largest |S^2 f - S(S+1) f| a spin function may show
 _SPIN_GUARD = 1e-10
@@ -210,10 +211,12 @@ def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
 def _spin_strings(k: int, n_beta: int) -> np.ndarray:
     """Spin strings of k open shells with n_beta of them beta, ascending.
 
-    A string is an index into the 2^k product basis of
-    ``spin.s_squared_matrix(k)``: bit k-1-j is set when shell j is beta.
+    A string is an index into the 2^k product basis of the shells' spins:
+    bit k-1-j is set when shell j is beta.
     """
-    strings = np.array([i for i in range(1 << k) if bin(i).count("1") == n_beta])
+    strings = np.array(
+        [i for i in range(1 << k) if bin(i).count("1") == n_beta], dtype=np.int64
+    )
     strings.setflags(write=False)  # cached: shared by every caller
     return strings
 
@@ -223,24 +226,26 @@ def spin_functions(k: int, n_beta: int, s: float) -> np.ndarray:
     """Orthonormal total-spin-``s`` eigenfunctions of k open shells with
     n_beta of them beta, as columns over ``_spin_strings(k, n_beta)``.
 
-    The M_s = s members are an eigenbasis of the k-site S^2 on its
-    highest-weight strings; each lower M_s applies S- to the one above and
-    renormalizes, so column j is one member of the same multiplet in every
-    M_s.  Each set is checked against S(S+1) once, when it is built.
+    With L the matrix of S- from the strings of M_s + 1 to these, the k-site
+    S^2 here is L L^T + M_s(M_s + 1).  The M_s = s members are an eigenbasis
+    of it on the highest-weight strings; each lower M_s applies S- to the
+    one above and renormalizes, so column j is one member of the same
+    multiplet in every M_s.  Each set is checked against S(S+1) once, when
+    it is built.
     """
     m = k / 2 - n_beta
     if not abs(m) <= s <= k / 2 or (k / 2 - s) % 1:
         raise ValueError(f"no S={s} spin function of {k} shells at M_s={m}")
     strings = _spin_strings(k, n_beta)
-    s2 = spin._s_squared(k)[np.ix_(strings, strings)]  # spin.s_squared_matrix, cached
+    above = _spin_strings(k, n_beta - 1)
+    # S- turns one alpha shell beta: string b is reached from a when the
+    # bits of b are those of a plus one
+    lower = (np.bitwise_and(strings[:, None], above) == above) * 1.0
+    s2 = lower @ lower.T + m * (m + 1) * np.eye(len(strings))
     if m == s:
         evals, evecs = np.linalg.eigh(s2)
         funcs = evecs[:, np.abs(evals - s * (s + 1)) < 0.5]
     else:
-        above = _spin_strings(k, n_beta - 1)
-        # S- turns one alpha shell beta: string b is reached from a when
-        # the bits of b are those of a plus one
-        lower = (np.bitwise_and(strings[:, None], above) == above) * 1.0
         funcs = lower @ spin_functions(k, n_beta - 1, s)
         funcs /= math.sqrt(s * (s + 1) - m * (m + 1))
     if np.abs(s2 @ funcs - s * (s + 1) * funcs).max(initial=0.0) > _SPIN_GUARD:

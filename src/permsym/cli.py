@@ -255,6 +255,12 @@ def _cmd_compare(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
+_MS_HELP = (
+    "M_s sector: all, or a number such as 1/2 or -1; write a negative "
+    "fraction as --ms=-1/2, since a bare -1/2 reads as an option"
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="permsym",
@@ -300,12 +306,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ci", help="configuration-interaction spectrum")
     add_common(p, xi=True, fmt=True, orbitals=True)
-    p.add_argument("--ms", default="all")
+    p.add_argument("--ms", default="all", help=_MS_HELP + " (default: all)")
 
     p = sub.add_parser("compare", help="missing-level experiment")
     add_common(p, xi=True, quanta=True, orbitals=True)
     p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--ms", default=None)
+    p.add_argument(
+        "--ms", default=None, help=_MS_HELP + " (default: 1/2 for N=3, 0 for N=4)"
+    )
 
     return parser
 

@@ -10,6 +10,13 @@ antisymmetrization:
 * the constructive route: project a level eigenfunction onto an irrep,
   multiply by a concrete spin product, antisymmetrize over simultaneous
   space-spin label permutations, and check whether anything survives.
+  Antisymmetrizing a product of spin-orbitals gives their Slater
+  determinant (Slater, Phys. Rev. 34, 1293 (1929)), signed by the parity
+  of the sort that orders them and zero when one repeats, so no sum over
+  the N! permutations is formed.  Spin-orbitals are coded beta first
+  (2a, then 2a + 1 for alpha), so determinants sort like their (orbital,
+  twice-ms) keys; total spin comes from the determinant expansion through
+  S^2 = S-S+ + Sz(Sz+1) with the one-body S+ of :mod:`permsym.ci`.
 
 The two must agree pair by pair; their agreement is the module's central
 cross-validation (a test failure, not a runtime recovery).
@@ -17,14 +24,14 @@ cross-validation (a test failure, not a runtime recovery).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
+from . import ci
 from .errors import NumericalIntegrityError
 from .levelsym import character_projector
 from .oscillator import (
@@ -36,11 +43,8 @@ from .symgroup import (
     CharacterTable,
     CycleType,
     IrrepId,
-    Permutation,
-    all_permutations,
     character_table,
     decompose,
-    parity,
     sign_irrep,
 )
 
@@ -89,45 +93,6 @@ def spin_basis(n: int) -> list[tuple[str, ...]]:
     return [tuple(p) for p in itertools.product((ALPHA, BETA), repeat=n)]
 
 
-def _basis_index(labels: tuple[str, ...]) -> int:
-    idx = 0
-    for l in labels:
-        idx = 2 * idx + (0 if l == ALPHA else 1)
-    return idx
-
-
-def permute_labels(p: Permutation, labels: Sequence) -> tuple:
-    """Move the content of slot i to slot p(i): out[p(i)-1] = labels[i-1].
-
-    Matches the action of the permutation operator on product functions.
-    """
-    out = [None] * len(labels)
-    for i, val in enumerate(labels, start=1):
-        out[p(i) - 1] = val
-    return tuple(out)
-
-
-def s_squared_matrix(n: int) -> np.ndarray:
-    """Total-spin operator S^2 = Sz^2 + (S+S- + S-S+)/2 on the product basis,
-    built from the elementary one-site spin matrices.  Real and symmetric."""
-    sz1 = np.array([[0.5, 0.0], [0.0, -0.5]])
-    sp1 = np.array([[0.0, 1.0], [0.0, 0.0]])  # |a><b|
-    sm1 = sp1.T
-
-    def total(op1: np.ndarray) -> np.ndarray:
-        dim = 2**n
-        out = np.zeros((dim, dim))
-        for site in range(n):
-            mat = np.array([[1.0]])
-            for k in range(n):
-                mat = np.kron(mat, op1 if k == site else np.eye(2))
-            out += mat
-        return out
-
-    sz, sp, sm = total(sz1), total(sp1), total(sm1)
-    return sz @ sz + 0.5 * (sp @ sm + sm @ sp)
-
-
 def _s_from_eigenvalue(value: float) -> float:
     s = 0.5 * (-1.0 + math.sqrt(max(1.0 + 4.0 * value, 0.0)))
     twice = round(2 * s)
@@ -163,7 +128,7 @@ def spin_character(n: int, s: float, cycle_type: CycleType) -> int:
     M_s = S + 1 space is the t^b coefficient of (1 - t) prod_l (1 + t^l).
     """
     b, odd = divmod(n - round(2 * s), 2)
-    if odd or not 0 <= b <= n // 2 or sum(cycle_type) != n:
+    if odd or 2 * s % 1 or not 0 <= b <= n // 2 or sum(cycle_type) != n:
         raise ValueError(f"no spin S={s} with cycle type {cycle_type} for N={n}")
     series = [1] + [0] * b  # prod_l (1 + t^l), up to t^b
     for length in cycle_type:
@@ -272,8 +237,16 @@ def antisymmetrize_space_spin(
     products of one-particle oscillator orbitals (valid for symmetry
     purposes at any coupling, see :func:`uncoupled_expansion`), the spin
     product is attached, and the simultaneous space-spin antisymmetrizer is
-    applied.  Survivors are returned as Slater-determinant expansions with
-    their measured total spin.
+    applied.  It turns a product of spin-orbitals into their Slater
+    determinant over sqrt(N!), signed by the parity of the sort that
+    orders them, and into zero when a spin-orbital repeats, so no sum over
+    permutations is formed.  Spin-orbitals are coded 2a (orbital a, beta)
+    and 2a + 1 (alpha), so that the codes sort like the (orbital, twice-ms)
+    keys of ``determinants``.  Survivors are returned as Slater-determinant
+    expansions with their total spin, measured as
+    <S^2> = |S+ psi|^2 / |psi|^2 + M_s(M_s + 1).  A level whose orbital
+    products reach orbital 31 with alpha spin does not fit a
+    :mod:`permsym.ci` determinant mask and raises ValueError.
 
     The seed is the first level basis function whose projection survives.
     A zero result shows only that this combination dies; forbiddenness
@@ -295,7 +268,8 @@ def antisymmetrize_space_spin(
 def _antisymmetrize(
     level: LevelDescriptor, spatial: np.ndarray, spin_product: SpinProduct
 ) -> SpaceSpinFunction:
-    """Antisymmetrize (spatial vector over the level basis) x spin product."""
+    """Antisymmetrize (spatial vector over the level basis) x spin product
+    into determinants, as :func:`antisymmetrize_space_spin` describes."""
     n = spin_product.n
     if np.linalg.norm(spatial) < _ZERO_TOL:
         return SpaceSpinFunction(False, 0.0, None, {})
@@ -303,62 +277,33 @@ def _antisymmetrize(
 
     orb_patterns, expansion = uncoupled_expansion(n, level.n_sym, level.n_last)
     xvec = spatial @ expansion  # coefficients over orbital patterns
-
-    # product-space coefficients over (orbital pattern, spin labels)
-    work: dict[tuple[tuple[int, ...], tuple[str, ...]], float] = {}
-    for j, pat in enumerate(orb_patterns):
-        if abs(xvec[j]) > 1e-14:
-            work[(pat, spin_product.labels)] = float(xvec[j])
-
-    out: dict[tuple[tuple[int, ...], tuple[str, ...]], float] = {}
+    keep = np.abs(xvec) > 1e-14
+    alpha = [label == ALPHA for label in spin_product.labels]
+    codes = 2 * np.array(orb_patterns, dtype=np.int64)[keep] + alpha
+    inversions = np.triu(codes[:, :, None] > codes[:, None, :]).sum(axis=(1, 2))
+    weights = xvec[keep] * (1 - 2 * (inversions % 2))
+    codes = np.sort(codes, axis=1)
+    pauli = (np.diff(codes, axis=1) > 0).all(axis=1)
+    dets, which = np.unique(codes[pauli], axis=0, return_inverse=True)
     nfact = math.factorial(n)
-    for p in all_permutations(n):
-        sgn = parity(p)
-        for (pat, labels), coeff in work.items():
-            key = (permute_labels(p, pat), permute_labels(p, labels))
-            out[key] = out.get(key, 0.0) + sgn * coeff / nfact
-
-    norm = math.sqrt(sum(c * c for c in out.values()))
+    # coefficient of one product of each determinant; below 1e-12 is round-off
+    coeffs = np.bincount(which.reshape(-1), weights[pauli], len(dets)) / nfact
+    survives = np.abs(coeffs) >= 1e-12
+    dets, coeffs = dets[survives], coeffs[survives] * math.sqrt(nfact)
+    norm = float(np.linalg.norm(coeffs))
     if norm <= _ZERO_TOL:
         return SpaceSpinFunction(False, norm, None, {})
 
-    # collect determinant expansion: spin-orbitals (orbital, 2*ms)
-    dets: dict[tuple[tuple[int, int], ...], float] = {}
-    for (pat, labels), coeff in out.items():
-        if abs(coeff) < 1e-12:
-            continue
-        sos = [(o, 1 if l == ALPHA else -1) for o, l in zip(pat, labels)]
-        if len(set(sos)) != n:
-            raise NumericalIntegrityError(
-                "antisymmetric function has weight on a Pauli-violating product"
-            )
-        ordered = tuple(sorted(sos))
-        if ordered == tuple(sos):  # keep one representative per orbit
-            dets[ordered] = coeff * math.sqrt(nfact)
-
-    s_value = _measure_spin(n, out)
-    return SpaceSpinFunction(True, norm, s_value, dets)
-
-
-@functools.lru_cache(maxsize=None)
-def _s_squared(n: int) -> np.ndarray:
-    return s_squared_matrix(n)
-
-
-def _measure_spin(n: int, coeffs: Mapping) -> float:
-    """<S^2> of a product-space vector, spin factor only."""
-    s2 = _s_squared(n)
-    # group coefficients by orbital pattern
-    grouped: dict[tuple[int, ...], np.ndarray] = {}
-    for (pat, labels), c in coeffs.items():
-        vec = grouped.setdefault(pat, np.zeros(2**n))
-        vec[_basis_index(labels)] += c
-    num = 0.0
-    den = 0.0
-    for vec in grouped.values():
-        num += vec @ s2 @ vec
-        den += vec @ vec
-    return _s_from_eigenvalue(num / den)
+    occ = ci._occupations(dets)
+    # S+ = sum_a a+_(a,alpha) a_(a,beta) on the beta-first codes
+    s_plus = np.kron(np.eye(int(occ.max()) // 2 + 1), [[0.0, 0.0], [1.0, 0.0]])
+    s_minus_s_plus = ci._gram(*ci._one_body(occ, s_plus), len(occ))[1]
+    ms = spin_product.ms
+    s_value = _s_from_eigenvalue(
+        coeffs @ s_minus_s_plus @ coeffs / norm**2 + ms * (ms + 1)
+    )
+    keys = [tuple((c // 2, 2 * (c % 2) - 1) for c in row) for row in dets.tolist()]
+    return SpaceSpinFunction(True, norm, s_value, dict(zip(keys, coeffs.tolist())))
 
 
 def constructive_allowed_spins(

@@ -8,7 +8,10 @@ basis, which holds the forbidden levels too.  ``ci_solve_dense`` is the
 determinant-basis CI that measures total spin instead of imposing it.
 ``spin_content_by_eigh`` decomposes the spin space by diagonalizing S^2 and
 tracing permutation matrices, in floats, against the package's integer
-generating function.  ``eigenfunction`` evaluates the exact eigenfunctions
+generating function.  ``antisymmetrize_by_permutations`` applies the
+space-spin antisymmetrizer as a sum over all N! relabelings and measures
+spin in the 2^N product space, against the package's Slater-determinant
+route.  ``eigenfunction`` evaluates the exact eigenfunctions
 as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.  The rest
 (spin-orbital labels, sign-counting sort, permutation inverse, exact
@@ -36,16 +39,22 @@ from permsym.ci import (
     x_matrix_element,
 )
 from permsym.errors import NumericalIntegrityError
-from permsym.oscillator import OscillatorModel, level_energy
+from permsym.oscillator import (
+    LevelDescriptor,
+    OscillatorModel,
+    level_energy,
+    uncoupled_expansion,
+)
 from permsym.spin import (
-    _basis_index,
+    ALPHA,
+    SpaceSpinFunction,
+    SpinProduct,
     _s_from_eigenvalue,
     _spin_traces,
+    _ZERO_TOL,
     _spins,
-    permute_labels,
     spin_basis,
 )
-from permsym.spin import s_squared_matrix as spin_s_squared_matrix
 from permsym.symgroup import (
     CharacterTable,
     IrrepId,
@@ -54,6 +63,7 @@ from permsym.symgroup import (
     class_representative,
     cycle_type,
     decompose,
+    parity,
 )
 
 
@@ -267,6 +277,100 @@ def ci_solve_dense(model, basis, guard=1e-6):
 
 # ---------------------------------------------------------------------------
 # spin space, by floats
+
+
+def _basis_index(labels: tuple[str, ...]) -> int:
+    idx = 0
+    for l in labels:
+        idx = 2 * idx + (0 if l == ALPHA else 1)
+    return idx
+
+
+def permute_labels(p: Permutation, labels: Sequence) -> tuple:
+    """Move the content of slot i to slot p(i): out[p(i)-1] = labels[i-1].
+
+    Matches the action of the permutation operator on product functions.
+    """
+    out = [None] * len(labels)
+    for i, val in enumerate(labels, start=1):
+        out[p(i) - 1] = val
+    return tuple(out)
+
+
+def spin_s_squared_matrix(n: int) -> np.ndarray:
+    """Total-spin operator S^2 = Sz^2 + (S+S- + S-S+)/2 on the 2^N product
+    basis, built from the elementary one-site spin matrices.  Real and
+    symmetric."""
+    sz1 = np.array([[0.5, 0.0], [0.0, -0.5]])
+    sp1 = np.array([[0.0, 1.0], [0.0, 0.0]])  # |a><b|
+    sm1 = sp1.T
+
+    def total(op1: np.ndarray) -> np.ndarray:
+        dim = 2**n
+        out = np.zeros((dim, dim))
+        for site in range(n):
+            mat = np.array([[1.0]])
+            for k in range(n):
+                mat = np.kron(mat, op1 if k == site else np.eye(2))
+            out += mat
+        return out
+
+    sz, sp, sm = total(sz1), total(sp1), total(sm1)
+    return sz @ sz + 0.5 * (sp @ sm + sm @ sp)
+
+
+def antisymmetrize_by_permutations(
+    level: LevelDescriptor, spatial: np.ndarray, spin_product: SpinProduct
+) -> SpaceSpinFunction:
+    """The space-spin antisymmetrizer as an explicit sum over all N!
+    simultaneous relabelings of (spatial vector over the level basis) x spin
+    product, with total spin measured by the 2^N product-space S^2 on the
+    spin factor of each orbital pattern."""
+    n = spin_product.n
+    if np.linalg.norm(spatial) < _ZERO_TOL:
+        return SpaceSpinFunction(False, 0.0, None, {})
+    spatial = spatial / np.linalg.norm(spatial)
+
+    orb_patterns, expansion = uncoupled_expansion(n, level.n_sym, level.n_last)
+    xvec = spatial @ expansion
+    work = {
+        (pat, spin_product.labels): float(xvec[j])
+        for j, pat in enumerate(orb_patterns)
+        if abs(xvec[j]) > 1e-14
+    }
+    out: dict = {}
+    nfact = math.factorial(n)
+    for p in all_permutations(n):
+        sgn = parity(p)
+        for (pat, labels), coeff in work.items():
+            key = (permute_labels(p, pat), permute_labels(p, labels))
+            out[key] = out.get(key, 0.0) + sgn * coeff / nfact
+
+    norm = math.sqrt(sum(c * c for c in out.values()))
+    if norm <= _ZERO_TOL:
+        return SpaceSpinFunction(False, norm, None, {})
+
+    dets = {}
+    for (pat, labels), coeff in out.items():
+        if abs(coeff) < 1e-12:
+            continue
+        sos = [(o, 1 if l == ALPHA else -1) for o, l in zip(pat, labels)]
+        if len(set(sos)) != n:
+            raise NumericalIntegrityError(
+                "antisymmetric function has weight on a Pauli-violating product"
+            )
+        ordered = tuple(sorted(sos))
+        if ordered == tuple(sos):  # keep one representative per orbit
+            dets[ordered] = coeff * math.sqrt(nfact)
+
+    s2 = spin_s_squared_matrix(n)
+    grouped: dict = {}
+    for (pat, labels), c in out.items():
+        vec = grouped.setdefault(pat, np.zeros(2**n))
+        vec[_basis_index(labels)] += c
+    num = sum(vec @ s2 @ vec for vec in grouped.values())
+    den = sum(vec @ vec for vec in grouped.values())
+    return SpaceSpinFunction(True, norm, _s_from_eigenvalue(num / den), dets)
 
 
 def spin_permutation_matrix(n: int, p: Permutation) -> np.ndarray:

@@ -344,7 +344,7 @@ class TestSpinFunctions:
     def test_orthonormal_s2_eigenvectors(self, k, n_beta, s):
         funcs = self._embedded(k, n_beta, s)
         assert np.abs(funcs.T @ funcs - np.eye(funcs.shape[1])).max() < 1e-12
-        s2 = spin.s_squared_matrix(k)
+        s2 = oracles.spin_s_squared_matrix(k)
         assert np.abs(s2 @ funcs - s * (s + 1) * funcs).max() < 1e-12
 
     @pytest.mark.parametrize(

@@ -185,6 +185,14 @@ class TestCi:
         assert first["energy"] == pytest.approx(2.4450894, abs=1e-6)
         assert first["S"] == 0.5 and first["Ms"] == 0.5
 
+    def test_negative_fraction_ms_with_equals(self, capsys):
+        """argparse reads a bare -1/2 as an option; --ms=-1/2 is the form
+        the help and the README give."""
+        argv = ("ci", "--n", "3", "--xi", "0.1", "--orbitals", "4")
+        data = run_json(capsys, *argv, "--ms=-1/2")
+        assert data["states"] == run_json(capsys, *argv, "--ms", "-0.5")["states"]
+        assert {row["Ms"] for row in data["states"]} == {-0.5}
+
     def test_csv(self, capsys):
         rc, out, _ = run_cli(
             capsys,
@@ -438,13 +446,15 @@ class TestOutputErrors:
         assert err
 
 
-def test_cli_import_needs_numpy_only():
-    """The package declares numpy as its only dependency: importing the CLI
-    in a fresh interpreter must not pull in scipy."""
+@pytest.mark.parametrize("module", ["permsym.spin", "permsym.ci", "permsym.cli"])
+def test_cli_import_needs_numpy_only(module):
+    """The package declares numpy as its only dependency: importing any of
+    these modules first, in a fresh interpreter, must succeed (no import
+    cycle between ``spin`` and ``ci``) and must not pull in scipy."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
-        "import sys, permsym.cli; "
+        f"import sys, {module}; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(

@@ -29,7 +29,7 @@ class TestSpinPermutationMatrix:
         fixed = sum(
             1
             for labels in itertools.product("ab", repeat=3)
-            if spin.permute_labels(cyc, labels) == labels
+            if oracles.permute_labels(cyc, labels) == labels
         )
         assert fixed == 2
         mat = oracles.spin_permutation_matrix(3, cyc)
@@ -49,7 +49,7 @@ class TestSpinPermutationMatrix:
 class TestSTotal:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_s2_commutes_with_permutations(self, n):
-        s2 = spin.s_squared_matrix(n)
+        s2 = oracles.spin_s_squared_matrix(n)
         for p in sg.all_permutations(n):
             mat = oracles.spin_permutation_matrix(n, p)
             assert np.abs(s2 @ mat - mat @ s2).max() < 1e-12
@@ -82,7 +82,13 @@ class TestCharacterRoute:
                 assert spin.spin_character(n, float(s), ct) == want, (n, s, ct)
 
     @pytest.mark.parametrize(
-        "n, s, ct", [(3, 1.0, (1, 1, 1)), (3, 2.5, (1, 1, 1)), (4, 0.0, (2, 1))]
+        "n, s, ct",
+        [
+            (3, 1.0, (1, 1, 1)),
+            (3, 2.5, (1, 1, 1)),
+            (4, 0.0, (2, 1)),
+            (3, 0.7, (1, 1, 1)),
+        ],
     )
     def test_spin_character_rejects_bad_input(self, n, s, ct):
         with pytest.raises(ValueError):
@@ -126,7 +132,7 @@ class TestSpinIrrepContent:
         for labels in basis:
             acc = np.zeros(16)
             for p in perms:
-                acc[index[spin.permute_labels(p, labels)]] += sg.parity(p)
+                acc[index[oracles.permute_labels(p, labels)]] += sg.parity(p)
             assert np.abs(acc).max() == 0
 
     def test_content_by_s_n3(self, t3):
@@ -213,16 +219,16 @@ class TestAntisymmetrizeSpaceSpin:
         nfact = math.factorial(3)
         for det, c in res.determinants.items():
             for p in sg.all_permutations(3):
-                orbitals = spin.permute_labels(p, [d[0] for d in det])
-                spins = spin.permute_labels(p, [d[1] for d in det])
+                orbitals = oracles.permute_labels(p, [d[0] for d in det])
+                spins = oracles.permute_labels(p, [d[1] for d in det])
                 key = (orbitals, spins)
                 coeffs[key] = coeffs.get(key, 0.0) + sg.parity(p) * c / math.sqrt(nfact)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
             t = sg.Permutation.transposition(3, i, j)
             for (orbitals, spins), c in coeffs.items():
                 swapped = (
-                    spin.permute_labels(t, orbitals),
-                    spin.permute_labels(t, spins),
+                    oracles.permute_labels(t, orbitals),
+                    oracles.permute_labels(t, spins),
                 )
                 assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
 
@@ -230,6 +236,46 @@ class TestAntisymmetrizeSpaceSpin:
         lv = osc.make_level(model3, 1, 0)
         with pytest.raises(ValueError):
             spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aabb")
+
+    def test_orbital_31_exceeds_the_determinant_mask(self, model3, t3):
+        """Spin-orbital codes share the CI masks: orbital 31 with alpha spin
+        (code 63) does not fit an int64, so the level is refused."""
+        lv = osc.make_level(model3, 31, 0)
+        with pytest.raises(ValueError, match="fit a determinant mask"):
+            spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aab")
+
+
+REFERENCE_LEVELS = [
+    (n, n_sym, n_last)
+    for n, top in ((3, 5), (4, 3))
+    for n_sym in range(top + 1)
+    for n_last in (0, 1)
+]
+
+
+@pytest.mark.parametrize("n, n_sym, n_last", REFERENCE_LEVELS)
+def test_determinants_match_permutation_sum(n, n_sym, n_last):
+    """The Slater-determinant route against the explicit N!-term
+    antisymmetrizer, for every irrep, spin product and seed of the level."""
+    model = osc.make_model(n, 0.1)
+    table = sg.character_table(n)
+    level = osc.make_level(model, n_sym, n_last)
+    for irrep in table.irreps:
+        proj = ls.character_projector(model, level, table, irrep)
+        for labels in spin.spin_basis(n):
+            product = spin.SpinProduct(labels)
+            for seed in range(level.degeneracy):
+                case = (irrep.label, "".join(labels), seed)
+                got = spin._antisymmetrize(level, proj[:, seed], product)
+                want = oracles.antisymmetrize_by_permutations(
+                    level, proj[:, seed], product
+                )
+                assert got.nonzero == want.nonzero, case
+                assert got.s_value == want.s_value, case
+                assert got.norm == pytest.approx(want.norm, abs=1e-12), case
+                assert set(got.determinants) == set(want.determinants), case
+                for key, c in want.determinants.items():
+                    assert got.determinants[key] == pytest.approx(c, abs=1e-12), case
 
 
 class TestRoutesAgree:
@@ -281,8 +327,8 @@ class TestMoreEdges:
         nfact = math.factorial(4)
         for det, c in res.determinants.items():
             for p in sg.all_permutations(4):
-                orbitals = spin.permute_labels(p, [d[0] for d in det])
-                spins_ = spin.permute_labels(p, [d[1] for d in det])
+                orbitals = oracles.permute_labels(p, [d[0] for d in det])
+                spins_ = oracles.permute_labels(p, [d[1] for d in det])
                 key = (orbitals, spins_)
                 coeffs[key] = coeffs.get(key, 0.0) + sg.parity(p) * c / math.sqrt(nfact)
         transpositions = [
@@ -293,7 +339,7 @@ class TestMoreEdges:
         for t in transpositions:
             for (orbitals, spins_), c in coeffs.items():
                 swapped = (
-                    spin.permute_labels(t, orbitals),
-                    spin.permute_labels(t, spins_),
+                    oracles.permute_labels(t, orbitals),
+                    oracles.permute_labels(t, spins_),
                 )
                 assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
