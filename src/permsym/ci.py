@@ -467,8 +467,8 @@ class ComparisonReport:
     ``missing`` holds exact levels below the convergence horizon that no CI
     state matched; on a successful experiment every one of them carries only
     forbidden irrep content and ``spurious`` is empty.  ``vacuous`` is set
-    when no level with allowed content lies below the horizon, so nothing
-    was verified.
+    when no allowed exact state lies below the horizon, so nothing was
+    verified.
     """
 
     matched: tuple[MatchedState, ...]
@@ -521,17 +521,28 @@ def compare(
     allowed: AllowedIrrepMap,
     tol: float,
 ) -> ComparisonReport:
-    """Greedy energy matching of CI states to exact levels within tol.
+    """Pair CI states with exact states rank by rank in each (M_s, S, parity)
+    block.
 
-    Every exact level must carry irrep multiplicities.  The convergence
-    horizon is the energy of the first allowed level that no CI state
-    reproduces within tol, clipped to the top of the enumerated list and to
-    tol below the lowest level the list leaves out: with cutoff the largest
-    n_sym + n_last given, that is the lowest level of the cutoff+1 shell,
-    since energies rise with both quanta.  Only CI states below the horizon
-    are classified.  Levels below the horizon with no matching CI state are
-    reported missing.  A CI result whose states all have |M_s| above some
-    allowed spin cannot hold that spin's states, so it raises ValueError.
+    Every exact level must carry irrep multiplicities.  A level holding m
+    copies of irrep Gamma puts m exact states into block (M_s, S, its
+    parity) for each M_s of the CI states and each allowed spin S >= |M_s|
+    of Gamma.  Both lists of a block ascend, and by the Hylleraas-Undheim-
+    MacDonald theorem (MacDonald, Phys. Rev. 43, 830 (1933)) CI_k >=
+    exact_k, so the k-th CI state of a block can only reproduce the k-th
+    exact state.  A block's horizon is exact_k at its first rank k with no
+    CI state or with CI_k - exact_k > tol; if that CI_k lies within tol of
+    the block's next distinct exact energy, the list has shifted (it
+    predicts a state the CI lacks), and that CI state is spurious.  The
+    horizon is the lowest block horizon, clipped to the top of the
+    enumerated list and to tol below the lowest level the list leaves out:
+    with cutoff the largest n_sym + n_last given, that is the lowest level
+    of the cutoff+1 shell, since energies rise with both quanta.  A CI state
+    below the horizon is matched when its same-rank exact state lies within
+    tol, and spurious otherwise.  Levels below the horizon with no matched
+    state are reported missing.  A CI result whose states all have |M_s|
+    above some allowed spin cannot hold that spin's states, so it raises
+    ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -553,53 +564,49 @@ def compare(
                 "levels before comparing"
             )
     levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
-    forbidden = allowed.forbidden_labels()
+    ci = {(b.ms, b.s, b.parity): b.evals for b in ci_result.blocks}
+    exact = {key: [] for key in ci}
+    ms_values = {st.ms for st in ci_result.states}
+    for lv in levels:
+        for label, m in lv.irrep_mults.items():
+            for s, ms in itertools.product(allowed.spins[label], ms_values):
+                if s >= abs(ms):
+                    exact.setdefault((ms, s, lv.parity), []).extend([lv] * m)
 
-    def has_allowed_content(lv: LevelDescriptor) -> bool:
-        return any(m and lbl not in forbidden for lbl, m in lv.irrep_mults.items())
-
-    evals = ci_result.eigenvalues
     horizon = levels[-1].energy + tol if levels else 0.0
     if levels:
         shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
         unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
         horizon = min(horizon, unlisted - tol)
-    for lv in levels:
-        if not has_allowed_content(lv):
-            continue
-        if not np.any(np.abs(evals - lv.energy) <= tol):
+    skipped = []  # CI states at the next level of a shifted exact list
+    for key, ex in exact.items():
+        evals = ci.get(key, ())
+        for k, lv in enumerate(ex):
+            if k < len(evals) and evals[k] - lv.energy <= tol:
+                continue
             horizon = min(horizon, lv.energy)
+            gap = _DEGENERACY_TOL * max(1.0, abs(lv.energy))
+            above = [e.energy for e in ex[k:] if e.energy - lv.energy > gap]
+            if k < len(evals) and above and abs(evals[k] - above[0]) <= tol:
+                skipped.append(float(evals[k]))
             break
 
-    allowed_levels = [
-        lv for lv in levels if has_allowed_content(lv) and lv.energy < horizon
-    ]
     matched: list[MatchedState] = []
-    matched_keys: set[tuple[int, int]] = set()
     spurious: list[float] = []
-    for j, e in enumerate(evals):
-        if e >= horizon:
-            break
-        best = None
-        for lv in allowed_levels:
-            gap = abs(e - lv.energy)
-            if gap <= tol and (best is None or gap < abs(e - best.energy)):
-                best = lv
-        if best is None:
-            spurious.append(float(e))
+    for state, k in zip(ci_result.states, ci_result.columns[:, 1].tolist()):
+        ex = exact[state.ms, state.s, state.parity]
+        if state.energy >= horizon:
             continue
-        state = ci_result.states[j]
-        matched.append(
-            MatchedState(
-                ci_energy=float(e),
-                exact_energy=best.energy,
-                quanta_key=best.quanta_key,
-                s=state.s,
-                parity=state.parity,
+        if k < len(ex) and abs(state.energy - ex[k].energy) <= tol:
+            matched.append(
+                MatchedState(
+                    state.energy, ex[k].energy, ex[k].quanta_key, state.s, state.parity
+                )
             )
-        )
-        matched_keys.add(best.quanta_key)
+        else:
+            spurious.append(state.energy)
 
+    matched_keys = {m.quanta_key for m in matched}
     missing = tuple(
         MissingLevel(lv.quanta_key, lv.energy, dict(lv.irrep_mults))
         for lv in levels
@@ -608,8 +615,8 @@ def compare(
     return ComparisonReport(
         matched=tuple(matched),
         missing=missing,
-        spurious=tuple(spurious),
+        spurious=tuple(spurious + sorted(skipped)),
         horizon=float(horizon),
-        vacuous=not allowed_levels,
-        forbidden_irreps=tuple(sorted(forbidden)),
+        vacuous=not any(ex and ex[0].energy < horizon for ex in exact.values()),
+        forbidden_irreps=tuple(sorted(allowed.forbidden_labels())),
     )

@@ -296,8 +296,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("project", help="symmetry-adapted combination vectors")
     add_common(p)
     p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--nsym", type=int, required=True)
-    p.add_argument("--nlast", type=int, default=0)
+    p.add_argument("--nsym", dest="n_sym", type=int, required=True)
+    p.add_argument("--nlast", dest="n_last", type=int, default=0)
     p.add_argument("--irrep", required=True)
 
     p = sub.add_parser("allowed", help="Pauli-allowed spatial irreps")
@@ -330,24 +330,10 @@ _HANDLERS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    ms = getattr(args, "ms", None)
-    if args.command == "compare" and ms is None:
-        ms = _default_ms(args.n)
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        xi=getattr(args, "xi", None),
-        orbitals=getattr(args, "orbitals", None),
-        max_quanta=getattr(args, "max_quanta", None),
-        ms=ms,
-        tol=getattr(args, "tol", None),
-        n_sym=getattr(args, "nsym", None),
-        n_last=getattr(args, "nlast", None),
-        irrep=getattr(args, "irrep", None),
-        verify=getattr(args, "verify", None),
-        format=getattr(args, "format", "json"),
-        output=args.output,
-    )
+    config = RunConfig(**vars(args))
+    if config.command == "compare" and config.ms is None:
+        config = dataclasses.replace(config, ms=_default_ms(config.n))
+    return config
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -13,7 +13,10 @@ space-spin antisymmetrizer as a sum over all N! relabelings and measures
 spin in the 2^N product space, against the package's Slater-determinant
 route.  ``eigenfunction`` evaluates the exact eigenfunctions
 as Hermite polynomials times Gaussians, an independent numerical check of
-the representation matrices built from creation operators.  The rest
+the representation matrices built from creation operators.
+``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
+before it paired states rank by rank per block; where it passes, the two
+reports agree.  The rest
 (spin-orbital labels, sign-counting sort, permutation inverse, exact
 projector coefficients, the closed-form energy of a quanta pattern and the
 spin-space content per S) is bookkeeping that only the tests use.
@@ -30,7 +33,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from permsym.ci import (
+    CIResult,
     CIState,
+    ComparisonReport,
+    MatchedState,
+    MissingLevel,
     _occupations,
     _runs,
     core_energy,
@@ -47,6 +54,7 @@ from permsym.oscillator import (
 )
 from permsym.spin import (
     ALPHA,
+    AllowedIrrepMap,
     SpaceSpinFunction,
     SpinProduct,
     _s_from_eigenvalue,
@@ -631,3 +639,105 @@ def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[IrrepId]:
     """Irreps whose basis functions are eigenfunctions of every permutation
     operator: exactly the one-dimensional ones."""
     return {ir for ir in table.irreps if ir.dimension == 1}
+
+
+def compare_greedy(
+    model: OscillatorModel,
+    ci_result: CIResult,
+    exact_levels: Sequence[LevelDescriptor],
+    allowed: AllowedIrrepMap,
+    tol: float,
+) -> ComparisonReport:
+    """The nearest-level matcher ``permsym.ci.compare`` replaced: greedy
+    energy matching of CI states to exact levels within tol.
+
+    Every exact level must carry irrep multiplicities.  The convergence
+    horizon is the energy of the first allowed level that no CI state
+    reproduces within tol, clipped to the top of the enumerated list and to
+    tol below the lowest level the list leaves out: with cutoff the largest
+    n_sym + n_last given, that is the lowest level of the cutoff+1 shell,
+    since energies rise with both quanta.  Only CI states below the horizon
+    are classified.  Levels below the horizon with no matching CI state are
+    reported missing.  A CI result whose states all have |M_s| above some
+    allowed spin cannot hold that spin's states, so it raises ValueError.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if allowed.n != model.n_particles:
+        raise ValueError(
+            f"allowed map is for N={allowed.n}, model has N={model.n_particles}"
+        )
+    spins = [s for ss in allowed.spins.values() for s in ss]
+    lowest_ms = min(abs(st.ms) for st in ci_result.states)
+    if spins and min(spins) < lowest_ms:
+        raise ValueError(
+            f"allowed spin S={min(spins):g} has no state with |M_s| >= "
+            f"{lowest_ms:g}, the smallest |M_s| of the CI states"
+        )
+    for lv in exact_levels:
+        if lv.irrep_mults is None:
+            raise ValueError(
+                f"level {lv.quanta_key} lacks irrep multiplicities; decorate "
+                "levels before comparing"
+            )
+    levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
+    forbidden = allowed.forbidden_labels()
+
+    def has_allowed_content(lv: LevelDescriptor) -> bool:
+        return any(m and lbl not in forbidden for lbl, m in lv.irrep_mults.items())
+
+    evals = ci_result.eigenvalues
+    horizon = levels[-1].energy + tol if levels else 0.0
+    if levels:
+        shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
+        unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
+        horizon = min(horizon, unlisted - tol)
+    for lv in levels:
+        if not has_allowed_content(lv):
+            continue
+        if not np.any(np.abs(evals - lv.energy) <= tol):
+            horizon = min(horizon, lv.energy)
+            break
+
+    allowed_levels = [
+        lv for lv in levels if has_allowed_content(lv) and lv.energy < horizon
+    ]
+    matched: list[MatchedState] = []
+    matched_keys: set[tuple[int, int]] = set()
+    spurious: list[float] = []
+    for j, e in enumerate(evals):
+        if e >= horizon:
+            break
+        best = None
+        for lv in allowed_levels:
+            gap = abs(e - lv.energy)
+            if gap <= tol and (best is None or gap < abs(e - best.energy)):
+                best = lv
+        if best is None:
+            spurious.append(float(e))
+            continue
+        state = ci_result.states[j]
+        matched.append(
+            MatchedState(
+                ci_energy=float(e),
+                exact_energy=best.energy,
+                quanta_key=best.quanta_key,
+                s=state.s,
+                parity=state.parity,
+            )
+        )
+        matched_keys.add(best.quanta_key)
+
+    missing = tuple(
+        MissingLevel(lv.quanta_key, lv.energy, dict(lv.irrep_mults))
+        for lv in levels
+        if lv.energy < horizon and lv.quanta_key not in matched_keys
+    )
+    return ComparisonReport(
+        matched=tuple(matched),
+        missing=missing,
+        spurious=tuple(spurious),
+        horizon=float(horizon),
+        vacuous=not allowed_levels,
+        forbidden_irreps=tuple(sorted(forbidden)),
+    )

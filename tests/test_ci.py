@@ -9,7 +9,7 @@ from conftest import first_quantized_determinant_matrix
 from permsym import ci as cimod
 from permsym import levelsym as ls
 from permsym import oscillator as osc
-from permsym import spin
+from permsym import spin, symgroup
 from permsym.errors import BasisTooSmallError
 
 
@@ -511,15 +511,16 @@ class TestS2Matrix:
         assert np.abs(h @ s2 - s2 @ h).max() < 1e-10
 
 
-class TestCompare:
-    def _decorated(self, model, table, max_quanta):
-        return [
-            ls.attach_multiplicities(model, lv, table)
-            for lv in osc.enumerate_levels(model, max_quanta)
-        ]
+def _decorated_levels(model, table, max_quanta):
+    return [
+        ls.attach_multiplicities(model, lv, table)
+        for lv in osc.enumerate_levels(model, max_quanta)
+    ]
 
+
+class TestCompare:
     def test_n3_missing_levels(self, ci3_m10, model3, t3):
-        levels = self._decorated(model3, t3, 4)
+        levels = _decorated_levels(model3, t3, 4)
         allowed = spin.allowed_spatial_irreps(3)
         report = cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
         assert report.ok
@@ -532,7 +533,7 @@ class TestCompare:
             assert {l for l, m in lv.irrep_mults.items() if m} == {"A1"}
 
     def test_n4_missing_levels(self, ci4_m8, model4, t4):
-        levels = self._decorated(model4, t4, 3)
+        levels = _decorated_levels(model4, t4, 3)
         allowed = spin.allowed_spatial_irreps(4)
         report = cimod.compare(model4, ci4_m8, levels, allowed, tol=5e-3)
         assert report.ok
@@ -551,7 +552,7 @@ class TestCompare:
         """Product-basis oracle realizes the full spectrum; the part absent
         from CI is precisely the pure-A1 (forbidden) levels."""
         oracle = oracles.product_basis_oracle(model3, 8)
-        levels = self._decorated(model3, t3, 3)
+        levels = _decorated_levels(model3, t3, 3)
         for lv in levels:
             gap = min(abs(e - lv.energy) for e, _ in oracle)
             assert gap < 1e-4, f"oracle misses level {lv.quanta_key}"
@@ -565,7 +566,7 @@ class TestCompare:
     def test_vacuous_tolerance_flagged(self, ci3_m10, model3, t3):
         """A tolerance that pushes the horizon below every allowed level
         verifies nothing; tol=5 matches no state at N=3 M=10."""
-        levels = self._decorated(model3, t3, 2)
+        levels = _decorated_levels(model3, t3, 2)
         allowed = spin.allowed_spatial_irreps(3)
         for tol in (float("inf"), 5.0):
             report = cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
@@ -580,10 +581,91 @@ class TestCompare:
             cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
 
     def test_rejects_nonpositive_tol(self, ci3_m10, model3, t3):
-        levels = self._decorated(model3, t3, 2)
+        levels = _decorated_levels(model3, t3, 2)
         allowed = spin.allowed_spatial_irreps(3)
         with pytest.raises(ValueError):
             cimod.compare(model3, ci3_m10, levels, allowed, tol=0.0)
+
+
+#: the regression sweep's couplings: 0, 0.1, 0.5 and 15 spread over the
+#: bound window, from 0.02 above its low edge to 0.95
+WINDOW_COUPLINGS = {
+    n: [0.0, 0.1, 0.5, *np.linspace(osc.BOUND_WINDOWS[n][0] + 0.02, 0.95, 15)]
+    for n in (3, 4)
+}
+DEFAULT_MS = {3: 0.5, 4: 0.0}
+
+
+class TestCompareBlocks:
+    """``compare`` pairs CI and exact states rank by rank per block."""
+
+    @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
+    @pytest.mark.parametrize(
+        "n,orbitals,xi",
+        [(n, m, float(xi)) for n, m in ((3, 8), (4, 6)) for xi in WINDOW_COUPLINGS[n]],
+        ids=lambda v: f"{v:g}",
+    )
+    def test_window_sweep(self, n, orbitals, xi):
+        """Every coupling passes: exact coincidences (xi = 0, and 0.5 at
+        N=3) and partly converged multiplets at strong coupling were false
+        failures of the nearest-level matcher.  Where that matcher passes,
+        both reports agree."""
+        model = osc.make_model(n, xi)
+        basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
+        result = cimod.ci_solve(model, basis)
+        levels = _decorated_levels(model, symgroup.character_table(n), 4)
+        allowed = spin.allowed_spatial_irreps(n)
+        for tol in (1e-4, 1e-3):
+            report = cimod.compare(model, result, levels, allowed, tol)
+            assert report.ok, (tol, report.to_dict())
+            greedy = oracles.compare_greedy(model, result, levels, allowed, tol)
+            if greedy.ok:
+                assert greedy.to_dict() == report.to_dict()
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-3])
+    @pytest.mark.parametrize("n,orbitals,a1_spin", [(3, 8, 0.5), (4, 6, 0.0)])
+    def test_a1_wrongly_allowed_fails(self, n, orbitals, a1_spin, tol):
+        """With A1 marked allowed, the exact list of the ground level's
+        block starts with a state the CI lacks, so its lowest CI state lands
+        on the next predicted level: the list has shifted."""
+        model = osc.make_model(n, 0.1)
+        result = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
+        levels = _decorated_levels(model, symgroup.character_table(n), 4)
+        allowed = spin.allowed_spatial_irreps(n)
+        wrong = spin.AllowedIrrepMap(n, {**allowed.spins, "A1": (a1_spin,)})
+        report = cimod.compare(model, result, levels, wrong, tol)
+        assert report.spurious
+        assert not report.ok
+        assert cimod.compare(model, result, levels, allowed, tol).ok
+
+    @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
+    @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.4, 0.8])
+    @pytest.mark.parametrize(
+        "n,orbitals,max_quanta", [(3, 8, 12), (3, 12, 12), (4, 6, 9)]
+    )
+    def test_ci_bounds_exact_in_every_block(self, n, orbitals, max_quanta, xi):
+        """Hylleraas-Undheim-MacDonald: the k-th CI energy of each
+        (M_s, S, parity) block lies on or above the k-th exact energy of
+        that symmetry, counted over the levels below the first shell left
+        out (a complete list there)."""
+        model = osc.make_model(n, xi)
+        result = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
+        allowed = spin.allowed_spatial_irreps(n)
+        shell = max_quanta + 1
+        unlisted = min(osc.level_energy(model, q, shell - q) for q in range(shell + 1))
+        exact = {}
+        for lv in _decorated_levels(model, symgroup.character_table(n), max_quanta):
+            for label, m in lv.irrep_mults.items():
+                for s in allowed.spins[label]:
+                    if lv.energy < unlisted:
+                        exact.setdefault((s, lv.parity), []).extend([lv.energy] * m)
+        compared = 0
+        for block in result.blocks:
+            ex = sorted(exact.get((block.s, block.parity), []))
+            k = min(len(ex), len(block.evals))
+            assert (block.evals[:k] - np.array(ex[:k]) >= -1e-10).all()
+            compared += k
+        assert compared > 0
 
 
 class TestProductBasisOracle:

@@ -255,6 +255,18 @@ class TestCompare:
         assert data["spurious"] == [] and data["ok"] is True
         assert data["horizon"] <= unlisted - 1e-4 + 1e-8
 
+    @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
+    def test_exact_coincidences_pass(self, capsys):
+        """At xi = 0 every shell is one degenerate cluster; matching a CI
+        state to the nearest level credited one level of each cluster and
+        reported the others missing (exit 3)."""
+        data = run_json(
+            capsys,
+            "compare", "--n", "4", "--xi", "0.0", "--orbitals", "8",
+            "--max-quanta", "4", "--tol", "1e-4",
+        )
+        assert data["ok"] is True and data["spurious"] == []
+
     def test_exit_3_on_failed_verification(self, capsys, monkeypatch):
         real_compare = cimod.compare
 
