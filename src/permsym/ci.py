@@ -113,11 +113,6 @@ def _masks(occ: np.ndarray) -> np.ndarray:
     return (np.int64(1) << occ).sum(axis=1)
 
 
-def _occupations_of(masks: np.ndarray, n: int) -> np.ndarray:
-    bits = (masks[:, None] >> np.arange(_MASK_BITS)) & 1
-    return np.nonzero(bits)[1].reshape(len(masks), n)
-
-
 def _one_body(occ: np.ndarray, op: np.ndarray):
     """sum_pq op[p, q] a+_p a_q applied to every determinant of ``occ``.
 
@@ -153,7 +148,14 @@ def _gram(targets: np.ndarray, src: np.ndarray, values: np.ndarray, dim: int):
     images, rows = np.unique(targets, return_inverse=True)
     a = np.zeros((len(images), dim))
     a[rows.reshape(-1), src] = values
-    return images, a.T @ a
+    return a.T @ a
+
+
+def _s_minus_s_plus(occ: np.ndarray) -> np.ndarray:
+    """S-S+ over the determinants of ``occ``, with S- = S+^T and
+    S+ = sum_a a+_(a,alpha) a_(a,beta)."""
+    s_plus = np.kron(np.eye(int(occ.max()) // 2 + 1), [[0.0, 1.0], [0.0, 0.0]])
+    return _gram(*_one_body(occ, s_plus), len(occ))
 
 
 def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
@@ -184,26 +186,23 @@ def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
     h = np.bincount(
         pos[hit] * dim + src[hit], weights=values[hit], minlength=dim * dim
     ).reshape(dim, dim)
-    h += 0.5 * model.xi * _gram(*_one_body(occ, x), dim)[1]
+    h += 0.5 * model.xi * _gram(*_one_body(occ, x), dim)
     return h
 
 
 def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
-    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis, with S- = S+^T.
+    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis.
 
-    The basis must hold every determinant that S-S+ reaches (a full M_s
-    sector does); otherwise a ValueError is raised.
+    S-S+ keeps each configuration and M_s, so the basis is closed under it
+    when every configuration comes with all of its spin strings, as
+    :func:`_sectors` requires (a full M_s sector does); otherwise a
+    ValueError is raised.
     """
     occ = _occupations(basis)
-    dim = len(occ)
-    n_orb = int(occ.max()) // 2 + 1
-    s_plus = np.kron(np.eye(n_orb), [[0.0, 1.0], [0.0, 0.0]])  # a+_(a,up) a_(a,dn)
-    images, s2 = _gram(*_one_body(occ, s_plus), dim)
-    back = _one_body(_occupations_of(images, occ.shape[1]), s_plus.T)[0]
-    if not np.isin(back, _masks(occ)).all():
-        raise ValueError("S^2 leaves the given basis; use a full M_s sector")
+    list(_sectors(occ))  # raises on a missing spin partner
+    s2 = _s_minus_s_plus(occ)
     ms = _ms(occ)
-    s2[np.diag_indices(dim)] += ms * (ms + 1.0)
+    s2[np.diag_indices(len(occ))] += ms * (ms + 1.0)
     return s2
 
 
@@ -300,8 +299,7 @@ def _to_csf(groups, x: np.ndarray) -> np.ndarray:
 class CIResult:
     """Eigensolution over the determinant basis, labelled per state.
 
-    ``eigenvectors`` (column j belongs to eigenvalues[j]) is the dense
-    dim x dim matrix; it is assembled from the CSF blocks on first access.
+    State j is column ``columns[j, 1]`` of block ``columns[j, 0]``.
     """
 
     basis: np.ndarray  # (dim, N) occupations, read-only
@@ -309,16 +307,6 @@ class CIResult:
     states: tuple[CIState, ...]
     blocks: tuple[_CSFBlock, ...] = field(repr=False)
     columns: np.ndarray = field(repr=False)  # (block, index in block) per state
-
-    @functools.cached_property
-    def eigenvectors(self) -> np.ndarray:
-        out = np.zeros((len(self.basis), len(self.basis)))
-        for b, block in enumerate(self.blocks):
-            cols = np.nonzero(self.columns[:, 0] == b)[0]
-            k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block.groups]
-            vecs = _to_csf(k_transposed, block.coeffs[:, self.columns[cols, 1]])
-            out[np.ix_(block.rows, cols)] = vecs
-        return out
 
 
 def _runs(values: np.ndarray):

@@ -28,6 +28,7 @@ from .symgroup import (
     CycleType,
     IrrepId,
     all_permutations,
+    conjugacy_classes,
     cycle_type,
     decompose,
 )
@@ -65,8 +66,6 @@ def level_characters(model: OscillatorModel, level: LevelDescriptor) -> LevelCha
 
 
 def _cycle_types(n_particles: int) -> list[CycleType]:
-    from .symgroup import conjugacy_classes
-
     return [c.cycle_type for c in conjugacy_classes(n_particles)]
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import NumericalIntegrityError, UnboundModelError
-from .symgroup import Permutation
+from .symgroup import Permutation, all_permutations
 
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
@@ -256,8 +256,6 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], n
     orthogonally on the shared-width degenerate modes; the uniform scale
     q_i = k**(1/4) y_i commutes with the mode action.
     """
-    from .symgroup import all_permutations  # local to avoid cycle at import
-
     model = make_model(n_particles, 0.0)
     # the operator of p substitutes a†_i -> sum_j w[j, i] a†_j
     return {

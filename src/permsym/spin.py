@@ -13,10 +13,9 @@ antisymmetrization:
   Antisymmetrizing a product of spin-orbitals gives their Slater
   determinant (Slater, Phys. Rev. 34, 1293 (1929)), signed by the parity
   of the sort that orders them and zero when one repeats, so no sum over
-  the N! permutations is formed.  Spin-orbitals are coded beta first
-  (2a, then 2a + 1 for alpha), so determinants sort like their (orbital,
-  twice-ms) keys; total spin comes from the determinant expansion through
-  S^2 = S-S+ + Sz(Sz+1) with the one-body S+ of :mod:`permsym.ci`.
+  the N! permutations is formed.  The determinants are rows of
+  :mod:`permsym.ci` occupied spin-orbitals, and total spin comes from the
+  expansion through S^2 = S-S+ + Sz(Sz+1) with the S-S+ of that module.
 
 The two must agree pair by pair; their agreement is the module's central
 cross-validation (a test failure, not a runtime recovery).
@@ -33,10 +32,11 @@ import numpy as np
 
 from . import ci
 from .errors import NumericalIntegrityError
-from .levelsym import character_projector
+from .levelsym import character_projector, irrep_multiplicities, level_characters
 from .oscillator import (
     LevelDescriptor,
     OscillatorModel,
+    make_level,
     uncoupled_expansion,
 )
 from .symgroup import (
@@ -213,14 +213,15 @@ class SpaceSpinFunction:
     """Result of antisymmetrizing (projected eigenfunction) x (spin product).
 
     ``determinants`` expands the survivor over normalized determinants of
-    one-particle space x spin functions, keyed by the canonically sorted
-    tuple of (orbital, twice-ms) pairs.  A zero result is a valid answer.
+    one-particle space x spin functions, keyed by their :mod:`permsym.ci`
+    occupation rows (ascending spin-orbital indices).  A zero result is a
+    valid answer.
     """
 
     nonzero: bool
     norm: float
     s_value: Optional[float]
-    determinants: Mapping[tuple[tuple[int, int], ...], float]
+    determinants: Mapping[tuple[int, ...], float]
 
 
 def antisymmetrize_space_spin(
@@ -240,12 +241,11 @@ def antisymmetrize_space_spin(
     applied.  It turns a product of spin-orbitals into their Slater
     determinant over sqrt(N!), signed by the parity of the sort that
     orders them, and into zero when a spin-orbital repeats, so no sum over
-    permutations is formed.  Spin-orbitals are coded 2a (orbital a, beta)
-    and 2a + 1 (alpha), so that the codes sort like the (orbital, twice-ms)
-    keys of ``determinants``.  Survivors are returned as Slater-determinant
-    expansions with their total spin, measured as
-    <S^2> = |S+ psi|^2 / |psi|^2 + M_s(M_s + 1).  A level whose orbital
-    products reach orbital 31 with alpha spin does not fit a
+    permutations is formed.  Spin-orbitals are coded as in
+    :mod:`permsym.ci`, 2a (orbital a, alpha) and 2a + 1 (beta).  Survivors
+    are returned as Slater-determinant expansions with their total spin,
+    measured as <S^2> = |S+ psi|^2 / |psi|^2 + M_s(M_s + 1).  A level whose
+    orbital products reach orbital 31 with beta spin does not fit a
     :mod:`permsym.ci` determinant mask and raises ValueError.
 
     The seed is the first level basis function whose projection survives.
@@ -278,8 +278,8 @@ def _antisymmetrize(
     orb_patterns, expansion = uncoupled_expansion(n, level.n_sym, level.n_last)
     xvec = spatial @ expansion  # coefficients over orbital patterns
     keep = np.abs(xvec) > 1e-14
-    alpha = [label == ALPHA for label in spin_product.labels]
-    codes = 2 * np.array(orb_patterns, dtype=np.int64)[keep] + alpha
+    beta = [label == BETA for label in spin_product.labels]
+    codes = 2 * np.array(orb_patterns, dtype=np.int64)[keep] + beta
     inversions = np.triu(codes[:, :, None] > codes[:, None, :]).sum(axis=(1, 2))
     weights = xvec[keep] * (1 - 2 * (inversions % 2))
     codes = np.sort(codes, axis=1)
@@ -295,14 +295,11 @@ def _antisymmetrize(
         return SpaceSpinFunction(False, norm, None, {})
 
     occ = ci._occupations(dets)
-    # S+ = sum_a a+_(a,alpha) a_(a,beta) on the beta-first codes
-    s_plus = np.kron(np.eye(int(occ.max()) // 2 + 1), [[0.0, 0.0], [1.0, 0.0]])
-    s_minus_s_plus = ci._gram(*ci._one_body(occ, s_plus), len(occ))[1]
     ms = spin_product.ms
     s_value = _s_from_eigenvalue(
-        coeffs @ s_minus_s_plus @ coeffs / norm**2 + ms * (ms + 1)
+        coeffs @ ci._s_minus_s_plus(occ) @ coeffs / norm**2 + ms * (ms + 1)
     )
-    keys = [tuple((c // 2, 2 * (c % 2) - 1) for c in row) for row in dets.tolist()]
+    keys = map(tuple, occ.tolist())
     return SpaceSpinFunction(True, norm, s_value, dict(zip(keys, coeffs.tolist())))
 
 
@@ -336,9 +333,6 @@ def first_level_with_irrep(
     max_n_sym: int = 8,
 ) -> LevelDescriptor:
     """Lowest level (by n_sym, at n_last = 0) containing the irrep."""
-    from .levelsym import irrep_multiplicities, level_characters
-    from .oscillator import make_level
-
     if isinstance(irrep, str):
         irrep = table.irrep(irrep)
     for n_sym in range(max_n_sym + 1):

@@ -16,7 +16,8 @@ as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.
 ``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
 before it paired states rank by rank per block; where it passes, the two
-reports agree.  The rest
+reports agree.  ``eigenvectors`` assembles the dense eigenvector matrix of
+a CI result from its CSF blocks.  The rest
 (spin-orbital labels, sign-counting sort, permutation inverse, exact
 projector coefficients, the closed-form energy of a quanta pattern and the
 spin-space content per S) is bookkeeping that only the tests use.
@@ -40,6 +41,7 @@ from permsym.ci import (
     MissingLevel,
     _occupations,
     _runs,
+    _to_csf,
     core_energy,
     hamiltonian_matrix,
     s_squared_matrix,
@@ -283,6 +285,18 @@ def ci_solve_dense(model, basis, guard=1e-6):
     return np.array([t[0] for t in entries]), states
 
 
+def eigenvectors(result: CIResult) -> np.ndarray:
+    """The dense eigenvector matrix of a CI result, column j for
+    eigenvalues[j], taken from each block's CSFs back to determinants."""
+    out = np.zeros((len(result.basis), len(result.basis)))
+    for b, block in enumerate(result.blocks):
+        cols = np.nonzero(result.columns[:, 0] == b)[0]
+        k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block.groups]
+        vecs = _to_csf(k_transposed, block.coeffs[:, result.columns[cols, 1]])
+        out[np.ix_(block.rows, cols)] = vecs
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spin space, by floats
 
@@ -362,7 +376,7 @@ def antisymmetrize_by_permutations(
     for (pat, labels), coeff in out.items():
         if abs(coeff) < 1e-12:
             continue
-        sos = [(o, 1 if l == ALPHA else -1) for o, l in zip(pat, labels)]
+        sos = [2 * o + (l != ALPHA) for o, l in zip(pat, labels)]
         if len(set(sos)) != n:
             raise NumericalIntegrityError(
                 "antisymmetric function has weight on a Pauli-violating product"

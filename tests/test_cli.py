@@ -458,11 +458,13 @@ class TestOutputErrors:
         assert err
 
 
-@pytest.mark.parametrize("module", ["permsym.spin", "permsym.ci", "permsym.cli"])
+@pytest.mark.parametrize(
+    "module", [f"permsym.{m}" for m in ("spin", "ci", "cli", "oscillator", "levelsym")]
+)
 def test_cli_import_needs_numpy_only(module):
     """The package declares numpy as its only dependency: importing any of
     these modules first, in a fresh interpreter, must succeed (no import
-    cycle between ``spin`` and ``ci``) and must not pull in scipy."""
+    cycle) and must not pull in scipy."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (

@@ -1,10 +1,10 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 import oracles
+from permsym import ci as cimod
 from permsym import levelsym as ls
 from permsym import oscillator as osc
 from permsym import spin
@@ -177,6 +177,22 @@ class TestAllowedIrreps:
         assert d["A1"]["allowed"] is False
 
 
+def _assert_antisymmetric(res, n):
+    """Rebuild a survivor's product-space coefficients (up to 1/sqrt(N!))
+    from its determinants; permuting spin-orbital codes relabels space and
+    spin together, and every transposition must flip the sign."""
+    coeffs = {}
+    for det, c in res.determinants.items():
+        for p in sg.all_permutations(n):
+            key = oracles.permute_labels(p, det)
+            coeffs[key] = coeffs.get(key, 0.0) + sg.parity(p) * c
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        t = sg.Permutation.transposition(n, i, j)
+        for key, c in coeffs.items():
+            swapped = oracles.permute_labels(t, key)
+            assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
+
+
 class TestAntisymmetrizeSpaceSpin:
     def test_a1_always_zero(self, model3, t3):
         lv = osc.make_level(model3, 0, 0)
@@ -193,7 +209,7 @@ class TestAntisymmetrizeSpaceSpin:
         assert res.s_value == pytest.approx(1.5)
         # all three spins up with orbital quanta summing to 3 and Pauli
         # exclusion: exactly the determinant |phi0 a, phi1 a, phi2 a|
-        assert set(res.determinants) == {(((0, 1), (1, 1), (2, 1)))}
+        assert set(res.determinants) == {(0, 2, 4)}
 
     def test_e_with_full_alpha_dies(self, model3, t3):
         # S = 3/2 is incompatible with E
@@ -214,23 +230,7 @@ class TestAntisymmetrizeSpaceSpin:
         product component must flip sign."""
         lv = osc.make_level(model3, 1, 0)
         res = spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aab")
-        # rebuild product-space coefficients from the determinant expansion
-        coeffs = {}
-        nfact = math.factorial(3)
-        for det, c in res.determinants.items():
-            for p in sg.all_permutations(3):
-                orbitals = oracles.permute_labels(p, [d[0] for d in det])
-                spins = oracles.permute_labels(p, [d[1] for d in det])
-                key = (orbitals, spins)
-                coeffs[key] = coeffs.get(key, 0.0) + sg.parity(p) * c / math.sqrt(nfact)
-        for i, j in [(1, 2), (1, 3), (2, 3)]:
-            t = sg.Permutation.transposition(3, i, j)
-            for (orbitals, spins), c in coeffs.items():
-                swapped = (
-                    oracles.permute_labels(t, orbitals),
-                    oracles.permute_labels(t, spins),
-                )
-                assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
+        _assert_antisymmetric(res, 3)
 
     def test_wrong_pattern_length(self, model3, t3):
         lv = osc.make_level(model3, 1, 0)
@@ -238,11 +238,11 @@ class TestAntisymmetrizeSpaceSpin:
             spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aabb")
 
     def test_orbital_31_exceeds_the_determinant_mask(self, model3, t3):
-        """Spin-orbital codes share the CI masks: orbital 31 with alpha spin
+        """Spin-orbital codes share the CI masks: orbital 31 with beta spin
         (code 63) does not fit an int64, so the level is refused."""
         lv = osc.make_level(model3, 31, 0)
         with pytest.raises(ValueError, match="fit a determinant mask"):
-            spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aab")
+            spin.antisymmetrize_space_spin(model3, lv, t3, "E", "bba")
 
 
 REFERENCE_LEVELS = [
@@ -276,6 +276,31 @@ def test_determinants_match_permutation_sum(n, n_sym, n_last):
                 assert set(got.determinants) == set(want.determinants), case
                 for key, c in want.determinants.items():
                     assert got.determinants[key] == pytest.approx(c, abs=1e-12), case
+
+
+@pytest.mark.parametrize(
+    "n, irrep, product, n_sym",
+    [
+        (3, "A2", "aaa", 3),
+        (3, "E", "aab", 1),
+        (4, "T1", "aabb", 3),
+        (4, "A2", "aaab", 6),
+        (4, "E", "abab", 2),
+    ],
+)
+def test_determinants_are_ci_basis_rows(n, irrep, product, n_sym):
+    """Survivor keys index the CI basis, whose S^2 gives the measured spin."""
+    model = osc.make_model(n, 0.1)
+    res = spin.antisymmetrize_space_spin(
+        model, osc.make_level(model, n_sym, 0), sg.character_table(n), irrep, product
+    )
+    n_orb = max(map(max, res.determinants)) // 2 + 1
+    basis = cimod.build_basis(n, n_orb, ms=spin.SpinProduct.parse(product).ms)
+    rows = {row: i for i, row in enumerate(map(tuple, basis.tolist()))}
+    psi = np.zeros(len(basis))
+    psi[[rows[key] for key in res.determinants]] = list(res.determinants.values())
+    s2 = psi @ cimod.s_squared_matrix(basis) @ psi / (psi @ psi)
+    assert abs(s2 - res.s_value * (res.s_value + 1)) < 1e-12
 
 
 class TestRoutesAgree:
@@ -323,23 +348,4 @@ class TestMoreEdges:
         lv = osc.make_level(model4, 3, 0)
         res = spin.antisymmetrize_space_spin(model4, lv, t4, "T1", "aabb")
         assert res.nonzero and res.s_value == pytest.approx(1.0)
-        coeffs = {}
-        nfact = math.factorial(4)
-        for det, c in res.determinants.items():
-            for p in sg.all_permutations(4):
-                orbitals = oracles.permute_labels(p, [d[0] for d in det])
-                spins_ = oracles.permute_labels(p, [d[1] for d in det])
-                key = (orbitals, spins_)
-                coeffs[key] = coeffs.get(key, 0.0) + sg.parity(p) * c / math.sqrt(nfact)
-        transpositions = [
-            sg.Permutation.transposition(4, i, j)
-            for i in range(1, 5)
-            for j in range(i + 1, 5)
-        ]
-        for t in transpositions:
-            for (orbitals, spins_), c in coeffs.items():
-                swapped = (
-                    oracles.permute_labels(t, orbitals),
-                    oracles.permute_labels(t, spins_),
-                )
-                assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
+        _assert_antisymmetric(res, 4)
