@@ -225,9 +225,19 @@ def _cmd_allowed(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _determinant_basis(config: RunConfig):
+    basis = cimod.build_basis(config.n, config.orbitals, ms=_parse_ms(config.ms))
+    if not len(basis):
+        raise UsageError(
+            f"--ms {config.ms}: no determinant of N={config.n} particles in "
+            f"{config.orbitals} orbitals has this M_s"
+        )
+    return basis
+
+
 def _cmd_ci(config: RunConfig) -> int:
     model = oscillator.make_model(config.n, config.xi)
-    basis = cimod.build_basis(config.n, config.orbitals, ms=_parse_ms(config.ms))
+    basis = _determinant_basis(config)
     result = cimod.ci_solve(model, basis)
     rows = [
         {"energy": st.energy, "S": st.s, "Ms": st.ms, "parity": st.parity}
@@ -240,15 +250,10 @@ def _cmd_ci(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _default_ms(n: int) -> str:
-    # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
-    return "1/2" if n % 2 else "0"
-
-
 def _cmd_compare(config: RunConfig) -> int:
     model, table, levels = _decorated_levels(config)
     allowed = spin.allowed_spatial_irreps(config.n)
-    basis = cimod.build_basis(config.n, config.orbitals, ms=_parse_ms(config.ms))
+    basis = _determinant_basis(config)
     result = cimod.ci_solve(model, basis)
     report = cimod.compare(model, result, levels, allowed, config.tol)
     _emit_json(report.to_dict(), config)
@@ -332,7 +337,8 @@ _HANDLERS = {
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**vars(args))
     if config.command == "compare" and config.ms is None:
-        config = dataclasses.replace(config, ms=_default_ms(config.n))
+        # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
+        config = dataclasses.replace(config, ms="1/2" if config.n % 2 else "0")
     return config
 
 

@@ -86,6 +86,9 @@ def make_model(n_particles: int, xi: float) -> OscillatorModel:
     u = _normal_mode_matrix(n_particles)
     if np.abs(u @ u.T - np.eye(n_particles)).max() > _ORTHO_TOL:
         raise NumericalIntegrityError("normal-mode matrix is not orthogonal")
+    # a uniform symmetric mode is fixed by every permutation of the particles
+    if np.ptp(u[-1]) > _ORTHO_TOL:
+        raise NumericalIntegrityError("symmetric mode is not the uniform last row")
     return OscillatorModel(
         n_particles=n_particles,
         xi=float(xi),
@@ -191,27 +194,6 @@ def level_patterns(n_particles: int, n_sym: int) -> list[tuple[int, ...]]:
 # permutation action on degenerate levels
 
 
-def permutation_matrix(p: Permutation) -> np.ndarray:
-    """N x N matrix with P e_j = e_{p(j)}, so that (P x)_i = x_{p^{-1}(i)}."""
-    n = p.n
-    mat = np.zeros((n, n))
-    for j in range(1, n + 1):
-        mat[p(j) - 1, j - 1] = 1.0
-    return mat
-
-
-def mode_action(model: OscillatorModel, p: Permutation) -> np.ndarray:
-    """Orthogonal action of p on the N-1 degenerate modes: U P U^T restricted
-    to the first N-1 rows/columns (the symmetric mode is invariant)."""
-    if p.n != model.n_particles:
-        raise ValueError(f"permutation size {p.n} != model N {model.n_particles}")
-    v = model.U @ permutation_matrix(p) @ model.U.T
-    nm = model.n_particles - 1
-    if np.abs(v[nm, :nm]).max() > _ORTHO_TOL or abs(v[nm, nm] - 1.0) > _ORTHO_TOL:
-        raise NumericalIntegrityError("symmetric mode not invariant under permutation")
-    return v[:nm, :nm]
-
-
 def _substitution_matrix(rows: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of the substitution a†_i -> sum_j rows[i, j] a†_j on the
     normalized states |m> = prod_i (a†_i)^{m_i} / sqrt(m_i!) with
@@ -224,22 +206,21 @@ def _substitution_matrix(rows: np.ndarray, degree: int) -> np.ndarray:
     first occupied mode i, and a†_j |m''> = sqrt(m''_j + 1) |m'' + e_j>.
     Every term keeps the degree, so nothing can leak out of the level.
     """
-    n_in, n_out = rows.shape
-    outs, ins = [(0,) * n_out], [(0,) * n_in]
+    n_modes = len(rows)
+    states = [(0,) * n_modes]
     mat = np.ones((1, 1))
     for n in range(1, degree + 1):
-        out_index = {m: k for k, m in enumerate(outs)}
-        in_index = {m: k for k, m in enumerate(ins)}
-        outs, ins = _compositions(n, n_out), _compositions(n, n_in)
-        first = [next(i for i, q in enumerate(m) if q) for m in ins]
-        parents = [in_index[_lowered(m, i)] for m, i in zip(ins, first)]
+        index = {m: k for k, m in enumerate(states)}
+        states = _compositions(n, n_modes)
+        first = [next(i for i, q in enumerate(m) if q) for m in states]
+        parents = [index[_lowered(m, i)] for m, i in zip(states, first)]
         # image of |m - e_i> / sqrt(m_i), still to be raised by a†_i
-        lowered = mat[:, parents] / np.sqrt([m[i] for m, i in zip(ins, first)])
-        mat = np.zeros((len(outs), len(ins)))
-        for j in range(n_out):
-            hit = [k for k, m in enumerate(outs) if m[j]]
-            lower = [out_index[_lowered(outs[k], j)] for k in hit]
-            raise_j = np.sqrt([[outs[k][j]] for k in hit])
+        lowered = mat[:, parents] / np.sqrt([m[i] for m, i in zip(states, first)])
+        mat = np.zeros((len(states), len(states)))
+        for j in range(n_modes):
+            hit = [k for k, m in enumerate(states) if m[j]]
+            lower = [index[_lowered(states[k], j)] for k in hit]
+            raise_j = np.sqrt([[states[k][j]] for k in hit])
             mat[hit] += raise_j * lowered[lower] * rows[first, j]
     return mat
 
@@ -256,10 +237,10 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], n
     orthogonally on the shared-width degenerate modes; the uniform scale
     q_i = k**(1/4) y_i commutes with the mode action.
     """
-    model = make_model(n_particles, 0.0)
-    # the operator of p substitutes a†_i -> sum_j w[j, i] a†_j
+    u = make_model(n_particles, 0.0).U[:-1]
+    # U P = U[:, images - 1]; p substitutes a†_i -> sum_j W[j, i] a†_j
     return {
-        p.images: _substitution_matrix(mode_action(model, p).T, n_sym)
+        p.images: _substitution_matrix((u[:, np.subtract(p.images, 1)] @ u.T).T, n_sym)
         for p in all_permutations(n_particles)
     }
 
@@ -269,6 +250,8 @@ def permutation_action_matrix(
 ) -> np.ndarray:
     """Matrix of p on the span of the level's eigenfunctions.
 
+    p sends particle j to p(j), acts by (p f)(x) = f(x_{p(1)}, ..., x_{p(N)}),
+    and on the modes is W = U P U^T, formed by indexing U's columns.
     Basis: degenerate-mode patterns in lexicographic order
     (:func:`level_patterns`).  The matrices form an orthogonal
     representation: D(p) D(q) = D(compose(p, q)).

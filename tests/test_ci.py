@@ -493,15 +493,6 @@ class TestS2Matrix:
         s2 = cimod.s_squared_matrix(basis)
         assert np.array_equal(s2, oracles.s_squared_loop(basis))
 
-    def test_requires_full_ms_sector(self, model3):
-        # S-S+ maps (0a, 1a, 2b) onto (0b, 1a, 2a); removing the image
-        # leaves a basis S^2 cannot act on
-        full = cimod.build_basis(3, 3, ms=0.5)
-        basis = full[(full != (1, 2, 4)).any(axis=1)]
-        assert len(basis) == len(full) - 1
-        with pytest.raises(ValueError, match="M_s sector"):
-            cimod.s_squared_matrix(basis)
-
     def test_commutes_with_hamiltonian(self, model3):
         basis = cimod.build_basis(3, 4, ms=0.5)
         h = cimod.hamiltonian_matrix(model3, basis)

@@ -351,6 +351,26 @@ class TestExitCodes:
         assert err.startswith(("error:", "usage error:"))
 
     @pytest.mark.parametrize(
+        "argv,ms",
+        [
+            (["ci", "--n", "4", "--xi", "0.1", "--orbitals", "2", "--ms", "2"], "2"),
+            (["compare", "--n", "4", "--xi", "0.1", "--orbitals", "4",
+              "--max-quanta", "2", "--tol", "1e-4", "--ms", "1/2"], "1/2"),
+            (["ci", "--n", "3", "--xi", "0.1", "--orbitals", "3",
+              "--ms", "nan"], "nan"),
+        ],
+        ids=["ci-n4-ms2-m2", "compare-n4-ms1/2", "ci-ms-nan"],
+    )
+    def test_empty_ms_sector_is_a_usage_error(self, capsys, argv, ms):
+        """No determinant has this M_s; the error says which sector of which
+        basis came out empty."""
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert f"--ms {ms}" in err and "N=" in err and "orbitals" in err
+
+    @pytest.mark.parametrize(
         "argv,spin,ms",
         [
             (["--n", "3", "--orbitals", "8", "--ms", "3/2"], "S=0.5", "1.5"),

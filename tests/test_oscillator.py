@@ -7,7 +7,7 @@ import pytest
 import oracles
 from permsym import oscillator as osc
 from permsym import symgroup as sg
-from permsym.errors import UnboundModelError
+from permsym.errors import NumericalIntegrityError, UnboundModelError
 
 
 class TestMakeModel:
@@ -42,6 +42,16 @@ class TestMakeModel:
     def test_last_row_uniform(self, n):
         m = osc.make_model(n, 0.2)
         assert np.allclose(m.U[-1], 1.0 / math.sqrt(n), atol=1e-15)
+
+    def test_nonuniform_symmetric_mode_rejected(self, monkeypatch):
+        # still orthogonal, but the symmetric mode is no longer the last row,
+        # so some permutation would move it into the degenerate modes
+        shipped = osc._normal_mode_matrix
+        monkeypatch.setattr(
+            osc, "_normal_mode_matrix", lambda n: shipped(n)[[0, 1, 3, 2]]
+        )
+        with pytest.raises(NumericalIntegrityError, match="symmetric mode"):
+            osc.make_model(4, 0.1)
 
     def test_u_matches_mode_definitions(self):
         # y1 = (x2 - x3)/sqrt(2), y2 = (2x1 - x2 - x3)/sqrt(6) for N=3
@@ -191,12 +201,13 @@ class TestPermutationAction:
         d = osc.permutation_action_matrix(model3, lv, sg.Permutation.identity(3))
         assert np.allclose(d, np.eye(3), atol=1e-12)
 
-    def test_scalar_one_on_symmetric_level(self, model3):
-        lv = osc.make_level(model3, 0, 2)
-        for p in sg.all_permutations(3):
-            d = osc.permutation_action_matrix(model3, lv, p)
-            assert d.shape == (1, 1)
-            assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
+    def test_scalar_one_on_symmetric_level(self, model3, model4):
+        for model in (model3, model4):
+            lv = osc.make_level(model, 0, 2)
+            for p in sg.all_permutations(model.n_particles):
+                d = osc.permutation_action_matrix(model, lv, p)
+                assert d.shape == (1, 1)
+                assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_transposition_traceless_on_nsym1(self, model3):
         lv = osc.make_level(model3, 1, 0)
@@ -311,10 +322,6 @@ class TestMoreEdges:
         with pytest.raises(ValueError):
             oracles.hermite_poly(-1)
 
-    def test_mode_action_size_mismatch(self, model3):
-        with pytest.raises(ValueError):
-            osc.mode_action(model3, sg.Permutation((2, 1, 4, 3)))
-
     def test_action_matrix_size_mismatch(self, model4):
         lv = osc.make_level(model4, 1, 0)
         with pytest.raises(ValueError):
@@ -324,15 +331,12 @@ class TestMoreEdges:
 class TestModeActionCorrespondence:
     def test_reflection_and_rotation_classes(self, model3):
         """The transposition fixing particle 1 reflects y1; a 3-cycle acts
-        as a proper rotation by 120 degrees on the degenerate pair."""
-        w = osc.mode_action(model3, sg.Permutation((1, 3, 2)))
-        assert np.abs(w - np.diag([-1.0, 1.0])).max() < 1e-12
-        w = osc.mode_action(model3, sg.Permutation((3, 1, 2)))
-        assert np.trace(w) == pytest.approx(-1.0, abs=1e-12)   # 2 cos(120deg)
-        assert np.linalg.det(w) == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric_mode_always_fixed(self, model4):
-        for p in sg.all_permutations(4):
-            v = model4.U @ osc.permutation_matrix(p) @ model4.U.T
-            assert np.abs(v[3, :3]).max() < 1e-12
-            assert v[3, 3] == pytest.approx(1.0, abs=1e-12)
+        as a proper rotation by 120 degrees on the degenerate pair.  Level
+        (1, 0) carries the mode representation itself, in the basis y2, y1."""
+        lv = osc.make_level(model3, 1, 0)
+        assert osc.level_patterns(3, 1) == [(0, 1), (1, 0)]
+        d = osc.permutation_action_matrix(model3, lv, sg.Permutation((1, 3, 2)))
+        assert np.abs(d - np.diag([1.0, -1.0])).max() < 1e-12
+        d = osc.permutation_action_matrix(model3, lv, sg.Permutation((3, 1, 2)))
+        assert np.trace(d) == pytest.approx(-1.0, abs=1e-12)   # 2 cos(120deg)
+        assert np.linalg.det(d) == pytest.approx(1.0, abs=1e-12)
