@@ -1,21 +1,7 @@
 """Permutation symmetry of exactly solvable N-particle oscillator models.
 
-Subpackages are imported lazily so that the command-line entry point can
-apply the PERMSYM_THREADS cap before any numerical library loads.
+The package imports none of its modules, so that the command-line entry
+point can apply the PERMSYM_THREADS cap before any numerical library loads.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("symgroup", "oscillator", "levelsym", "spin", "ci", "cli", "errors")
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

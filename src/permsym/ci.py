@@ -526,13 +526,14 @@ def compare(
     enumerated list and to tol below the lowest level the list leaves out:
     with cutoff the largest n_sym + n_last given, that is the lowest level
     of the cutoff+1 shell, since energies rise with both quanta.  A CI state
-    below the horizon is matched when its same-rank exact state lies within
-    tol, and spurious otherwise.  Levels below the horizon with no matched
-    state are reported missing.  A CI result whose states all have |M_s|
-    above some allowed spin cannot hold that spin's states, so it raises
-    ValueError.
+    is matched when its same-rank exact state lies within tol and the lower
+    of the two energies (normally the exact one) is below the horizon; an
+    unmatched CI state below the horizon is spurious.  Levels below the
+    horizon with no matched state are reported missing.  A CI result whose
+    states all have |M_s| above some allowed spin cannot hold that spin's
+    states, so it raises ValueError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if allowed.n != model.n_particles:
         raise ValueError(
@@ -583,15 +584,14 @@ def compare(
     spurious: list[float] = []
     for state, k in zip(ci_result.states, ci_result.columns[:, 1].tolist()):
         ex = exact[state.ms, state.s, state.parity]
-        if state.energy >= horizon:
-            continue
-        if k < len(ex) and abs(state.energy - ex[k].energy) <= tol:
+        exact_e = ex[k].energy if k < len(ex) else math.inf
+        if abs(state.energy - exact_e) <= tol and min(state.energy, exact_e) < horizon:
             matched.append(
                 MatchedState(
-                    state.energy, ex[k].energy, ex[k].quanta_key, state.s, state.parity
+                    state.energy, exact_e, ex[k].quanta_key, state.s, state.parity
                 )
             )
-        else:
+        elif state.energy < horizon:
             spurious.append(state.energy)
 
     matched_keys = {m.quanta_key for m in matched}

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -39,6 +40,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses -1e-05 and -1/2, reading them as options
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
 
@@ -112,7 +118,7 @@ def _parse_ms(text: str):
     return float(text)
 
 
-def _level_row(level: oscillator.LevelDescriptor, with_mults: bool) -> dict:
+def _level_row(level: oscillator.LevelDescriptor) -> dict:
     row = {
         "quanta_key": list(level.quanta_key),
         "n_sym": level.n_sym,
@@ -121,7 +127,7 @@ def _level_row(level: oscillator.LevelDescriptor, with_mults: bool) -> dict:
         "degeneracy": level.degeneracy,
         "parity": level.parity,
     }
-    if with_mults:
+    if level.irrep_mults is not None:
         row["irrep_mults"] = dict(level.irrep_mults)
     return row
 
@@ -143,15 +149,18 @@ def _cmd_table(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    model = oscillator.make_model(config.n, config.xi)
-    levels = oscillator.enumerate_levels(model, config.max_quanta)
-    rows = [_level_row(lv, with_mults=False) for lv in levels]
+def _emit_levels(levels, config: RunConfig) -> int:
+    rows = [_level_row(lv) for lv in levels]
     if config.format == "csv":
         _emit_csv([_flatten_level_row(r) for r in rows], config)
     else:
         _emit_json({"levels": rows}, config)
     return EXIT_OK
+
+
+def _cmd_spectrum(config: RunConfig) -> int:
+    model = oscillator.make_model(config.n, config.xi)
+    return _emit_levels(oscillator.enumerate_levels(model, config.max_quanta), config)
 
 
 def _decorated_levels(config: RunConfig):
@@ -161,17 +170,11 @@ def _decorated_levels(config: RunConfig):
         levelsym.attach_multiplicities(model, lv, table)
         for lv in oscillator.enumerate_levels(model, config.max_quanta)
     ]
-    return model, table, levels
+    return model, levels
 
 
 def _cmd_irreps(config: RunConfig) -> int:
-    _, _, levels = _decorated_levels(config)
-    rows = [_level_row(lv, with_mults=True) for lv in levels]
-    if config.format == "csv":
-        _emit_csv([_flatten_level_row(r) for r in rows], config)
-    else:
-        _emit_json({"levels": rows}, config)
-    return EXIT_OK
+    return _emit_levels(_decorated_levels(config)[1], config)
 
 
 def _cmd_project(config: RunConfig) -> int:
@@ -185,7 +188,7 @@ def _cmd_project(config: RunConfig) -> int:
             "irrep": irrep.label,
             "dimension": irrep.dimension,
             "copies": salc_set.copies,
-            "level": _level_row(level, with_mults=False),
+            "level": _level_row(level),
             "basis_patterns": [
                 list(p) for p in oscillator.level_patterns(config.n, config.n_sym)
             ],
@@ -204,20 +207,10 @@ def _cmd_allowed(config: RunConfig) -> int:
         "multiplets": {str(s): c for s, c in sorted(mtable.counts.items())},
     }
     if config.verify == "constructive":
-        model = oscillator.make_model(config.n, 0.1)
-        table = symgroup.character_table(config.n)
-        constructive = {}
-        for irrep in table.irreps:
-            level = spin.first_level_with_irrep(model, table, irrep)
-            spins = spin.constructive_allowed_spins(model, level, table, irrep)
-            constructive[irrep.label] = sorted(spins)
-        payload["constructive"] = constructive
-        agree = all(
-            tuple(constructive[lbl]) == tuple(sorted(allowed.spins[lbl]))
-            for lbl in constructive
-        )
-        payload["routes_agree"] = agree
-        if not agree:
+        constructive = spin.constructive_spatial_irreps(config.n)
+        payload["constructive"] = {k: list(v) for k, v in constructive.spins.items()}
+        payload["routes_agree"] = constructive == allowed
+        if not payload["routes_agree"]:
             raise NumericalIntegrityError(
                 "character and constructive routes disagree on allowed irreps"
             )
@@ -251,7 +244,7 @@ def _cmd_ci(config: RunConfig) -> int:
 
 
 def _cmd_compare(config: RunConfig) -> int:
-    model, table, levels = _decorated_levels(config)
+    model, levels = _decorated_levels(config)
     allowed = spin.allowed_spatial_irreps(config.n)
     basis = _determinant_basis(config)
     result = cimod.ci_solve(model, basis)
@@ -260,10 +253,7 @@ def _cmd_compare(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
-_MS_HELP = (
-    "M_s sector: all, or a number such as 1/2 or -1; write a negative "
-    "fraction as --ms=-1/2, since a bare -1/2 reads as an option"
-)
+_MS_HELP = "M_s sector: all, or a number such as 1/2, -1/2 or -1"
 
 
 def build_parser() -> _Parser:

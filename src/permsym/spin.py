@@ -37,6 +37,7 @@ from .oscillator import (
     LevelDescriptor,
     OscillatorModel,
     make_level,
+    make_model,
     uncoupled_expansion,
 )
 from .symgroup import (
@@ -50,6 +51,8 @@ from .symgroup import (
 
 _HALF_GUARD = 1e-6
 _ZERO_TOL = 1e-8
+#: highest n_sym searched for the first level that holds an irrep
+_MAX_FIRST_N_SYM = 8
 
 ALPHA, BETA = "a", "b"
 
@@ -330,14 +333,28 @@ def first_level_with_irrep(
     model: OscillatorModel,
     table: CharacterTable,
     irrep: IrrepId | str,
-    max_n_sym: int = 8,
 ) -> LevelDescriptor:
     """Lowest level (by n_sym, at n_last = 0) containing the irrep."""
     if isinstance(irrep, str):
         irrep = table.irrep(irrep)
-    for n_sym in range(max_n_sym + 1):
+    for n_sym in range(_MAX_FIRST_N_SYM + 1):
         level = make_level(model, n_sym, 0)
         mults = irrep_multiplicities(level_characters(model, level), table)
         if mults[irrep]:
             return level
-    raise ValueError(f"irrep {irrep.label} not found up to n_sym={max_n_sym}")
+    raise ValueError(f"irrep {irrep.label} not found up to n_sym={_MAX_FIRST_N_SYM}")
+
+
+def constructive_spatial_irreps(n: int) -> AllowedIrrepMap:
+    """Constructive route: each irrep's spins are those that survive
+    antisymmetrization at the first level holding it (weak coupling, xi =
+    0.1); it must equal :func:`allowed_spatial_irreps`."""
+    model = make_model(n, 0.1)
+    table = character_table(n)
+    spins = {}
+    for irrep in table.irreps:
+        level = first_level_with_irrep(model, table, irrep)
+        spins[irrep.label] = tuple(
+            sorted(constructive_allowed_spins(model, level, table, irrep))
+        )
+    return AllowedIrrepMap(n=n, spins=spins)

@@ -143,16 +143,7 @@ def test_criterion_06_allowed_irrep_law():
             "A1": (), "A2": (2.0,), "E": (0.0,), "T1": (1.0,), "T2": (),
         }
         for n, amap in ((3, a3), (4, a4)):
-            model = osc.make_model(n, 0.1)
-            table = sg.character_table(n)
-            for irrep in table.irreps:
-                level = spin.first_level_with_irrep(model, table, irrep)
-                constructive = spin.constructive_allowed_spins(
-                    model, level, table, irrep
-                )
-                assert tuple(sorted(constructive)) == tuple(
-                    sorted(amap.spins[irrep.label])
-                ), f"N={n} {irrep.label}"
+            assert spin.constructive_spatial_irreps(n) == amap, f"N={n}"
 
 
 def test_criterion_07_missing_levels_n3(model3, t3, ci3_m10, tmp_path):

@@ -572,8 +572,9 @@ class TestCompare:
     def test_rejects_nonpositive_tol(self, ci3_m10, model3, t3):
         levels = _decorated_levels(model3, t3, 2)
         allowed = spin.allowed_spatial_irreps(3)
-        with pytest.raises(ValueError):
-            cimod.compare(model3, ci3_m10, levels, allowed, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
 
 
 #: the regression sweep's couplings: 0, 0.1, 0.5 and 15 spread over the
@@ -583,6 +584,19 @@ WINDOW_COUPLINGS = {
     for n in (3, 4)
 }
 DEFAULT_MS = {3: 0.5, 4: 0.0}
+#: couplings at which a level (n_sym, n_last) meets (n_sym', n_last'):
+#: omega_cm / omega_sym = (n_sym' - n_sym) / (n_last - n_last') = (a - c) / d
+#: squared is r = (1 + (N - 1) xi) / (1 - xi), so xi = (r - 1) / (N - 1 + r)
+CROSSINGS = {
+    n: sorted({
+        (r - 1) / (n - 1 + r)
+        for a in range(1, 6)
+        for c in range(a)
+        for d in range(1, 6)
+        for r in [((a - c) / d) ** 2]
+    })
+    for n in (3, 4)
+}
 
 
 class TestCompareBlocks:
@@ -610,6 +624,27 @@ class TestCompareBlocks:
             greedy = oracles.compare_greedy(model, result, levels, allowed, tol)
             if greedy.ok:
                 assert greedy.to_dict() == report.to_dict()
+
+    @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
+    @pytest.mark.parametrize(
+        "n,orbitals,xi",
+        [(n, m, xi) for n, ms in ((3, (8, 10)), (4, (7, 8))) for m in ms
+         for xi in CROSSINGS[n]],
+        ids=lambda v: f"{v:g}",
+    )
+    def test_level_crossings(self, n, orbitals, xi):
+        """Where two levels cross, their float energies may differ by an
+        ulp, one on each side of the horizon that the other defines (N=4,
+        xi = 3/7: (2, 1) just under (4, 0)).  The level below keeps the CI
+        state just above it, so it is not reported missing."""
+        model = osc.make_model(n, xi)
+        basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
+        result = cimod.ci_solve(model, basis)
+        levels = _decorated_levels(model, symgroup.character_table(n), 4)
+        allowed = spin.allowed_spatial_irreps(n)
+        for tol in (1e-4, 1e-3):
+            report = cimod.compare(model, result, levels, allowed, tol)
+            assert report.ok, (tol, report.to_dict())
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-3])
     @pytest.mark.parametrize("n,orbitals,a1_spin", [(3, 8, 0.5), (4, 6, 0.0)])

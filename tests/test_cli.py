@@ -13,6 +13,7 @@ import pytest
 from permsym import ci as cimod
 from permsym import cli
 from permsym import oscillator as osc
+from permsym import spin
 from permsym.errors import NumericalIntegrityError
 
 
@@ -94,6 +95,13 @@ class TestSpectrum:
         )
         assert data["levels"][0]["energy"] == float("1.49640586")
 
+    def test_negative_xi_in_exponent_notation(self, capsys):
+        """A bare -1e-05 is a value, not an option."""
+        argv = ("spectrum", "--n", "3", "--max-quanta", "1")
+        rc, out, err = run_cli(capsys, *argv, "--xi", "-1e-05")
+        assert rc == 0, err
+        assert out == run_cli(capsys, *argv, "--xi=-1e-05")[1]
+
 
 class TestIrreps:
     def test_multiplicities_attached(self, capsys):
@@ -173,6 +181,16 @@ class TestAllowed:
         assert data["allowed"]["T1"]["spins"] == [1.0]
         assert data["allowed"]["T2"]["allowed"] is False
 
+    def test_routes_disagreeing_exit_2(self, capsys, monkeypatch):
+        def wrong(n):
+            amap = spin.allowed_spatial_irreps(n)
+            return spin.AllowedIrrepMap(n, {**amap.spins, "A1": (0.5,)})
+
+        monkeypatch.setattr(spin, "constructive_spatial_irreps", wrong)
+        rc, out, err = run_cli(capsys, "allowed", "--n", "3", "--verify", "constructive")
+        assert rc == 2 and out == ""
+        assert "disagree" in err
+
 
 class TestCi:
     def test_states(self, capsys):
@@ -186,10 +204,10 @@ class TestCi:
         assert first["S"] == 0.5 and first["Ms"] == 0.5
 
     def test_negative_fraction_ms_with_equals(self, capsys):
-        """argparse reads a bare -1/2 as an option; --ms=-1/2 is the form
-        the help and the README give."""
+        """A bare -1/2 is a value, as is --ms=-1/2."""
         argv = ("ci", "--n", "3", "--xi", "0.1", "--orbitals", "4")
         data = run_json(capsys, *argv, "--ms=-1/2")
+        assert data["states"] == run_json(capsys, *argv, "--ms", "-1/2")["states"]
         assert data["states"] == run_json(capsys, *argv, "--ms", "-0.5")["states"]
         assert {row["Ms"] for row in data["states"]} == {-0.5}
 
@@ -478,6 +496,28 @@ class TestOutputErrors:
         assert err
 
 
+def _fresh_import(module, names):
+    """Run ``import module`` in a fresh interpreter on this source tree and
+    return the sorted names of ``sys.modules`` that ``names`` selects."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {names}))"
+    return subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+
+
+def test_package_import_loads_nothing():
+    """``import permsym`` loads no numpy and none of its own modules, so the
+    CLI's PERMSYM_THREADS cap runs before BLAS loads."""
+    loaded = "m.split('.')[0] == 'numpy' or m.startswith('permsym.')"
+    assert _fresh_import("permsym", loaded) == "[]"
+
+
 @pytest.mark.parametrize(
     "module", [f"permsym.{m}" for m in ("spin", "ci", "cli", "oscillator", "levelsym")]
 )
@@ -485,17 +525,4 @@ def test_cli_import_needs_numpy_only(module):
     """The package declares numpy as its only dependency: importing any of
     these modules first, in a fresh interpreter, must succeed (no import
     cycle) and must not pull in scipy."""
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        f"import sys, {module}; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh_import(module, "m.split('.')[0] == 'scipy'") == "[]"
