@@ -533,8 +533,8 @@ def compare(
     states all have |M_s| above some allowed spin cannot hold that spin's
     states, so it raises ValueError.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if allowed.n != model.n_particles:
         raise ValueError(
             f"allowed map is for N={allowed.n}, model has N={model.n_particles}"

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 from typing import Optional, Sequence
@@ -204,7 +205,7 @@ def _cmd_allowed(config: RunConfig) -> int:
     mtable = spin.multiplet_table(config.n)
     payload = {
         "allowed": allowed.to_dict(),
-        "multiplets": {str(s): c for s, c in sorted(mtable.counts.items())},
+        "multiplets": {str(s): c for s, c in sorted(mtable.items())},
     }
     if config.verify == "constructive":
         constructive = spin.constructive_spatial_irreps(config.n)
@@ -337,8 +338,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
-        if config.tol is not None and not (config.tol > 0):
-            raise UsageError("--tol must be positive")
+        if config.tol is not None and not 0 < config.tol < math.inf:
+            raise UsageError("--tol must be positive and finite")
         return _HANDLERS[config.command](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

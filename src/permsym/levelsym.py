@@ -2,14 +2,15 @@
 
 A level with n_sym quanta in the degenerate modes carries the n_sym-th
 symmetric power of the (N-1)-dimensional mode representation, so its
-characters are exact integers read off a generating function (no
-representation matrix is built for them).  The exact character inner
-product (:func:`symgroup.decompose`) turns them into irrep multiplicities,
-checked to account for the whole degeneracy.  The character projectors, built
-from the float representation matrices, yield orthonormal symmetry-adapted
-linear combinations (SALCs); their ranks are checked against the
-multiplicities, and a breach of any guard is a hard
-:class:`NumericalIntegrityError`, never a silent round.
+characters (:func:`level_characters`, a {cycle type: trace} dict) are exact
+integers read off a generating function (no representation matrix is built
+for them).  :func:`irrep_multiplicities` turns a level's characters into
+irrep multiplicities by the exact character inner product
+(:func:`symgroup.decompose`), checked to account for the whole degeneracy.
+The character projectors, built from the float representation matrices,
+yield orthonormal symmetry-adapted linear combinations (SALCs); their ranks
+are checked against the multiplicities, and a breach of any guard is a
+hard :class:`NumericalIntegrityError`, never a silent round.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -28,25 +28,18 @@ from .symgroup import (
     CycleType,
     IrrepId,
     all_permutations,
-    conjugacy_classes,
     cycle_type,
     decompose,
+    partitions,
 )
 
 _RANK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LevelCharacters:
-    """Per-class traces of the level representation."""
-
-    n_particles: int
-    degeneracy: int
-    traces: Mapping[CycleType, int]
-
-
-def level_characters(model: OscillatorModel, level: LevelDescriptor) -> LevelCharacters:
-    """Exact integer trace of the permutation action, per class.
+def level_characters(
+    model: OscillatorModel, level: LevelDescriptor
+) -> dict[CycleType, int]:
+    """Exact integer trace of the permutation action, per cycle type.
 
     For a permutation of cycle type lambda the mode representation W has
     sum_n t^n trace(Sym^n W) = 1/det(1 - tW) = (1 - t) / prod_l (1 - t^l)
@@ -54,35 +47,28 @@ def level_characters(model: OscillatorModel, level: LevelDescriptor) -> LevelCha
     """
     n = level.n_sym
     traces = {}
-    for ct in _cycle_types(model.n_particles):
+    for ct in partitions(model.n_particles):
         series = [1] + [0] * n  # 1 / prod_l (1 - t^l), up to t^n
         for length in ct:
             for k in range(length, n + 1):
                 series[k] += series[k - length]
         traces[ct] = series[n] - (series[n - 1] if n else 0)
-    return LevelCharacters(
-        n_particles=model.n_particles, degeneracy=level.degeneracy, traces=traces
-    )
-
-
-def _cycle_types(n_particles: int) -> list[CycleType]:
-    return [c.cycle_type for c in conjugacy_classes(n_particles)]
+    return traces
 
 
 def irrep_multiplicities(
-    chars: LevelCharacters, table: CharacterTable
+    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable
 ) -> dict[IrrepId, int]:
-    """Exact irrep multiplicities of a level (:func:`symgroup.decompose`),
-    checked to account for its whole degeneracy."""
-    if table.n != chars.n_particles:
-        raise ValueError(
-            f"table is for N={table.n}, characters for N={chars.n_particles}"
-        )
-    out = decompose(table, chars.traces)
+    """Exact irrep multiplicities of a level, from its characters
+    (:func:`symgroup.decompose`), checked to account for its whole
+    degeneracy."""
+    if table.n != model.n_particles:
+        raise ValueError(f"table is for N={table.n}, model for N={model.n_particles}")
+    out = decompose(table, level_characters(model, level))
     total = sum(ir.dimension * m for ir, m in out.items())
-    if total != chars.degeneracy:
+    if total != level.degeneracy:
         raise NumericalIntegrityError(
-            f"dimension bookkeeping failed: {total} != degeneracy {chars.degeneracy}"
+            f"dimension bookkeeping failed: {total} != degeneracy {level.degeneracy}"
         )
     return out
 
@@ -91,7 +77,7 @@ def attach_multiplicities(
     model: OscillatorModel, level: LevelDescriptor, table: CharacterTable
 ) -> LevelDescriptor:
     """Level descriptor with irrep_mults filled in (keyed by irrep label)."""
-    mults = irrep_multiplicities(level_characters(model, level), table)
+    mults = irrep_multiplicities(model, level, table)
     return dataclasses.replace(
         level, irrep_mults={ir.label: m for ir, m in mults.items()}
     )
@@ -143,7 +129,7 @@ def salc(
     """
     if isinstance(irrep, str):
         irrep = table.irrep(irrep)
-    mults = irrep_multiplicities(level_characters(model, level), table)
+    mults = irrep_multiplicities(model, level, table)
     expected = mults[irrep] * irrep.dimension
     proj = character_projector(model, level, table, irrep)
     u, s, _ = np.linalg.svd(proj)

@@ -7,13 +7,14 @@ antisymmetrization:
   functions of each total spin S come from a generating function
   (:func:`spin_character`), and spatial Gamma is allowed with S iff
   Gamma (x) (those spin functions) contains the sign irrep;
-* the constructive route: project a level eigenfunction onto an irrep,
-  multiply by a concrete spin product, antisymmetrize over simultaneous
-  space-spin label permutations, and check whether anything survives.
-  Antisymmetrizing a product of spin-orbitals gives their Slater
-  determinant (Slater, Phys. Rev. 34, 1293 (1929)), signed by the parity
-  of the sort that orders them and zero when one repeats, so no sum over
-  the N! permutations is formed.  The determinants are rows of
+* the constructive route: each column of an irrep's character projector
+  on a level, times each spin product, is antisymmetrized over
+  simultaneous space-spin label permutations
+  (:func:`antisymmetrize_space_spin`), and the survivors' spins are
+  collected.  Antisymmetrizing a product of spin-orbitals gives their
+  Slater determinant (Slater, Phys. Rev. 34, 1293 (1929)), signed by the
+  parity of the sort that orders them and zero when one repeats, so no
+  sum over the N! permutations is formed.  The determinants are rows of
   :mod:`permsym.ci` occupied spin-orbitals, and total spin comes from the
   expansion through S^2 = S-S+ + Sz(Sz+1) with the S-S+ of that module.
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import ci
 from .errors import NumericalIntegrityError
-from .levelsym import character_projector, irrep_multiplicities, level_characters
+from .levelsym import character_projector, irrep_multiplicities
 from .oscillator import (
     LevelDescriptor,
     OscillatorModel,
@@ -69,17 +70,15 @@ _MULTIPLET_NAMES = {
 
 @dataclass(frozen=True)
 class SpinProduct:
-    """A product of N one-electron spin states, each alpha or beta."""
+    """A product of N one-electron spin states, each alpha or beta; the
+    labels may be given as any sequence, such as ``"aab"``."""
 
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if any(l not in (ALPHA, BETA) for l in self.labels):
             raise ValueError(f"spin labels must be '{ALPHA}'/'{BETA}': {self.labels}")
-
-    @classmethod
-    def parse(cls, text: str) -> "SpinProduct":
-        return cls(tuple(text))
 
     @property
     def n(self) -> int:
@@ -109,18 +108,6 @@ def multiplet_name(s: float) -> str:
     return _MULTIPLET_NAMES.get(mult, f"{mult}-fold multiplet")
 
 
-@dataclass(frozen=True)
-class MultipletTable:
-    """Count of spin multiplets per total spin S; sum of (2S+1)-weighted
-    counts is 2^N."""
-
-    n: int
-    counts: Mapping[float, int]
-
-    def dimension(self) -> int:
-        return sum(round(2 * s + 1) * c for s, c in self.counts.items())
-
-
 def spin_character(n: int, s: float, cycle_type: CycleType) -> int:
     """Trace of a permutation of ``cycle_type`` on the spin functions of
     total spin S, one member (M_s = S) of each multiplet.
@@ -145,17 +132,16 @@ def _spins(n: int) -> list[float]:
     return [(n - 2 * b) / 2 for b in range(n // 2, -1, -1)]
 
 
-def multiplet_table(n: int) -> MultipletTable:
-    """Multiplet counts: the number of S multiplets is the trace of the
-    identity on their M_s = S members."""
+def multiplet_table(n: int) -> dict[float, int]:
+    """Multiplet count per total spin S, ascending: the number of S
+    multiplets is the trace of the identity on their M_s = S members.
+    Weighted by 2S + 1, the counts must sum to 2^N."""
     if n < 1:
         raise ValueError("need at least one spin")
-    table = MultipletTable(
-        n=n, counts={s: spin_character(n, s, (1,) * n) for s in _spins(n)}
-    )
-    if table.dimension() != 2**n:
+    counts = {s: spin_character(n, s, (1,) * n) for s in _spins(n)}
+    if sum(round(2 * s + 1) * c for s, c in counts.items()) != 2**n:
         raise NumericalIntegrityError("multiplet dimensions do not sum to 2^N")
-    return table
+    return counts
 
 
 def _spin_traces(table: CharacterTable, s: float) -> dict[CycleType, int]:
@@ -172,9 +158,6 @@ class AllowedIrrepMap:
 
     n: int
     spins: Mapping[str, tuple[float, ...]]
-
-    def allowed(self, label: str) -> bool:
-        return bool(self.spins[label])
 
     def forbidden_labels(self) -> set[str]:
         return {label for label, s in self.spins.items() if not s}
@@ -213,7 +196,7 @@ def allowed_spatial_irreps(n: int) -> AllowedIrrepMap:
 
 @dataclass(frozen=True)
 class SpaceSpinFunction:
-    """Result of antisymmetrizing (projected eigenfunction) x (spin product).
+    """Result of antisymmetrizing (spatial function) x (spin product).
 
     ``determinants`` expands the survivor over normalized determinants of
     one-particle space x spin functions, keyed by their :mod:`permsym.ci`
@@ -230,50 +213,30 @@ class SpaceSpinFunction:
 def antisymmetrize_space_spin(
     model: OscillatorModel,
     level: LevelDescriptor,
-    table: CharacterTable,
-    irrep: IrrepId | str,
-    spin_product: SpinProduct | str,
+    spatial: np.ndarray,
+    spin_product: SpinProduct,
 ) -> SpaceSpinFunction:
-    """Antisymmetrize the product of an irrep-projected level eigenfunction
-    with a concrete spin product, over simultaneous space-spin relabeling.
+    """Antisymmetrize (spatial vector over the level basis) x spin product
+    over simultaneous space-spin relabeling.
 
-    The projected eigenfunction is realized as a finite combination of
-    products of one-particle oscillator orbitals (valid for symmetry
-    purposes at any coupling, see :func:`uncoupled_expansion`), the spin
-    product is attached, and the simultaneous space-spin antisymmetrizer is
-    applied.  It turns a product of spin-orbitals into their Slater
-    determinant over sqrt(N!), signed by the parity of the sort that
-    orders them, and into zero when a spin-orbital repeats, so no sum over
-    permutations is formed.  Spin-orbitals are coded as in
-    :mod:`permsym.ci`, 2a (orbital a, alpha) and 2a + 1 (beta).  Survivors
-    are returned as Slater-determinant expansions with their total spin,
-    measured as <S^2> = |S+ psi|^2 / |psi|^2 + M_s(M_s + 1).  A level whose
-    orbital products reach orbital 31 with beta spin does not fit a
-    :mod:`permsym.ci` determinant mask and raises ValueError.
+    The spatial function is expanded over products of one-particle
+    oscillator orbitals (valid for symmetry purposes at any coupling, see
+    :func:`uncoupled_expansion`) and the spin product attached.  The
+    antisymmetrizer turns a product of spin-orbitals into their Slater
+    determinant over sqrt(N!), signed by the parity of the sort that orders
+    them, and into zero when a spin-orbital repeats, so no sum over
+    permutations is formed.  Spin-orbitals are coded as in :mod:`permsym.ci`,
+    2a (orbital a, alpha) and 2a + 1 (beta).  Survivors carry their total
+    spin, <S^2> = |S+ psi|^2 / |psi|^2 + M_s(M_s + 1).  A spin product whose
+    length is not the model's N, or a level whose orbital products reach
+    orbital 31 with beta spin (beyond a determinant mask), raises ValueError.
 
-    The seed is the first level basis function whose projection survives.
     A zero result shows only that this combination dies; forbiddenness
     needs exhaustion (:func:`constructive_allowed_spins`).
     """
-    if isinstance(spin_product, str):
-        spin_product = SpinProduct.parse(spin_product)
     n = model.n_particles
     if spin_product.n != n:
         raise ValueError(f"spin product has {spin_product.n} labels, model N={n}")
-
-    proj = character_projector(model, level, table, irrep)
-    candidates = np.nonzero(np.linalg.norm(proj, axis=0) > _ZERO_TOL)[0]
-    if len(candidates) == 0:
-        return SpaceSpinFunction(False, 0.0, None, {})
-    return _antisymmetrize(level, proj[:, candidates[0]], spin_product)
-
-
-def _antisymmetrize(
-    level: LevelDescriptor, spatial: np.ndarray, spin_product: SpinProduct
-) -> SpaceSpinFunction:
-    """Antisymmetrize (spatial vector over the level basis) x spin product
-    into determinants, as :func:`antisymmetrize_space_spin` describes."""
-    n = spin_product.n
     if np.linalg.norm(spatial) < _ZERO_TOL:
         return SpaceSpinFunction(False, 0.0, None, {})
     spatial = spatial / np.linalg.norm(spatial)
@@ -312,8 +275,9 @@ def constructive_allowed_spins(
     table: CharacterTable,
     irrep: IrrepId | str,
 ) -> set[float]:
-    """Exhaust all spin products and all seed functions of a level; return
-    the set of total spins of the surviving antisymmetrized functions.
+    """Exhaust all spin products and all projector columns (seeds) of a
+    level; return the set of total spins of the surviving antisymmetrized
+    functions.
 
     An empty set proves the irrep forbidden at this level: a single zero
     does not, but exhaustion over the finite space does.  The projector is
@@ -323,7 +287,9 @@ def constructive_allowed_spins(
     spins: set[float] = set()
     for labels in spin_basis(model.n_particles):
         for seed in range(level.degeneracy):
-            res = _antisymmetrize(level, proj[:, seed], SpinProduct(labels))
+            res = antisymmetrize_space_spin(
+                model, level, proj[:, seed], SpinProduct(labels)
+            )
             if res.nonzero:
                 spins.add(res.s_value)
     return spins
@@ -339,8 +305,7 @@ def first_level_with_irrep(
         irrep = table.irrep(irrep)
     for n_sym in range(_MAX_FIRST_N_SYM + 1):
         level = make_level(model, n_sym, 0)
-        mults = irrep_multiplicities(level_characters(model, level), table)
-        if mults[irrep]:
+        if irrep_multiplicities(model, level, table)[irrep]:
             return level
     raise ValueError(f"irrep {irrep.label} not found up to n_sym={_MAX_FIRST_N_SYM}")
 

@@ -370,13 +370,10 @@ def sign_irrep(table: CharacterTable) -> IrrepId:
     Totally antisymmetric functions transform as it; the antisymmetrizer is
     (up to normalization) its projector.  A2 for both shipped tables.
     """
+    # a permutation with c cycles is a product of N - c transpositions
+    parities = tuple((-1) ** (table.n - len(c.cycle_type)) for c in table.classes)
     for ir, row in zip(table.irreps, table.chars):
-        if ir.dimension != 1:
-            continue
-        if all(
-            chi == parity(class_representative(c.cycle_type))
-            for chi, c in zip(row, table.classes)
-        ):
+        if ir.dimension == 1 and row == parities:
             return ir
     raise NumericalIntegrityError(
         f"{table.group_name}: no irrep matches the parity character"

@@ -344,12 +344,13 @@ class TestExitCodes:
         assert rc == 1
 
     def test_nonpositive_tol(self, capsys):
-        rc, _, err = run_cli(
-            capsys,
-            "compare", "--n", "3", "--xi", "0.1", "--orbitals", "4",
-            "--max-quanta", "2", "--tol", "-1",
-        )
-        assert rc == 1
+        for tol in ("-1", "inf"):
+            rc, _, err = run_cli(
+                capsys,
+                "compare", "--n", "3", "--xi", "0.1", "--orbitals", "4",
+                "--max-quanta", "2", "--tol", tol,
+            )
+            assert rc == 1, tol
 
     @pytest.mark.parametrize(
         "argv",

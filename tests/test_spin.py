@@ -55,17 +55,18 @@ class TestSTotal:
             assert np.abs(s2 @ mat - mat @ s2).max() < 1e-12
 
     def test_multiplet_table_n2(self):
-        assert spin.multiplet_table(2).counts == {1.0: 1, 0.0: 1}
+        assert spin.multiplet_table(2) == {1.0: 1, 0.0: 1}
 
     def test_multiplet_table_n3(self):
-        assert spin.multiplet_table(3).counts == {1.5: 1, 0.5: 2}
+        assert spin.multiplet_table(3) == {1.5: 1, 0.5: 2}
 
     def test_multiplet_table_n4(self):
-        assert spin.multiplet_table(4).counts == {2.0: 1, 1.0: 3, 0.0: 2}
+        assert spin.multiplet_table(4) == {2.0: 1, 1.0: 3, 0.0: 2}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dimension_sum(self, n):
-        assert spin.multiplet_table(n).dimension() == 2**n
+        counts = spin.multiplet_table(n)
+        assert sum(round(2 * s + 1) * c for s, c in counts.items()) == 2**n
 
 
 class TestCharacterRoute:
@@ -100,7 +101,7 @@ class TestCharacterRoute:
             s: basis.shape[1] // round(2 * s + 1)
             for s, basis in oracles.spin_eigenspaces(n)
         }
-        assert spin.multiplet_table(n).counts == want
+        assert spin.multiplet_table(n) == want
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_content_by_s_matches_eigh(self, n):
@@ -193,18 +194,24 @@ def _assert_antisymmetric(res, n):
             assert coeffs.get(swapped, 0.0) == pytest.approx(-c, abs=1e-9)
 
 
+def _antisymmetrize_first_seed(model, level, table, irrep, product):
+    """Antisymmetrize the spin product with the first column of the irrep's
+    projector whose norm exceeds 1e-8 (column 0, a zero, when none does)."""
+    proj = ls.character_projector(model, level, table, irrep)
+    seed = proj[:, np.argmax(np.linalg.norm(proj, axis=0) > 1e-8)]
+    return spin.antisymmetrize_space_spin(model, level, seed, spin.SpinProduct(product))
+
+
 class TestAntisymmetrizeSpaceSpin:
     def test_a1_always_zero(self, model3, t3):
         lv = osc.make_level(model3, 0, 0)
         for labels in spin.spin_basis(3):
-            res = spin.antisymmetrize_space_spin(
-                model3, lv, t3, "A1", spin.SpinProduct(labels)
-            )
+            res = _antisymmetrize_first_seed(model3, lv, t3, "A1", labels)
             assert not res.nonzero
 
     def test_a2_quadruplet_member(self, model3, t3):
         lv = osc.make_level(model3, 3, 0)
-        res = spin.antisymmetrize_space_spin(model3, lv, t3, "A2", "aaa")
+        res = _antisymmetrize_first_seed(model3, lv, t3, "A2", "aaa")
         assert res.nonzero
         assert res.s_value == pytest.approx(1.5)
         # all three spins up with orbital quanta summing to 3 and Pauli
@@ -214,12 +221,12 @@ class TestAntisymmetrizeSpaceSpin:
     def test_e_with_full_alpha_dies(self, model3, t3):
         # S = 3/2 is incompatible with E
         lv = osc.make_level(model3, 1, 0)
-        res = spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aaa")
+        res = _antisymmetrize_first_seed(model3, lv, t3, "E", "aaa")
         assert not res.nonzero
 
     def test_e_doublet_member(self, model3, t3):
         lv = osc.make_level(model3, 1, 0)
-        res = spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aab")
+        res = _antisymmetrize_first_seed(model3, lv, t3, "E", "aab")
         assert res.nonzero
         assert res.s_value == pytest.approx(0.5)
 
@@ -229,20 +236,20 @@ class TestAntisymmetrizeSpaceSpin:
         ordered spin-orbital sets and reconstruction of any transposed
         product component must flip sign."""
         lv = osc.make_level(model3, 1, 0)
-        res = spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aab")
+        res = _antisymmetrize_first_seed(model3, lv, t3, "E", "aab")
         _assert_antisymmetric(res, 3)
 
     def test_wrong_pattern_length(self, model3, t3):
         lv = osc.make_level(model3, 1, 0)
         with pytest.raises(ValueError):
-            spin.antisymmetrize_space_spin(model3, lv, t3, "E", "aabb")
+            _antisymmetrize_first_seed(model3, lv, t3, "E", "aabb")
 
     def test_orbital_31_exceeds_the_determinant_mask(self, model3, t3):
         """Spin-orbital codes share the CI masks: orbital 31 with beta spin
         (code 63) does not fit an int64, so the level is refused."""
         lv = osc.make_level(model3, 31, 0)
         with pytest.raises(ValueError, match="fit a determinant mask"):
-            spin.antisymmetrize_space_spin(model3, lv, t3, "E", "bba")
+            _antisymmetrize_first_seed(model3, lv, t3, "E", "bba")
 
 
 REFERENCE_LEVELS = [
@@ -266,7 +273,9 @@ def test_determinants_match_permutation_sum(n, n_sym, n_last):
             product = spin.SpinProduct(labels)
             for seed in range(level.degeneracy):
                 case = (irrep.label, "".join(labels), seed)
-                got = spin._antisymmetrize(level, proj[:, seed], product)
+                got = spin.antisymmetrize_space_spin(
+                    model, level, proj[:, seed], product
+                )
                 want = oracles.antisymmetrize_by_permutations(
                     level, proj[:, seed], product
                 )
@@ -291,11 +300,11 @@ def test_determinants_match_permutation_sum(n, n_sym, n_last):
 def test_determinants_are_ci_basis_rows(n, irrep, product, n_sym):
     """Survivor keys index the CI basis, whose S^2 gives the measured spin."""
     model = osc.make_model(n, 0.1)
-    res = spin.antisymmetrize_space_spin(
+    res = _antisymmetrize_first_seed(
         model, osc.make_level(model, n_sym, 0), sg.character_table(n), irrep, product
     )
     n_orb = max(map(max, res.determinants)) // 2 + 1
-    basis = cimod.build_basis(n, n_orb, ms=spin.SpinProduct.parse(product).ms)
+    basis = cimod.build_basis(n, n_orb, ms=spin.SpinProduct(product).ms)
     rows = {row: i for i, row in enumerate(map(tuple, basis.tolist()))}
     psi = np.zeros(len(basis))
     psi[[rows[key] for key in res.determinants]] = list(res.determinants.values())
@@ -315,8 +324,14 @@ class TestRoutesAgree:
 
 class TestSpinProduct:
     def test_ms(self):
-        assert spin.SpinProduct.parse("aab").ms == pytest.approx(0.5)
-        assert spin.SpinProduct.parse("bbbb").ms == pytest.approx(-2.0)
+        assert spin.SpinProduct("aab").ms == pytest.approx(0.5)
+        assert spin.SpinProduct("bbbb").ms == pytest.approx(-2.0)
+
+    def test_string_and_tuple_labels_are_one_value(self):
+        text, pair = spin.SpinProduct("ab"), spin.SpinProduct(("a", "b"))
+        assert text == pair
+        assert hash(text) == hash(pair)
+        assert text.labels == ("a", "b")
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
@@ -339,6 +354,6 @@ class TestMoreEdges:
     def test_antisymmetric_output_n4_triplet(self, model4, t4):
         """Exhaustive transposition sign check on an N=4 survivor."""
         lv = osc.make_level(model4, 3, 0)
-        res = spin.antisymmetrize_space_spin(model4, lv, t4, "T1", "aabb")
+        res = _antisymmetrize_first_seed(model4, lv, t4, "T1", "aabb")
         assert res.nonzero and res.s_value == pytest.approx(1.0)
         _assert_antisymmetric(res, 4)

@@ -70,6 +70,7 @@ def test_pass_metrics_accepts_traced_cli_dumps(tmp_path):
         "ci.ci_solve_s", "ci.compare_s", "ci.blocks", "ci.h_nnz",
         "ci.states_matched", "levelsym.attach_multiplicities_s",
         "spin.allowed_spatial_irreps_s", "spin.constructive_s",
+        "spin.antisymmetrize_calls",
         "symgroup.character_table_s", "cli.main_s",
     ]:
         assert metrics[name] > 0, name
