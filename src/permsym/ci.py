@@ -9,10 +9,10 @@ determinants (string-based CI in the manner of Knowles and Handy, 1984).
 The determinant space (all C(2M, N) selections, optionally filtered to one
 M_s sector) is spin-adapted: each configuration of orbital occupations
 times each spin eigenfunction of its open shells is one configuration
-state function (CSF; Pauncz, Spin Eigenfunctions, 1979), and H is
-diagonalized densely in one block of CSFs per (S, parity), so total spin
-holds by construction.  Comparing the resulting spectrum against the exact
-levels exposes the missing ones.
+state function (CSF; Pauncz, Spin Eigenfunctions, 1979), and only the
+eigenvalues of H are computed, densely in one block of CSFs per (S,
+parity), so total spin holds by construction.  Comparing the resulting
+spectrum against the exact levels exposes the missing ones.
 """
 
 from __future__ import annotations
@@ -142,20 +142,34 @@ def _position(n_orbitals: int) -> np.ndarray:
     return np.kron([[x_matrix_element(a, b) for b in m] for a in m], np.eye(2))
 
 
-def _gram(targets: np.ndarray, src: np.ndarray, values: np.ndarray, dim: int):
-    """A^T A for the operator A given by its entries over the basis columns;
-    the images (rows of A) are indexed by np.unique over their masks."""
-    images, rows = np.unique(targets, return_inverse=True)
-    a = np.zeros((len(images), dim))
-    a[rows.reshape(-1), src] = values
-    return a.T @ a
+def _gram_entries(targets: np.ndarray, src: np.ndarray, values: np.ndarray):
+    """(rows, columns, values) of A^T A for the operator A given by its
+    entries over the basis columns: one entry v_i v_j for every ordered pair
+    of terms i, j that reach the same image, so no image matrix is built."""
+    _, image, counts = np.unique(targets, return_inverse=True, return_counts=True)
+    order = np.argsort(image, kind="stable")
+    image = image[order]
+    size = counts[image]  # terms sharing each term's image
+    first = np.cumsum(counts)[image] - size  # sorted position of its first
+    i = np.repeat(np.arange(len(order)), size)
+    j = np.repeat(first - np.cumsum(size) + size, size) + np.arange(len(i))
+    src, values = src[order], values[order]
+    return src[i], src[j], values[i] * values[j]
 
 
-def _s_minus_s_plus(occ: np.ndarray) -> np.ndarray:
-    """S-S+ over the determinants of ``occ``, with S- = S+^T and
-    S+ = sum_a a+_(a,alpha) a_(a,beta)."""
+def _dense(dim: int, *parts) -> np.ndarray:
+    """The dim x dim float matrix that sums the values of each (rows,
+    columns, values) part at its positions."""
+    rows, cols, values = (np.concatenate(p) for p in zip(*parts))
+    flat = np.bincount(rows * dim + cols, weights=values, minlength=dim * dim)
+    return flat.astype(float, copy=False).reshape(dim, dim)
+
+
+def _s_plus(occ: np.ndarray):
+    """S+ = sum_a a+_(a,alpha) a_(a,beta) on the determinants of ``occ``,
+    as :func:`_one_body` entries."""
     s_plus = np.kron(np.eye(int(occ.max()) // 2 + 1), [[0.0, 1.0], [0.0, 0.0]])
-    return _gram(*_one_body(occ, s_plus), len(occ))
+    return _one_body(occ, s_plus)
 
 
 def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
@@ -165,8 +179,10 @@ def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
     one-body position operator on the M orbitals the basis reaches and Q
     the one-body operator of the truncated product x_M x_M, the two-body
     part X.X - Q is exact on those orbitals, so H = H1 + (xi/2)(X^T X - Q).
-    The images of X are indexed over the masks they reach, so the basis
-    may be a full sector, a reordering or a subset.
+    X^T X is summed pairwise over the terms of X that reach one image
+    (:func:`_gram_entries`), so the images need not lie in the basis, which
+    may be a full sector, a reordering or a subset.  One bincount over all
+    entries fills the only dim x dim array.
     """
     occ = _occupations(basis)
     dim = len(occ)
@@ -183,15 +199,13 @@ def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
     order = np.argsort(masks)
     pos = order[np.searchsorted(masks, targets, sorter=order).clip(max=dim - 1)]
     hit = masks[pos] == targets
-    h = np.bincount(
-        pos[hit] * dim + src[hit], weights=values[hit], minlength=dim * dim
-    ).reshape(dim, dim)
-    h += 0.5 * model.xi * _gram(*_one_body(occ, x), dim)
-    return h
+    rows, cols, pairs = _gram_entries(*_one_body(occ, x))
+    one_body = pos[hit], src[hit], values[hit]
+    return _dense(dim, one_body, (rows, cols, 0.5 * model.xi * pairs))
 
 
 def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
-    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis.
+    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis, with S- = S+^T.
 
     S-S+ keeps each configuration and M_s, so the basis is closed under it
     when every configuration comes with all of its spin strings, as
@@ -200,10 +214,9 @@ def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
     """
     occ = _occupations(basis)
     list(_sectors(occ))  # raises on a missing spin partner
-    s2 = _s_minus_s_plus(occ)
-    ms = _ms(occ)
-    s2[np.diag_indices(len(occ))] += ms * (ms + 1.0)
-    return s2
+    ms, diag = _ms(occ), np.arange(len(occ))
+    sz = diag, diag, ms * (ms + 1.0)
+    return _dense(len(occ), _gram_entries(*_s_plus(occ)), sz)
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,7 +284,7 @@ class _CSFBlock:
     shell count, then configuration, then spin string; ``groups`` holds
     (number of configurations, spin functions) per open-shell count.  The
     CSF transform K is block diagonal, one copy of the spin functions per
-    configuration, and ``coeffs`` are the eigenvectors over the CSFs.
+    configuration; ``evals`` are the eigenvalues of K^T H K, ascending.
     """
 
     ms: float
@@ -280,7 +293,6 @@ class _CSFBlock:
     rows: np.ndarray
     groups: tuple[tuple[int, np.ndarray], ...]
     evals: np.ndarray
-    coeffs: np.ndarray
 
 
 def _to_csf(groups, x: np.ndarray) -> np.ndarray:
@@ -367,18 +379,19 @@ def _sectors(occ: np.ndarray):
 
 
 def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
-    """Spin-adapted dense eigensolution with deterministic output.
+    """Spin-adapted dense eigenvalues with deterministic output.
 
     H conserves M_s, the parity of the total orbital quanta and the total
     spin S.  Each (M_s, parity) sector of the basis is ordered by open-shell
     count, configuration and spin string, and H on it is transformed to
     configuration state functions: a configuration with k open shells
-    times each spin function of ``spin_functions``.  H is then diagonalized
-    in one block per S, so every spin label holds by construction.  Each
-    (S, parity) block is solved once, in the sector of smallest |M_s| that
-    holds it (+M_s on a tie); the other sectors reuse its eigenpairs through
-    their own lowered spin functions, so the members of a multiplet carry
-    bitwise-equal energies.  The result does not depend on the order of
+    times each spin function of ``spin_functions``.  Each block per S is
+    solved for its eigenvalues only (``eigvalsh``), so every spin label
+    holds by construction.  Each (S, parity) block is solved once, in the
+    sector of smallest |M_s| that holds it (+M_s on a tie); the other
+    sectors reuse its eigenvalues, as their lowered spin functions give the
+    same CSF matrix, so the members of a multiplet carry bitwise-equal
+    energies.  The result does not depend on the order of
     ``basis``; a basis that lacks a spin partner of one of its
     determinants raises ValueError.
 
@@ -388,7 +401,7 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
     """
     occ = _occupations(basis)
     occ.setflags(write=False)
-    solved = {}  # (S, parity, configurations) -> (eigenvalues, coefficients)
+    solved = {}  # (S, parity, configurations) -> eigenvalues
     blocks = []
     for ms, parity, rows, groups in _sectors(occ):
         h = None
@@ -404,10 +417,9 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
                 if h is None:
                     h = hamiltonian_matrix(model, occ[rows])
                 part = _to_csf(spin_groups, h[start:, start:])
-                solved[key] = np.linalg.eigh(_to_csf(spin_groups, part.T))
-            evals, coeffs = solved[key]
+                solved[key] = np.linalg.eigvalsh(_to_csf(spin_groups, part.T))
             blocks.append(
-                _CSFBlock(ms, parity, s, rows[start:], spin_groups, evals, coeffs)
+                _CSFBlock(ms, parity, s, rows[start:], spin_groups, solved[key])
             )
 
     entries = sorted(

@@ -15,8 +15,8 @@ antisymmetrization:
   Slater determinant (Slater, Phys. Rev. 34, 1293 (1929)), signed by the
   parity of the sort that orders them and zero when one repeats, so no
   sum over the N! permutations is formed.  The determinants are rows of
-  :mod:`permsym.ci` occupied spin-orbitals, and total spin comes from the
-  expansion through S^2 = S-S+ + Sz(Sz+1) with the S-S+ of that module.
+  :mod:`permsym.ci` occupied spin-orbitals, and total spin comes from
+  |S+ psi|^2 with the S+ of that module.
 
 The two must agree pair by pair; their agreement is the module's central
 cross-validation (a test failure, not a runtime recovery).
@@ -261,10 +261,11 @@ def antisymmetrize_space_spin(
         return SpaceSpinFunction(False, norm, None, {})
 
     occ = ci._occupations(dets)
+    targets, src, values = ci._s_plus(occ)
+    _, image = np.unique(targets, return_inverse=True)
+    raised = np.bincount(image, values * coeffs[src])  # S+ psi over its images
     ms = spin_product.ms
-    s_value = _s_from_eigenvalue(
-        coeffs @ ci._s_minus_s_plus(occ) @ coeffs / norm**2 + ms * (ms + 1)
-    )
+    s_value = _s_from_eigenvalue(raised @ raised / norm**2 + ms * (ms + 1))
     keys = map(tuple, occ.tolist())
     return SpaceSpinFunction(True, norm, s_value, dict(zip(keys, coeffs.tolist())))
 

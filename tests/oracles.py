@@ -16,9 +16,11 @@ as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.
 ``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
 before it paired states rank by rank per block; where it passes, the two
-reports agree.  ``eigenvectors`` assembles the dense eigenvector matrix of
-a CI result from its CSF blocks.  The rest
-(spin-orbital labels, sign-counting sort, permutation inverse, exact
+reports agree.  ``eigenvectors`` re-solves each CSF block of a CI result,
+which keeps eigenvalues only, and assembles the dense eigenvector matrix.
+``one_body_gram`` builds the two-body square A^T A of a one-body operator
+through a dense image matrix, against the package's pairwise entries.
+The rest (spin-orbital labels, sign-counting sort, permutation inverse, exact
 projector coefficients, the closed-form energy of a quanta pattern and the
 spin-space content per S) is bookkeeping that only the tests use.
 Determinants are rows of ascending occupied spin-orbitals, as in the
@@ -285,16 +287,37 @@ def ci_solve_dense(model, basis, guard=1e-6):
     return np.array([t[0] for t in entries]), states
 
 
-def eigenvectors(result: CIResult) -> np.ndarray:
+def eigenvectors(model: OscillatorModel, result: CIResult) -> np.ndarray:
     """The dense eigenvector matrix of a CI result, column j for
-    eigenvalues[j], taken from each block's CSFs back to determinants."""
+    eigenvalues[j]: each block's own CSF H is solved with eigh, and its
+    eigenvectors are taken back to determinants."""
     out = np.zeros((len(result.basis), len(result.basis)))
     for b, block in enumerate(result.blocks):
+        h = hamiltonian_matrix(model, result.basis[block.rows])
+        part = _to_csf(block.groups, h)
+        _, coeffs = np.linalg.eigh(_to_csf(block.groups, part.T))
         cols = np.nonzero(result.columns[:, 0] == b)[0]
         k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block.groups]
-        vecs = _to_csf(k_transposed, block.coeffs[:, result.columns[cols, 1]])
+        vecs = _to_csf(k_transposed, coeffs[:, result.columns[cols, 1]])
         out[np.ix_(block.rows, cols)] = vecs
     return out
+
+
+def one_body_gram(basis, op: np.ndarray) -> np.ndarray:
+    """Dense A^T A over ``basis`` for A = sum_pq op[p, q] a+_p a_q, with A
+    built one determinant and one term at a time over the images it
+    reaches, in or out of the basis."""
+    images, entries = {}, []
+    for col, det in enumerate(tuple(map(int, row)) for row in basis):
+        for p, q in zip(*np.nonzero(op)):
+            hit = _apply_flip(det, int(p), int(q))
+            if hit is not None:
+                row = images.setdefault(hit[1], len(images))
+                entries.append((row, col, op[p, q] * hit[0]))
+    a = np.zeros((len(images), len(basis)))
+    for row, col, value in entries:
+        a[row, col] += value
+    return a.T @ a
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def test_criterion_10_property_suites(model3, ci3_m10):
 
         # <S^2> equals S(S+1) for every eigenvector of the M=10 run
         s2 = cimod.s_squared_matrix(list(ci3_m10.basis))
-        vecs = oracles.eigenvectors(ci3_m10)
+        vecs = oracles.eigenvectors(model3, ci3_m10)
         for j, state in enumerate(ci3_m10.states):
             vec = vecs[:, j]
             assert abs(vec @ s2 @ vec - state.s * (state.s + 1)) < 1e-6

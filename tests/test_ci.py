@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,7 +194,42 @@ class TestHamiltonianMatrix:
             cimod.build_basis(3, 32)
 
 
+class TestGramEntries:
+    @pytest.mark.parametrize("operator", ["x", "s_plus"])
+    def test_matches_dense_image_matrix(self, operator):
+        """A^T A summed over pairs of terms equals the dense product over
+        the images, on a subset basis whose images lie partly (x) or wholly
+        (S+, which raises M_s) outside it."""
+        basis = cimod.build_basis(3, 5, ms=0.5)[::3]
+        occ = cimod._occupations(basis)
+        op = (
+            cimod._position(5)
+            if operator == "x"
+            else np.kron(np.eye(5), [[0.0, 1.0], [0.0, 0.0]])
+        )
+        targets, src, values = cimod._one_body(occ, op)
+        assert not np.isin(targets, cimod._masks(occ)).all()
+        rows, cols, pairs = cimod._gram_entries(targets, src, values)
+        gram = np.zeros((len(basis), len(basis)))
+        np.add.at(gram, (rows, cols), pairs)
+        assert np.abs(gram - oracles.one_body_gram(basis, op)).max() < 1e-12
+
+
 class TestCISolve:
+    def test_peak_memory_of_eigenvalue_solve(self):
+        """Without eigenvectors or a dense image matrix, ci_solve holds
+        fewer than three dense float matrices of its largest sector."""
+        model = osc.make_model(4, 0.1)
+        basis = cimod.build_basis(4, 10, ms=0.0)
+        largest = max(len(rows) for _, _, rows, _ in cimod._sectors(basis))
+        tracemalloc.start()
+        try:
+            cimod.ci_solve(model, basis)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * largest**2
+
     def test_uncoupled_diagonal(self):
         m = osc.make_model(3, 0.0)
         basis = cimod.build_basis(3, 3)
@@ -216,7 +252,8 @@ class TestCISolve:
     def test_eigenvectors_orthonormal(self, model3):
         basis = cimod.build_basis(3, 4, ms=0.5)
         result = cimod.ci_solve(model3, basis)
-        gram = oracles.eigenvectors(result).T @ oracles.eigenvectors(result)
+        vecs = oracles.eigenvectors(model3, result)
+        gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(len(gram))).max() < 1e-10
 
     def test_s2_labels_are_half_integers(self, ci3_m10):
@@ -228,8 +265,9 @@ class TestCISolve:
         basis = cimod.build_basis(3, 4, ms=0.5)
         result = cimod.ci_solve(model3, basis)
         s2 = cimod.s_squared_matrix(basis)
+        vecs = oracles.eigenvectors(model3, result)
         for j in range(len(basis)):
-            vec = oracles.eigenvectors(result)[:, j]
+            vec = vecs[:, j]
             s2v = vec @ s2 @ vec
             s = result.states[j].s
             assert abs(s2v - s * (s + 1)) < 1e-6
@@ -246,7 +284,9 @@ class TestCISolve:
         r1 = cimod.ci_solve(model4, basis)
         r2 = cimod.ci_solve(model4, basis[::-1])
         assert r1.states == r2.states
-        assert np.array_equal(oracles.eigenvectors(r1), oracles.eigenvectors(r2)[::-1])
+        assert np.array_equal(
+            oracles.eigenvectors(model4, r1), oracles.eigenvectors(model4, r2)[::-1]
+        )
 
     def test_state_order_rule(self, model4):
         """Ascending energy; inside a run of energies within 1e-9 the
@@ -267,7 +307,7 @@ class TestCISolve:
     def test_eigenvectors_have_one_parity(self, model4):
         result = cimod.ci_solve(model4, cimod.build_basis(4, 5))
         det_parity = (-1) ** (result.basis // 2).sum(axis=1)
-        vecs = oracles.eigenvectors(result)
+        vecs = oracles.eigenvectors(model4, result)
         for j, st in enumerate(result.states):
             support = np.abs(vecs[:, j]) > 0
             assert set(det_parity[support]) == {st.parity}
@@ -452,7 +492,7 @@ class TestSpinAdaptedSolve:
         within 1e-9 of 7.1885 carry S = 1/2, 1/2 and 3/2, and a rotation of
         the cluster onto S^2 that kept the eigenvalues in place paired the
         S = 3/2 vector with another state's energy."""
-        vecs = oracles.eigenvectors(ci3_m10)
+        vecs = oracles.eigenvectors(model3, ci3_m10)
         h = cimod.hamiltonian_matrix(model3, ci3_m10.basis)
         assert np.abs(h @ vecs - vecs * ci3_m10.eigenvalues).max() < 1e-10
         quartet = [
@@ -463,12 +503,13 @@ class TestSpinAdaptedSolve:
 
     @pytest.mark.parametrize("n,m_orb", [(3, 5), (4, 5)])
     def test_eigenpairs_of_every_sector(self, n, m_orb):
-        """Sectors that reuse another sector's CSF eigenvectors get true
-        eigenvectors of their own H, orthonormal over the whole basis."""
+        """The eigenvalues that sectors borrow from the sector that solved
+        their (S, parity) block are those of their own H: every block's own
+        eigenvectors, orthonormal over the whole basis, carry them."""
         model = osc.make_model(n, 0.3)
         basis = cimod.build_basis(n, m_orb)
         result = cimod.ci_solve(model, basis)
-        vecs = oracles.eigenvectors(result)
+        vecs = oracles.eigenvectors(model, result)
         h = cimod.hamiltonian_matrix(model, basis)
         assert np.abs(h @ vecs - vecs * result.eigenvalues).max() < 1e-10
         assert np.abs(vecs.T @ vecs - np.eye(len(basis))).max() < 1e-12
@@ -486,11 +527,15 @@ class TestLowestN4:
 
 
 class TestS2Matrix:
-    @pytest.mark.parametrize("n,m_orb,ms", [(3, 5, 0.5), (3, 4, "all"), (4, 4, 0.0)])
+    @pytest.mark.parametrize(
+        "n,m_orb,ms", [(3, 5, 0.5), (3, 4, "all"), (4, 4, 0.0), (3, 4, 1.5)]
+    )
     def test_matches_loop_oracle(self, n, m_orb, ms):
+        """Also on an all-alpha sector, where S+ has no term at all."""
         basis = cimod.build_basis(n, m_orb, ms=ms)
         basis = basis[np.random.default_rng(3).permutation(len(basis))]
         s2 = cimod.s_squared_matrix(basis)
+        assert s2.dtype == np.float64
         assert np.array_equal(s2, oracles.s_squared_loop(basis))
 
     def test_commutes_with_hamiltonian(self, model3):
@@ -719,7 +764,9 @@ class TestDeterminism:
         r1 = cimod.ci_solve(model3, basis)
         r2 = cimod.ci_solve(model3, basis)
         assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-        assert np.array_equal(oracles.eigenvectors(r1), oracles.eigenvectors(r2))
+        assert np.array_equal(
+            oracles.eigenvectors(model3, r1), oracles.eigenvectors(model3, r2)
+        )
         assert r1.states == r2.states
 
     def test_spurious_detected_with_doctored_allowed_map(
@@ -765,7 +812,8 @@ class TestDegenerateSpinResolution:
         spins = {ci3_m10.states[j].s for j in idx}
         assert spins == {0.5, 1.5}
         s2 = cimod.s_squared_matrix(ci3_m10.basis)
+        vecs = oracles.eigenvectors(model3, ci3_m10)
         for j in idx:
-            vec = oracles.eigenvectors(ci3_m10)[:, j]
+            vec = vecs[:, j]
             s = ci3_m10.states[j].s
             assert abs(vec @ s2 @ vec - s * (s + 1)) < 1e-9

@@ -66,7 +66,7 @@ def test_pass_metrics_accepts_traced_cli_dumps(tmp_path):
     assert metrics["ci.basis_dim"] == sum(dim for _, dim in OPERATIONS)
     assert metrics["cli.output_bytes"] == output_bytes
     for name in [
-        "ci.build_basis_s", "ci.hamiltonian_matrix_s", "ci.eigensolve_s",
+        "ci.build_basis_s", "ci.hamiltonian_matrix_s", "ci.label_s",
         "ci.ci_solve_s", "ci.compare_s", "ci.blocks", "ci.h_nnz",
         "ci.states_matched", "levelsym.attach_multiplicities_s",
         "spin.allowed_spatial_irreps_s", "spin.constructive_s",
