@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -276,25 +276,6 @@ class CIState:
     parity: int
 
 
-@dataclass(frozen=True)
-class _CSFBlock:
-    """The configuration state functions of one (M_s, parity, S) block.
-
-    ``rows`` are the basis indices of its determinants, ordered by open-
-    shell count, then configuration, then spin string; ``groups`` holds
-    (number of configurations, spin functions) per open-shell count.  The
-    CSF transform K is block diagonal, one copy of the spin functions per
-    configuration; ``evals`` are the eigenvalues of K^T H K, ascending.
-    """
-
-    ms: float
-    parity: int
-    s: float
-    rows: np.ndarray
-    groups: tuple[tuple[int, np.ndarray], ...]
-    evals: np.ndarray
-
-
 def _to_csf(groups, x: np.ndarray) -> np.ndarray:
     """K^T x, for x over the block's determinants in block order.  With
     every spin-function matrix of ``groups`` transposed, this is K x."""
@@ -309,16 +290,11 @@ def _to_csf(groups, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CIResult:
-    """Eigensolution over the determinant basis, labelled per state.
-
-    State j is column ``columns[j, 1]`` of block ``columns[j, 0]``.
-    """
+    """Eigenvalues over the determinant basis, labelled per state."""
 
     basis: np.ndarray  # (dim, N) occupations, read-only
     eigenvalues: np.ndarray
     states: tuple[CIState, ...]
-    blocks: tuple[_CSFBlock, ...] = field(repr=False)
-    columns: np.ndarray = field(repr=False)  # (block, index in block) per state
 
 
 def _runs(values: np.ndarray):
@@ -397,46 +373,40 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
 
     State order: ascending energy, except that inside a run of energies
     within 1e-9 (relative) of its lowest member, states are ordered by
-    (M_s, parity, S, index within the block).
+    (M_s, parity, S, index within the block).  So the states of one (M_s,
+    parity, S) block appear in its eigenvalue order: the k-th is its k-th
+    eigenvalue.
     """
     occ = _occupations(basis)
     occ.setflags(write=False)
     solved = {}  # (S, parity, configurations) -> eigenvalues
-    blocks = []
+    entries = []  # (energy, M_s, parity, S, index in block)
     for ms, parity, rows, groups in _sectors(occ):
         h = None
         for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
             carrying = [g for g in groups if g[0] >= 2 * s]
-            start = carrying[0][2]
-            spin_groups = tuple(
-                (len(conf), spin_functions(kk, n_beta, s))
-                for kk, n_beta, _, conf in carrying
-            )
             key = (s, parity, np.concatenate([c for *_, c in carrying]).tobytes())
             if key not in solved:
                 if h is None:
                     h = hamiltonian_matrix(model, occ[rows])
+                spin_groups = [
+                    (len(conf), spin_functions(kk, n_beta, s))
+                    for kk, n_beta, _, conf in carrying
+                ]
+                start = carrying[0][2]
                 part = _to_csf(spin_groups, h[start:, start:])
                 solved[key] = np.linalg.eigvalsh(_to_csf(spin_groups, part.T))
-            blocks.append(
-                _CSFBlock(ms, parity, s, rows[start:], spin_groups, solved[key])
-            )
+            entries += [(float(e), ms, parity, s, j) for j, e in enumerate(solved[key])]
 
-    entries = sorted(
-        (float(e), b.ms, b.parity, b.s, j, i)
-        for i, b in enumerate(blocks)
-        for j, e in enumerate(b.evals)
-    )
+    entries.sort()
     for i, j in _runs(np.array([t[0] for t in entries])):
-        entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:5])
+        entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:])
     return CIResult(
         basis=occ,
         eigenvalues=np.array([t[0] for t in entries]),
         states=tuple(
-            CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _, _ in entries
+            CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _ in entries
         ),
-        blocks=tuple(blocks),
-        columns=np.array([(t[5], t[4]) for t in entries]),
     )
 
 
@@ -565,7 +535,11 @@ def compare(
                 "levels before comparing"
             )
     levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
-    ci = {(b.ms, b.s, b.parity): b.evals for b in ci_result.blocks}
+    ci, ranks = {}, []  # block eigenvalues ascending; each state's rank
+    for st in ci_result.states:
+        block = ci.setdefault((st.ms, st.s, st.parity), [])
+        ranks.append(len(block))
+        block.append(st.energy)
     exact = {key: [] for key in ci}
     ms_values = {st.ms for st in ci_result.states}
     for lv in levels:
@@ -594,7 +568,7 @@ def compare(
 
     matched: list[MatchedState] = []
     spurious: list[float] = []
-    for state, k in zip(ci_result.states, ci_result.columns[:, 1].tolist()):
+    for state, k in zip(ci_result.states, ranks):
         ex = exact[state.ms, state.s, state.parity]
         exact_e = ex[k].energy if k < len(ex) else math.inf
         if abs(state.energy - exact_e) <= tol and min(state.energy, exact_e) < horizon:

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -59,18 +59,29 @@ def _normal_mode_matrix(n_particles: int) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def normal_modes(n_particles: int) -> np.ndarray:
+    """The shipped normal-mode matrix U for N particles (cached, read-only),
+    checked once per N: it must be orthogonal, with the uniform symmetric
+    mode as its last row."""
+    u = _normal_mode_matrix(n_particles)
+    if np.abs(u @ u.T - np.eye(n_particles)).max() > _ORTHO_TOL:
+        raise NumericalIntegrityError("normal-mode matrix is not orthogonal")
+    # a uniform symmetric mode is fixed by every permutation of the particles
+    if np.ptp(u[-1]) > _ORTHO_TOL:
+        raise NumericalIntegrityError("symmetric mode is not the uniform last row")
+    u.setflags(write=False)
+    return u
+
+
 @dataclass(frozen=True)
 class OscillatorModel:
-    """Model parameters and the orthogonal normal-mode transform U."""
+    """Model parameters: the coupling and the two force constants."""
 
     n_particles: int
     xi: float
     k: float
     k_prime: float
-    U: np.ndarray = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        self.U.setflags(write=False)
 
 
 def make_model(n_particles: int, xi: float) -> OscillatorModel:
@@ -83,18 +94,11 @@ def make_model(n_particles: int, xi: float) -> OscillatorModel:
             f"xi={xi} outside the bound-state window ({lo:.6g}, {hi:.6g}) "
             f"for N={n_particles}"
         )
-    u = _normal_mode_matrix(n_particles)
-    if np.abs(u @ u.T - np.eye(n_particles)).max() > _ORTHO_TOL:
-        raise NumericalIntegrityError("normal-mode matrix is not orthogonal")
-    # a uniform symmetric mode is fixed by every permutation of the particles
-    if np.ptp(u[-1]) > _ORTHO_TOL:
-        raise NumericalIntegrityError("symmetric mode is not the uniform last row")
     return OscillatorModel(
         n_particles=n_particles,
         xi=float(xi),
         k=1.0 - xi,
         k_prime=1.0 + (n_particles - 1) * xi,
-        U=u,
     )
 
 
@@ -237,7 +241,7 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], n
     orthogonally on the shared-width degenerate modes; the uniform scale
     q_i = k**(1/4) y_i commutes with the mode action.
     """
-    u = make_model(n_particles, 0.0).U[:-1]
+    u = normal_modes(n_particles)[:-1]
     # U P = U[:, images - 1]; p substitutes a†_i -> sum_j W[j, i] a†_j
     return {
         p.images: _substitution_matrix((u[:, np.subtract(p.images, 1)] @ u.T).T, n_sym)
@@ -279,12 +283,11 @@ def uncoupled_expansion(
     coefficient of orbital pattern j in level-basis function a; rows are
     orthonormal.
     """
-    model = make_model(n_particles, 0.0)
     total = n_sym + n_last
     orb_patterns = _compositions(total, n_particles)
     index = {pat: j for j, pat in enumerate(orb_patterns)}
     level_cols = [index[pat + (n_last,)] for pat in level_patterns(n_particles, n_sym)]
     # mode a†_i = sum_j U[i, j] a†_j over the particles' unit oscillators
-    coeffs = _substitution_matrix(model.U, total)[:, level_cols].T.copy()
+    coeffs = _substitution_matrix(normal_modes(n_particles), total)[:, level_cols].T.copy()
     coeffs.setflags(write=False)  # cached; callers must not mutate
     return orb_patterns, coeffs

@@ -16,8 +16,9 @@ as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.
 ``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
 before it paired states rank by rank per block; where it passes, the two
-reports agree.  ``eigenvectors`` re-solves each CSF block of a CI result,
-which keeps eigenvalues only, and assembles the dense eigenvector matrix.
+reports agree.  ``eigenvectors`` rebuilds each CSF block of a CI result,
+which keeps eigenvalues only, re-solves it and assembles the dense
+eigenvector matrix.
 ``one_body_gram`` builds the two-body square A^T A of a one-body operator
 through a dense image matrix, against the package's pairwise entries.
 The rest (spin-orbital labels, sign-counting sort, permutation inverse, exact
@@ -43,10 +44,12 @@ from permsym.ci import (
     MissingLevel,
     _occupations,
     _runs,
+    _sectors,
     _to_csf,
     core_energy,
     hamiltonian_matrix,
     s_squared_matrix,
+    spin_functions,
     x_matrix_element,
 )
 from permsym.errors import NumericalIntegrityError
@@ -54,6 +57,7 @@ from permsym.oscillator import (
     LevelDescriptor,
     OscillatorModel,
     level_energy,
+    normal_modes,
     uncoupled_expansion,
 )
 from permsym.spin import (
@@ -289,17 +293,27 @@ def ci_solve_dense(model, basis, guard=1e-6):
 
 def eigenvectors(model: OscillatorModel, result: CIResult) -> np.ndarray:
     """The dense eigenvector matrix of a CI result, column j for
-    eigenvalues[j]: each block's own CSF H is solved with eigh, and its
-    eigenvectors are taken back to determinants."""
+    eigenvalues[j]: each (M_s, parity, S) block is rebuilt from the
+    package's sectors and spin functions, its CSF H is solved with eigh, and
+    its eigenvectors are taken back to determinants.  By the documented
+    state order, the k-th state of a block is its k-th eigenvector."""
     out = np.zeros((len(result.basis), len(result.basis)))
-    for b, block in enumerate(result.blocks):
-        h = hamiltonian_matrix(model, result.basis[block.rows])
-        part = _to_csf(block.groups, h)
-        _, coeffs = np.linalg.eigh(_to_csf(block.groups, part.T))
-        cols = np.nonzero(result.columns[:, 0] == b)[0]
-        k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block.groups]
-        vecs = _to_csf(k_transposed, coeffs[:, result.columns[cols, 1]])
-        out[np.ix_(block.rows, cols)] = vecs
+    cols = {}  # (M_s, parity, S) -> state indices in order
+    for j, st in enumerate(result.states):
+        cols.setdefault((st.ms, st.parity, st.s), []).append(j)
+    for ms, parity, rows, groups in _sectors(result.basis):
+        for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
+            carrying = [g for g in groups if g[0] >= 2 * s]
+            block = [
+                (len(conf), spin_functions(k, n_beta, s))
+                for k, n_beta, _, conf in carrying
+            ]
+            block_rows = rows[carrying[0][2]:]
+            h = hamiltonian_matrix(model, result.basis[block_rows])
+            _, coeffs = np.linalg.eigh(_to_csf(block, _to_csf(block, h).T))
+            k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block]
+            block_cols = cols[ms, parity, s]
+            out[np.ix_(block_rows, block_cols)] = _to_csf(k_transposed, coeffs)
     return out
 
 
@@ -594,7 +608,7 @@ def eigenfunction(model: OscillatorModel, pattern: Sequence[int]) -> HermiteGaus
         normalization=_norm_constant(pattern, model.k, model.k_prime),
         k=model.k,
         k_prime=model.k_prime,
-        U=model.U,
+        U=normal_modes(model.n_particles),
     )
 
 

@@ -447,6 +447,32 @@ class TestSpinAdaptedSolve:
         assert [t[:3] for t in ours] == [t[:3] for t in theirs]
         assert max(abs(a[3] - b[3]) for a, b in zip(ours, theirs)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "n,m_orb,ms", [(3, 5, "all"), (4, 5, "all"), (3, 6, -0.5), (4, 5, -1.0)]
+    )
+    @pytest.mark.parametrize("xi", [0.0, 0.3])  # 0.0: blocks hold exact ties
+    def test_block_states_in_eigenvalue_order(self, n, m_orb, ms, xi):
+        """The rank order `compare` pairs by: the states of each (M_s,
+        parity, S) block ascend in `states`, and they are the eigenvalues
+        the dense oracle finds for that block."""
+        model = osc.make_model(n, xi)
+        basis = cimod.build_basis(n, m_orb, ms=ms)
+        if ms == "all":
+            basis = basis[np.random.default_rng(5).permutation(len(basis))]
+        _, states = oracles.ci_solve_dense(model, basis)
+
+        def blocks(sts):
+            out = {}
+            for st in sts:
+                out.setdefault((st.ms, st.parity, st.s), []).append(st.energy)
+            return out
+
+        ours, theirs = blocks(cimod.ci_solve(model, basis).states), blocks(states)
+        assert ours.keys() == theirs.keys()
+        for key, energies in ours.items():
+            assert energies == sorted(energies)
+            assert np.abs(np.subtract(energies, sorted(theirs[key]))).max() < 1e-10
+
     @pytest.mark.parametrize("n,m_orb,xi", [(3, 6, 0.45), (4, 5, 0.6)])
     def test_multiplet_energies_bitwise_equal(self, n, m_orb, xi):
         result = cimod.ci_solve(osc.make_model(n, xi), cimod.build_basis(n, m_orb))
@@ -728,11 +754,14 @@ class TestCompareBlocks:
                 for s in allowed.spins[label]:
                     if lv.energy < unlisted:
                         exact.setdefault((s, lv.parity), []).extend([lv.energy] * m)
+        blocks = {}  # (M_s, S, parity) -> its states' energies, ascending
+        for st in result.states:
+            blocks.setdefault((st.ms, st.s, st.parity), []).append(st.energy)
         compared = 0
-        for block in result.blocks:
-            ex = sorted(exact.get((block.s, block.parity), []))
-            k = min(len(ex), len(block.evals))
-            assert (block.evals[:k] - np.array(ex[:k]) >= -1e-10).all()
+        for (_, s, parity), evals in blocks.items():
+            ex = sorted(exact.get((s, parity), []))
+            k = min(len(ex), len(evals))
+            assert (np.array(evals[:k]) - np.array(ex[:k]) >= -1e-10).all()
             compared += k
         assert compared > 0
 

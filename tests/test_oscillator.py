@@ -35,13 +35,15 @@ class TestMakeModel:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_u_orthogonal(self, n):
-        m = osc.make_model(n, 0.2)
-        assert np.abs(m.U @ m.U.T - np.eye(n)).max() < 1e-12
+        u = osc.normal_modes(n)
+        assert np.abs(u @ u.T - np.eye(n)).max() < 1e-12
+        # built and checked once per N, and shared read-only
+        assert osc.normal_modes(n) is u
+        assert not u.flags.writeable
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_last_row_uniform(self, n):
-        m = osc.make_model(n, 0.2)
-        assert np.allclose(m.U[-1], 1.0 / math.sqrt(n), atol=1e-15)
+        assert np.allclose(osc.normal_modes(n)[-1], 1.0 / math.sqrt(n), atol=1e-15)
 
     def test_nonuniform_symmetric_mode_rejected(self, monkeypatch):
         # still orthogonal, but the symmetric mode is no longer the last row,
@@ -51,20 +53,18 @@ class TestMakeModel:
             osc, "_normal_mode_matrix", lambda n: shipped(n)[[0, 1, 3, 2]]
         )
         with pytest.raises(NumericalIntegrityError, match="symmetric mode"):
-            osc.make_model(4, 0.1)
+            osc.normal_modes.__wrapped__(4)
 
     def test_u_matches_mode_definitions(self):
         # y1 = (x2 - x3)/sqrt(2), y2 = (2x1 - x2 - x3)/sqrt(6) for N=3
-        m = osc.make_model(3, 0.1)
         x = np.array([0.3, -1.2, 0.7])
-        y = m.U @ x
+        y = osc.normal_modes(3) @ x
         assert y[0] == pytest.approx((x[1] - x[2]) / math.sqrt(2))
         assert y[1] == pytest.approx((2 * x[0] - x[1] - x[2]) / math.sqrt(6))
         assert y[2] == pytest.approx(x.sum() / math.sqrt(3))
         # y1 = (x1 - x4)/sqrt(2), y3 = (x1 - x2 - x3 + x4)/2 for N=4
-        m4 = osc.make_model(4, 0.1)
         x = np.array([0.5, -0.25, 1.5, 2.0])
-        y = m4.U @ x
+        y = osc.normal_modes(4) @ x
         assert y[0] == pytest.approx((x[0] - x[3]) / math.sqrt(2))
         assert y[1] == pytest.approx((x[1] - x[2]) / math.sqrt(2))
         assert y[2] == pytest.approx((x[0] - x[1] - x[2] + x[3]) / 2)
