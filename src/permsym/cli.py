@@ -111,12 +111,14 @@ def _emit_csv(rows: list[dict], config: RunConfig) -> None:
 def _parse_ms(text: str):
     if text == "all":
         return "all"
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if float(den) == 0:
-            raise UsageError(f"--ms {text}: zero denominator")
-        return float(num) / float(den)
-    return float(text)
+    num, slash, den = text.partition("/")
+    try:
+        num, den = float(num), float(den) if slash else 1.0
+    except ValueError:
+        raise UsageError(f"--ms {text}: not all, a number or a fraction") from None
+    if den == 0:
+        raise UsageError(f"--ms {text}: zero denominator")
+    return num / den
 
 
 def _level_row(level: oscillator.LevelDescriptor) -> dict:
@@ -181,13 +183,13 @@ def _cmd_irreps(config: RunConfig) -> int:
 def _cmd_project(config: RunConfig) -> int:
     model = oscillator.make_model(config.n, config.xi)
     table = symgroup.character_table(config.n)
-    irrep = table.irrep(config.irrep)
+    dimension = table.dimension(config.irrep)
     level = oscillator.make_level(model, config.n_sym, config.n_last)
-    salc_set = levelsym.salc(model, level, table, irrep)
+    salc_set = levelsym.salc(model, level, table, config.irrep)
     _emit_json(
         {
-            "irrep": irrep.label,
-            "dimension": irrep.dimension,
+            "irrep": config.irrep,
+            "dimension": dimension,
             "copies": salc_set.copies,
             "level": _level_row(level),
             "basis_patterns": [

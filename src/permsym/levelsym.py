@@ -26,7 +26,6 @@ from .oscillator import LevelDescriptor, OscillatorModel, permutation_action_mat
 from .symgroup import (
     CharacterTable,
     CycleType,
-    IrrepId,
     all_permutations,
     cycle_type,
     decompose,
@@ -58,14 +57,14 @@ def level_characters(
 
 def irrep_multiplicities(
     model: OscillatorModel, level: LevelDescriptor, table: CharacterTable
-) -> dict[IrrepId, int]:
+) -> dict[str, int]:
     """Exact irrep multiplicities of a level, from its characters
     (:func:`symgroup.decompose`), checked to account for its whole
     degeneracy."""
     if table.n != model.n_particles:
         raise ValueError(f"table is for N={table.n}, model for N={model.n_particles}")
     out = decompose(table, level_characters(model, level))
-    total = sum(ir.dimension * m for ir, m in out.items())
+    total = sum(table.dimension(ir) * m for ir, m in out.items())
     if total != level.degeneracy:
         raise NumericalIntegrityError(
             f"dimension bookkeeping failed: {total} != degeneracy {level.degeneracy}"
@@ -76,11 +75,9 @@ def irrep_multiplicities(
 def attach_multiplicities(
     model: OscillatorModel, level: LevelDescriptor, table: CharacterTable
 ) -> LevelDescriptor:
-    """Level descriptor with irrep_mults filled in (keyed by irrep label)."""
+    """Level descriptor with irrep_mults filled in."""
     mults = irrep_multiplicities(model, level, table)
-    return dataclasses.replace(
-        level, irrep_mults={ir.label: m for ir, m in mults.items()}
-    )
+    return dataclasses.replace(level, irrep_mults=mults)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ class SalcSet:
     exceeds 1e-8 (``_RANK_TOL``) is positive.
     """
 
-    irrep: IrrepId
+    irrep: str
     copies: int
     vectors: np.ndarray
 
@@ -103,46 +100,44 @@ def character_projector(
     model: OscillatorModel,
     level: LevelDescriptor,
     table: CharacterTable,
-    irrep: IrrepId | str,
+    irrep: str,
 ) -> np.ndarray:
     """P_Gamma = (dim/N!) sum_g chi_Gamma(g) D(g) on the level basis."""
-    if isinstance(irrep, str):
-        irrep = table.irrep(irrep)
+    dimension = table.dimension(irrep)
     order = math.factorial(table.n)
     proj = np.zeros((level.degeneracy, level.degeneracy))
     for p in all_permutations(model.n_particles):
         chi = table.char(irrep, cycle_type(p))
         if chi:
             proj += chi * permutation_action_matrix(model, level, p)
-    return proj * (irrep.dimension / order)
+    return proj * (dimension / order)
 
 
 def salc(
     model: OscillatorModel,
     level: LevelDescriptor,
     table: CharacterTable,
-    irrep: IrrepId | str,
+    irrep: str,
 ) -> SalcSet:
     """Orthonormal basis of the irrep's isotypic subspace of a level.
 
     Returns an empty set (zero vectors) when the irrep does not occur.
     """
-    if isinstance(irrep, str):
-        irrep = table.irrep(irrep)
+    dimension = table.dimension(irrep)  # an unknown label fails before any work
     mults = irrep_multiplicities(model, level, table)
-    expected = mults[irrep] * irrep.dimension
+    expected = mults[irrep] * dimension
     proj = character_projector(model, level, table, irrep)
     u, s, _ = np.linalg.svd(proj)
     rank = int(np.sum(s > _RANK_TOL))
     if rank != expected:
         raise NumericalIntegrityError(
             f"projected rank {rank} != multiplicity * dimension {expected} "
-            f"for irrep {irrep.label} at level {level.quanta_key}"
+            f"for irrep {irrep} at level {level.quanta_key}"
         )
     # kept singular values of a projector must be 1
     if rank and np.abs(s[:rank] - 1.0).max() > _RANK_TOL:
         raise NumericalIntegrityError(
-            f"projector spectrum deviates from 0/1 for {irrep.label}"
+            f"projector spectrum deviates from 0/1 for {irrep}"
         )
     # the SVD's signs flip under rounding-level changes of proj: fix them
     vectors = u[:, :rank].T.copy()

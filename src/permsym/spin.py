@@ -44,7 +44,6 @@ from .oscillator import (
 from .symgroup import (
     CharacterTable,
     CycleType,
-    IrrepId,
     character_table,
     decompose,
     sign_irrep,
@@ -182,7 +181,7 @@ def allowed_spatial_irreps(n: int) -> AllowedIrrepMap:
     spins: dict[str, tuple[float, ...]] = {}
     for spatial, row in zip(table.irreps, table.chars):
         chi = {c.cycle_type: x for c, x in zip(table.classes, row)}
-        spins[spatial.label] = tuple(
+        spins[spatial] = tuple(
             s
             for s, traces in spin_traces.items()
             if decompose(table, {ct: chi[ct] * t for ct, t in traces.items()})[sign]
@@ -274,7 +273,7 @@ def constructive_allowed_spins(
     model: OscillatorModel,
     level: LevelDescriptor,
     table: CharacterTable,
-    irrep: IrrepId | str,
+    irrep: str,
 ) -> set[float]:
     """Exhaust all spin products and all projector columns (seeds) of a
     level; return the set of total spins of the surviving antisymmetrized
@@ -299,16 +298,15 @@ def constructive_allowed_spins(
 def first_level_with_irrep(
     model: OscillatorModel,
     table: CharacterTable,
-    irrep: IrrepId | str,
+    irrep: str,
 ) -> LevelDescriptor:
     """Lowest level (by n_sym, at n_last = 0) containing the irrep."""
-    if isinstance(irrep, str):
-        irrep = table.irrep(irrep)
+    table.dimension(irrep)  # an unknown label fails before any work
     for n_sym in range(_MAX_FIRST_N_SYM + 1):
         level = make_level(model, n_sym, 0)
         if irrep_multiplicities(model, level, table)[irrep]:
             return level
-    raise ValueError(f"irrep {irrep.label} not found up to n_sym={_MAX_FIRST_N_SYM}")
+    raise ValueError(f"irrep {irrep} not found up to n_sym={_MAX_FIRST_N_SYM}")
 
 
 def constructive_spatial_irreps(n: int) -> AllowedIrrepMap:
@@ -320,7 +318,7 @@ def constructive_spatial_irreps(n: int) -> AllowedIrrepMap:
     spins = {}
     for irrep in table.irreps:
         level = first_level_with_irrep(model, table, irrep)
-        spins[irrep.label] = tuple(
+        spins[irrep] = tuple(
             sorted(constructive_allowed_spins(model, level, table, irrep))
         )
     return AllowedIrrepMap(n=n, spins=spins)

@@ -179,12 +179,6 @@ def conjugacy_classes(n: int) -> tuple[ConjClass, ...]:
 
 
 @dataclass(frozen=True)
-class IrrepId:
-    label: str
-    dimension: int
-
-
-@dataclass(frozen=True)
 class CharacterTable:
     """Integer character table of S_N, classes in canonical order.
 
@@ -198,7 +192,7 @@ class CharacterTable:
     n: int
     classes: tuple[ConjClass, ...]
     class_labels: tuple[str, ...]
-    irreps: tuple[IrrepId, ...]
+    irreps: tuple[str, ...]                     # labels, in row order
     chars: tuple[tuple[int, ...], ...]          # rows = irreps, cols = classes
 
     def class_index(self, ct: CycleType) -> int:
@@ -207,17 +201,14 @@ class CharacterTable:
                 return i
         raise KeyError(f"no class with cycle type {ct}")
 
-    def irrep(self, label: str) -> IrrepId:
-        for ir in self.irreps:
-            if ir.label == label:
-                return ir
-        raise KeyError(f"no irrep labelled {label!r}")
+    def char(self, label: str, ct: CycleType) -> int:
+        if label not in self.irreps:
+            raise ValueError(f"no irrep labelled {label!r}")
+        return self.chars[self.irreps.index(label)][self.class_index(ct)]
 
-    def char(self, irrep: IrrepId | str, ct: CycleType) -> int:
-        if isinstance(irrep, str):
-            irrep = self.irrep(irrep)
-        row = self.irreps.index(irrep)
-        return self.chars[row][self.class_index(ct)]
+    def dimension(self, label: str) -> int:
+        """The irrep's dimension: its character on the identity class."""
+        return self.char(label, (1,) * self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -232,10 +223,11 @@ class CharacterTable:
                 }
                 for c, lbl in zip(self.classes, self.class_labels)
             ],
-            "irreps": [{"label": ir.label, "dimension": ir.dimension} for ir in self.irreps],
-            "characters": {
-                ir.label: list(row) for ir, row in zip(self.irreps, self.chars)
-            },
+            "irreps": [
+                {"label": ir, "dimension": row[0]}
+                for ir, row in zip(self.irreps, self.chars)
+            ],
+            "characters": {ir: list(row) for ir, row in zip(self.irreps, self.chars)},
         }
 
 
@@ -249,7 +241,7 @@ _S3_TABLE = dict(
     group_name="S3/C3v",
     n=3,
     class_labels=("E", "3sigma_v", "2C3"),
-    irreps=(IrrepId("A1", 1), IrrepId("A2", 1), IrrepId("E", 2)),
+    irreps=("A1", "A2", "E"),
     chars=(
         (1, 1, 1),
         (1, -1, 1),
@@ -265,13 +257,7 @@ _S4_TABLE = dict(
     group_name="S4/O",
     n=4,
     class_labels=("E", "6C2", "8C3", "6C4", "3C2"),
-    irreps=(
-        IrrepId("A1", 1),
-        IrrepId("A2", 1),
-        IrrepId("E", 2),
-        IrrepId("T1", 3),
-        IrrepId("T2", 3),
-    ),
+    irreps=("A1", "A2", "E", "T1", "T2"),
     chars=(
         (1, 1, 1, 1, 1),
         (1, -1, 1, -1, 1),
@@ -306,12 +292,9 @@ def validate_table(table: CharacterTable) -> Optional[str]:
     sizes = [c.size for c in table.classes]
     if sum(sizes) != order:
         return f"class sizes sum to {sum(sizes)}, expected {order}"
-    dim_sum = sum(ir.dimension**2 for ir in table.irreps)
+    dim_sum = sum(row[0] ** 2 for row in table.chars)
     if dim_sum != order:
         return f"sum of squared dimensions is {dim_sum}, expected {order}"
-    for row, ir in zip(table.chars, table.irreps):
-        if row[0] != ir.dimension:
-            return f"irrep {ir.label}: character on identity != dimension"
     nir = len(table.irreps)
     for i in range(nir):
         for j in range(i, nir):
@@ -322,7 +305,7 @@ def validate_table(table: CharacterTable) -> Optional[str]:
             if acc != want:
                 return (
                     f"row orthogonality violated for irreps "
-                    f"({table.irreps[i].label}, {table.irreps[j].label}): "
+                    f"({table.irreps[i]}, {table.irreps[j]}): "
                     f"{acc} != {want}"
                 )
     ncl = len(table.classes)
@@ -340,7 +323,7 @@ def validate_table(table: CharacterTable) -> Optional[str]:
 
 def decompose(
     table: CharacterTable, traces: Mapping[CycleType, int]
-) -> dict[IrrepId, int]:
+) -> dict[str, int]:
     """Irrep multiplicities of a representation from its integer traces per
     class: m_Gamma = (1/N!) sum_c size(c) chi_Gamma(c) trace(c), exactly.
 
@@ -357,14 +340,14 @@ def decompose(
         m, rem = divmod(acc, order)
         if rem or m < 0:
             raise NumericalIntegrityError(
-                f"multiplicity of {irrep.label} is {acc}/{order}, "
+                f"multiplicity of {irrep} is {acc}/{order}, "
                 f"not a non-negative integer"
             )
         out[irrep] = m
     return out
 
 
-def sign_irrep(table: CharacterTable) -> IrrepId:
+def sign_irrep(table: CharacterTable) -> str:
     """The one-dimensional irrep whose character is the permutation parity.
 
     Totally antisymmetric functions transform as it; the antisymmetrizer is
@@ -373,7 +356,7 @@ def sign_irrep(table: CharacterTable) -> IrrepId:
     # a permutation with c cycles is a product of N - c transpositions
     parities = tuple((-1) ** (table.n - len(c.cycle_type)) for c in table.classes)
     for ir, row in zip(table.irreps, table.chars):
-        if ir.dimension == 1 and row == parities:
+        if row == parities:
             return ir
     raise NumericalIntegrityError(
         f"{table.group_name}: no irrep matches the parity character"

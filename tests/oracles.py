@@ -73,7 +73,6 @@ from permsym.spin import (
 )
 from permsym.symgroup import (
     CharacterTable,
-    IrrepId,
     Permutation,
     all_permutations,
     class_representative,
@@ -474,12 +473,12 @@ def spin_content_by_eigh(n: int, table: CharacterTable) -> dict:
             acc = sum(c.size * chi * t for c, chi, t in zip(table.classes, row, traces))
             m = acc / order
             if abs(m - round(m)) >= 1e-6:
-                raise NumericalIntegrityError(f"multiplicity {m} of {irrep.label}")
+                raise NumericalIntegrityError(f"multiplicity {m} of {irrep}")
             out[s][irrep] = round(m)
     return out
 
 
-def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[IrrepId, int]]:
+def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[str, int]]:
     """Irrep content of each total-spin eigenspace (all 2S+1 members of its
     multiplets) from the package's integer spin characters."""
     if table.n != n:
@@ -491,13 +490,13 @@ def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[IrrepId
     return content
 
 
-def spin_irrep_multiplicities(n: int, table: CharacterTable) -> dict[IrrepId, int]:
+def spin_irrep_multiplicities(n: int, table: CharacterTable) -> dict[str, int]:
     """Decomposition of the full 2^N spin space into irreps."""
     out = dict.fromkeys(table.irreps, 0)
     for content in spin_content_by_s(n, table).values():
         for ir, m in content.items():
             out[ir] += m
-    if sum(ir.dimension * m for ir, m in out.items()) != 2**n:
+    if sum(table.dimension(ir) * m for ir, m in out.items()) != 2**n:
         raise NumericalIntegrityError("spin decomposition does not sum to 2^N")
     return out
 
@@ -666,7 +665,7 @@ def canonicalize(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def projector_coefficients(
-    table: CharacterTable, irrep: IrrepId | str
+    table: CharacterTable, irrep: str
 ) -> dict[Permutation, Fraction]:
     """Coefficients of the character projector P_Gamma.
 
@@ -674,22 +673,19 @@ def projector_coefficients(
     of g); for multidimensional irreps this is the dimension-weighted
     character projector, the same convention as the printed P_E.
     """
-    if isinstance(irrep, str):
-        irrep = table.irrep(irrep)
-    if irrep not in table.irreps:
-        raise ValueError(f"irrep {irrep} does not belong to {table.group_name}")
+    dimension = table.dimension(irrep)
     order = math.factorial(table.n)
     out = {}
     for p in all_permutations(table.n):
         chi = table.char(irrep, cycle_type(p))
-        out[p] = Fraction(irrep.dimension * chi, order)
+        out[p] = Fraction(dimension * chi, order)
     return out
 
 
-def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[IrrepId]:
+def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[str]:
     """Irreps whose basis functions are eigenfunctions of every permutation
     operator: exactly the one-dimensional ones."""
-    return {ir for ir in table.irreps if ir.dimension == 1}
+    return {ir for ir in table.irreps if table.dimension(ir) == 1}
 
 
 def compare_greedy(

@@ -76,10 +76,10 @@ def test_criterion_02_irrep_content_n3(model3, t3):
             for trace in ls.level_characters(model3, level).values():
                 worst = max(worst, abs(trace - round(trace)))
             mults = ls.irrep_multiplicities(model3, level, t3)
-            got = {ir.label: m for ir, m in mults.items() if m}
+            got = {ir: m for ir, m in mults.items() if m}
             if n_sym in expected:
                 assert got == expected[n_sym], f"n_sym={n_sym}: {got}"
-            assert sum(ir.dimension * m for ir, m in mults.items()) == level.degeneracy
+            assert sum(t3.dimension(ir) * m for ir, m in mults.items()) == level.degeneracy
         assert worst < 1e-6
 
 
@@ -224,7 +224,7 @@ def test_criterion_10_property_suites(model3, ci3_m10):
             total = [[Fraction(0)] * size for _ in range(size)]
             for irrep, mat in projs.items():
                 assert mat_mul(mat, mat) == mat
-                assert sum(mat[i][i] for i in range(size)) == irrep.dimension**2
+                assert sum(mat[i][i] for i in range(size)) == table.dimension(irrep) ** 2
                 for i in range(size):
                     for j in range(size):
                         total[i][j] += mat[i][j]

@@ -159,6 +159,7 @@ class TestProject:
             capsys, "project", "--n", "3", "--nsym", "3", "--irrep", "T1"
         )
         assert rc == 1
+        assert err == "error: no irrep labelled 'T1'\n"
 
 
 class TestAllowed:
@@ -356,18 +357,23 @@ class TestExitCodes:
         "argv",
         [
             ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "1/0"],
+            ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "abc"],
+            ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "1/2/3"],
             ["project", "--n", "3", "--nsym", "-1", "--irrep", "E"],
             ["project", "--n", "3", "--nsym", "2", "--nlast", "-3", "--irrep", "E"],
             # refused before any of the C(80, 4) determinants is built
             ["ci", "--n", "4", "--xi", "0.1", "--orbitals", "40"],
         ],
-        ids=["ms-zero-denominator", "negative-nsym", "negative-nlast", "too-wide"],
+        ids=["ms-zero-denominator", "ms-not-a-number", "ms-two-slashes",
+             "negative-nsym", "negative-nlast", "too-wide"],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 1
         assert out == ""
         assert err.startswith(("error:", "usage error:"))
+        if "--ms" in argv:
+            assert err.startswith(f"usage error: --ms {argv[-1]}: ")
 
     @pytest.mark.parametrize(
         "argv,ms",
@@ -452,9 +458,7 @@ class TestJsonRoundTrip:
                 for c in t["classes"]
             ),
             class_labels=tuple(c["label"] for c in t["classes"]),
-            irreps=tuple(
-                sg.IrrepId(i["label"], i["dimension"]) for i in t["irreps"]
-            ),
+            irreps=tuple(i["label"] for i in t["irreps"]),
             chars=tuple(
                 tuple(t["characters"][i["label"]]) for i in t["irreps"]
             ),

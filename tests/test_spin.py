@@ -112,17 +112,15 @@ class TestCharacterRoute:
 
 class TestSpinIrrepContent:
     def test_n3(self, t3):
-        content = oracles.spin_irrep_multiplicities(3, t3)
-        mults = {ir.label: m for ir, m in content.items()}
+        mults = oracles.spin_irrep_multiplicities(3, t3)
         assert mults["A2"] == 0
-        assert sum(t3.irrep(l).dimension * m for l, m in mults.items()) == 8
+        assert sum(t3.dimension(l) * m for l, m in mults.items()) == 8
         assert mults == {"A1": 4, "A2": 0, "E": 2}
 
     def test_n4(self, t4):
-        content = oracles.spin_irrep_multiplicities(4, t4)
-        mults = {ir.label: m for ir, m in content.items()}
+        mults = oracles.spin_irrep_multiplicities(4, t4)
         assert mults["A2"] == 0
-        assert sum(t4.irrep(l).dimension * m for l, m in mults.items()) == 16
+        assert sum(t4.dimension(l) * m for l, m in mults.items()) == 16
 
     def test_n4_no_antisymmetric_spin_function_brute_force(self, t4):
         """Independent check: apply the 24-term antisymmetrizer to every one
@@ -138,14 +136,14 @@ class TestSpinIrrepContent:
 
     def test_content_by_s_n3(self, t3):
         content = {
-            s: {ir.label: m for ir, m in d.items() if m}
+            s: {ir: m for ir, m in d.items() if m}
             for s, d in oracles.spin_content_by_s(3, t3).items()
         }
         assert content == {1.5: {"A1": 4}, 0.5: {"E": 2}}
 
     def test_content_by_s_n4(self, t4):
         content = {
-            s: {ir.label: m for ir, m in d.items() if m}
+            s: {ir: m for ir, m in d.items() if m}
             for s, d in oracles.spin_content_by_s(4, t4).items()
         }
         assert content == {2.0: {"A1": 5}, 1.0: {"T2": 3}, 0.0: {"E": 1}}
@@ -272,7 +270,7 @@ def test_determinants_match_permutation_sum(n, n_sym, n_last):
         for labels in spin.spin_basis(n):
             product = spin.SpinProduct(labels)
             for seed in range(level.degeneracy):
-                case = (irrep.label, "".join(labels), seed)
+                case = (irrep, "".join(labels), seed)
                 got = spin.antisymmetrize_space_spin(
                     model, level, proj[:, seed], product
                 )
@@ -357,3 +355,23 @@ class TestMoreEdges:
         res = _antisymmetrize_first_seed(model4, lv, t4, "T1", "aabb")
         assert res.nonzero and res.s_value == pytest.approx(1.0)
         _assert_antisymmetric(res, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, level, table: ls.character_projector(model, level, table, "T1"),
+        lambda model, level, table: ls.salc(model, level, table, "T1"),
+        lambda model, level, table: spin.first_level_with_irrep(model, table, "T1"),
+        lambda model, level, table: spin.constructive_allowed_spins(
+            model, level, table, "T1"
+        ),
+    ],
+    ids=["character_projector", "salc", "first_level_with_irrep",
+         "constructive_allowed_spins"],
+)
+def test_unknown_label_is_one_value_error(model3, t3, call):
+    """S3 has no T1: every function that takes a label rejects it with the
+    table's own error, not a bare KeyError from a dict lookup."""
+    with pytest.raises(ValueError, match="no irrep labelled 'T1'"):
+        call(model3, osc.make_level(model3, 2, 0), t3)

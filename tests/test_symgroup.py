@@ -209,8 +209,8 @@ class TestCharacterTables:
                 assert t3.char(label, ct) == chi
 
     def test_dimension_sum_rule(self, t3, t4):
-        assert sum(ir.dimension**2 for ir in t3.irreps) == 6
-        assert sum(ir.dimension**2 for ir in t4.irreps) == 24
+        assert sum(t3.dimension(ir) ** 2 for ir in t3.irreps) == 6
+        assert sum(t4.dimension(ir) ** 2 for ir in t4.irreps) == 24
 
     def test_n4_matches_orthogonality_oracle(self, t4):
         derived = derive_s4_table_by_orthogonality()
@@ -229,22 +229,30 @@ class TestCharacterTables:
         assert sg.validate_table(t4) is None
 
     def test_validate_catches_flip(self, t3):
+        def tampered(row_i, col_j, value):
+            bad_chars = tuple(
+                tuple(value if (i, j) == (row_i, col_j) else x
+                      for j, x in enumerate(row))
+                for i, row in enumerate(t3.chars)
+            )
+            bad = sg.CharacterTable(
+                group_name=t3.group_name,
+                n=t3.n,
+                classes=t3.classes,
+                class_labels=t3.class_labels,
+                irreps=t3.irreps,
+                chars=bad_chars,
+            )
+            return sg.validate_table(bad)
+
         # flip chi_A2 on the transposition class to +1
-        bad_chars = tuple(
-            tuple(1 if (i == 1 and j == 1) else x for j, x in enumerate(row))
-            for i, row in enumerate(t3.chars)
-        )
-        bad = sg.CharacterTable(
-            group_name=t3.group_name,
-            n=t3.n,
-            classes=t3.classes,
-            class_labels=t3.class_labels,
-            irreps=t3.irreps,
-            chars=bad_chars,
-        )
-        report = sg.validate_table(bad)
+        report = tampered(1, 1, 1)
         assert report is not None
         assert "A1" in report and "A2" in report
+        # chi_E on the identity, the dimension of E, raised from 2 to 3
+        report = tampered(2, 0, 3)
+        assert report is not None
+        assert "sum of squared dimensions is 11" in report
 
     def test_unsupported_n(self):
         with pytest.raises(ValueError):
@@ -280,7 +288,7 @@ class TestProjectors:
         assert all(c == Fraction(1, 24) for c in coeffs.values())
 
     def test_unknown_irrep(self, t3):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no irrep labelled 'T1'"):
             oracles.projector_coefficients(t3, "T1")
 
 
@@ -322,16 +330,16 @@ def test_regular_representation_projector_algebra(n):
     total = [[Fraction(0)] * size for _ in range(size)]
     for irrep, mat in projs.items():
         sq = mat_mul(mat, mat)
-        assert sq == mat, f"P^2 != P for {irrep.label}"
+        assert sq == mat, f"P^2 != P for {irrep}"
         trace = sum(mat[i][i] for i in range(size))
-        assert trace == irrep.dimension**2
+        assert trace == table.dimension(irrep) ** 2
         for i in range(size):
             for j in range(size):
                 total[i][j] += mat[i][j]
     for (ir1, m1), (ir2, m2) in itertools.combinations(projs.items(), 2):
         prod = mat_mul(m1, m2)
         assert all(x == 0 for row in prod for x in row), (
-            f"P_{ir1.label} P_{ir2.label} != 0"
+            f"P_{ir1} P_{ir2} != 0"
         )
     identity = [
         [Fraction(1) if i == j else Fraction(0) for j in range(size)]
@@ -342,8 +350,8 @@ def test_regular_representation_projector_algebra(n):
 
 class TestSignIrrep:
     def test_shipped_tables(self, t3, t4):
-        assert sg.sign_irrep(t3).label == "A2"
-        assert sg.sign_irrep(t4).label == "A2"
+        assert sg.sign_irrep(t3) == "A2"
+        assert sg.sign_irrep(t4) == "A2"
 
     def test_s2_table_constructed_inline(self):
         # S2 has two 1-dim irreps; the parity one is the antisymmetric one
@@ -353,11 +361,11 @@ class TestSignIrrep:
             n=2,
             classes=classes,
             class_labels=("E", "sigma"),
-            irreps=(sg.IrrepId("A1", 1), sg.IrrepId("A2", 1)),
+            irreps=("A1", "A2"),
             chars=((1, 1), (1, -1)),
         )
         assert sg.validate_table(table) is None
-        assert sg.sign_irrep(table).label == "A2"
+        assert sg.sign_irrep(table) == "A2"
 
 
 @settings(max_examples=40, deadline=None)
