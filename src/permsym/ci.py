@@ -9,9 +9,10 @@ determinants (string-based CI in the manner of Knowles and Handy, 1984).
 The determinant space (all C(2M, N) selections, optionally filtered to one
 M_s sector) is spin-adapted: each configuration of orbital occupations
 times each spin eigenfunction of its open shells is one configuration
-state function (CSF; Pauncz, Spin Eigenfunctions, 1979), and only the
-eigenvalues of H are computed, densely in one block of CSFs per (S,
-parity), so total spin holds by construction.  Comparing the resulting
+state function (CSF; Pauncz, Spin Eigenfunctions, 1979).  The sparse
+entries of H are scattered straight into one dense block of CSFs per (S,
+parity), with no dense determinant H, and only its eigenvalues are
+computed, so total spin holds by construction.  Comparing the resulting
 spectrum against the exact levels exposes the missing ones.
 """
 
@@ -172,8 +173,9 @@ def _s_plus(occ: np.ndarray):
     return _one_body(occ, s_plus)
 
 
-def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
-    """Dense symmetric CI matrix over any set of determinants.
+def _hamiltonian_entries(model: OscillatorModel, basis: np.ndarray):
+    """The entries of H over any set of determinants: (rows, columns,
+    values), one per position reached, in ascending row-major order.
 
     The pair coupling is (xi/2)[(sum_i x_i)^2 - sum_i x_i^2].  With X the
     one-body position operator on the M orbitals the basis reaches and Q
@@ -181,8 +183,8 @@ def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
     part X.X - Q is exact on those orbitals, so H = H1 + (xi/2)(X^T X - Q).
     X^T X is summed pairwise over the terms of X that reach one image
     (:func:`_gram_entries`), so the images need not lie in the basis, which
-    may be a full sector, a reordering or a subset.  One bincount over all
-    entries fills the only dim x dim array.
+    may be a full sector, a reordering or a subset.  One bincount sums the
+    terms at each position, so no dim x dim array is built.
     """
     occ = _occupations(basis)
     dim = len(occ)
@@ -200,8 +202,15 @@ def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
     pos = order[np.searchsorted(masks, targets, sorter=order).clip(max=dim - 1)]
     hit = masks[pos] == targets
     rows, cols, pairs = _gram_entries(*_one_body(occ, x))
-    one_body = pos[hit], src[hit], values[hit]
-    return _dense(dim, one_body, (rows, cols, 0.5 * model.xi * pairs))
+    rows, cols = np.concatenate([pos[hit], rows]), np.concatenate([src[hit], cols])
+    flat, at = np.unique(rows * dim + cols, return_inverse=True)
+    values = np.concatenate([values[hit], 0.5 * model.xi * pairs])
+    return flat // dim, flat % dim, np.bincount(at, weights=values)
+
+
+def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
+    """Dense symmetric CI matrix of :func:`_hamiltonian_entries`."""
+    return _dense(len(basis), _hamiltonian_entries(model, basis))
 
 
 def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
@@ -276,16 +285,27 @@ class CIState:
     parity: int
 
 
-def _to_csf(groups, x: np.ndarray) -> np.ndarray:
-    """K^T x, for x over the block's determinants in block order.  With
-    every spin-function matrix of ``groups`` transposed, this is K x."""
-    out, at = [], 0
+def _csf_block(entries, start: int, groups) -> np.ndarray:
+    """The CSF block of H over a sector's determinants from ``start`` on,
+    from the sector's ``entries`` and the (configurations, spin functions)
+    of each open-shell count.  Each determinant lies in at most f CSFs (the
+    widest f, padded with zero coefficients), so one bincount over the f^2
+    products of every entry fills the block."""
+    width = max(funcs.shape[1] for _, funcs in groups)
+    index, coeff, size = [], [], 0
     for n_conf, funcs in groups:
         d, f = funcs.shape
-        part = x[at : at + n_conf * d].reshape(n_conf, d, -1)
-        out.append((funcs.T @ part).reshape(n_conf * f, -1))
-        at += n_conf * d
-    return np.concatenate(out)
+        csf = size + f * np.arange(n_conf) + np.arange(width)[:, None] % f
+        index.append(np.repeat(csf, d, axis=1))
+        coeff.append(np.tile(np.pad(funcs.T, ((0, width - f), (0, 0))), n_conf))
+        size += n_conf * f
+    index, coeff = np.hstack(index), np.hstack(coeff)
+    rows, cols, values = entries
+    keep = (rows >= start) & (cols >= start)
+    i, j = rows[keep] - start, cols[keep] - start
+    at = (size * index.take(i, axis=1))[:, None] + index.take(j, axis=1)
+    products = coeff.take(i, axis=1)[:, None] * (coeff.take(j, axis=1) * values[keep])
+    return np.bincount(at.ravel(), products.ravel(), size * size).reshape(size, size)
 
 
 @dataclass(frozen=True)
@@ -359,8 +379,9 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
 
     H conserves M_s, the parity of the total orbital quanta and the total
     spin S.  Each (M_s, parity) sector of the basis is ordered by open-shell
-    count, configuration and spin string, and H on it is transformed to
-    configuration state functions: a configuration with k open shells
+    count, configuration and spin string, and the sparse entries of H on
+    it are scattered into configuration state functions (:func:`_csf_block`;
+    no dense determinant H is built): a configuration with k open shells
     times each spin function of ``spin_functions``.  Each block per S is
     solved for its eigenvalues only (``eigvalsh``), so every spin label
     holds by construction.  Each (S, parity) block is solved once, in the
@@ -388,14 +409,12 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
             key = (s, parity, np.concatenate([c for *_, c in carrying]).tobytes())
             if key not in solved:
                 if h is None:
-                    h = hamiltonian_matrix(model, occ[rows])
-                spin_groups = [
+                    h = _hamiltonian_entries(model, occ[rows])
+                block = [
                     (len(conf), spin_functions(kk, n_beta, s))
                     for kk, n_beta, _, conf in carrying
                 ]
-                start = carrying[0][2]
-                part = _to_csf(spin_groups, h[start:, start:])
-                solved[key] = np.linalg.eigvalsh(_to_csf(spin_groups, part.T))
+                solved[key] = np.linalg.eigvalsh(_csf_block(h, carrying[0][2], block))
             entries += [(float(e), ms, parity, s, j) for j, e in enumerate(solved[key])]
 
     entries.sort()

@@ -17,8 +17,9 @@ the representation matrices built from creation operators.
 ``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
 before it paired states rank by rank per block; where it passes, the two
 reports agree.  ``eigenvectors`` rebuilds each CSF block of a CI result,
-which keeps eigenvalues only, re-solves it and assembles the dense
-eigenvector matrix.
+which keeps eigenvalues only, by the dense transform ``_to_csf`` of the
+determinant H (the reference for the package's sparse blocks), re-solves
+it and assembles the dense eigenvector matrix.
 ``one_body_gram`` builds the two-body square A^T A of a one-body operator
 through a dense image matrix, against the package's pairwise entries.
 The rest (spin-orbital labels, sign-counting sort, permutation inverse, exact
@@ -45,7 +46,6 @@ from permsym.ci import (
     _occupations,
     _runs,
     _sectors,
-    _to_csf,
     core_energy,
     hamiltonian_matrix,
     s_squared_matrix,
@@ -288,6 +288,19 @@ def ci_solve_dense(model, basis, guard=1e-6):
         entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:4])
     states = tuple(CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, _, s in entries)
     return np.array([t[0] for t in entries]), states
+
+
+def _to_csf(groups, x: np.ndarray) -> np.ndarray:
+    """K^T x, for x over a CSF block's determinants in block order, with
+    ``groups`` the (configurations, spin functions) of each open-shell
+    count.  With every spin-function matrix transposed, this is K x."""
+    out, at = [], 0
+    for n_conf, funcs in groups:
+        d, f = funcs.shape
+        part = x[at : at + n_conf * d].reshape(n_conf, d, -1)
+        out.append((funcs.T @ part).reshape(n_conf * f, -1))
+        at += n_conf * d
+    return np.concatenate(out)
 
 
 def eigenvectors(model: OscillatorModel, result: CIResult) -> np.ndarray:

@@ -217,8 +217,9 @@ class TestGramEntries:
 
 class TestCISolve:
     def test_peak_memory_of_eigenvalue_solve(self):
-        """Without eigenvectors or a dense image matrix, ci_solve holds
-        fewer than three dense float matrices of its largest sector."""
+        """Without eigenvectors, a dense image matrix or a dense determinant
+        H, ci_solve holds less than one dense float matrix of its largest
+        sector: only the CSF blocks, each smaller, are dense."""
         model = osc.make_model(4, 0.1)
         basis = cimod.build_basis(4, 10, ms=0.0)
         largest = max(len(rows) for _, _, rows, _ in cimod._sectors(basis))
@@ -228,7 +229,7 @@ class TestCISolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * largest**2
+        assert peak < 8 * largest**2
 
     def test_uncoupled_diagonal(self):
         m = osc.make_model(3, 0.0)
@@ -489,13 +490,13 @@ class TestSpinAdaptedSolve:
         """`ci --ms all` builds H for M_s = +1/2 only; every other sector
         reuses its eigenpairs."""
         built = []
-        real = cimod.hamiltonian_matrix
+        real = cimod._hamiltonian_entries
 
         def spy(model, basis):
             built.append({oracles.det_ms(det) for det in basis})
             return real(model, basis)
 
-        monkeypatch.setattr(cimod, "hamiltonian_matrix", spy)
+        monkeypatch.setattr(cimod, "_hamiltonian_entries", spy)
         model = osc.make_model(3, 0.1)
         cimod.ci_solve(model, cimod.build_basis(3, 5))
         assert built == [{0.5}, {0.5}]
@@ -542,6 +543,32 @@ class TestSpinAdaptedSolve:
         ms = np.array([oracles.det_ms(det) for det in basis])
         for j, st in enumerate(result.states):
             assert set(ms[np.abs(vecs[:, j]) > 0]) == {st.ms}
+
+
+@pytest.mark.parametrize("n,m_orb", [(3, 6), (3, 8), (4, 5), (4, 6)])
+@pytest.mark.parametrize("where", ["low edge", "high edge", 0.1, 0.6])
+def test_csf_blocks_match_dense_transform(n, m_orb, where):
+    """Every (M_s, parity, S) block, scattered from the sparse entries of
+    H, is the dense transform K^T H K of the determinant H, 1e-3 inside
+    each edge of the bound window and at two couplings inside it."""
+    lo, hi = osc.BOUND_WINDOWS[n]
+    xi = {"low edge": lo + 1e-3, "high edge": hi - 1e-3}.get(where, where)
+    model = osc.make_model(n, xi)
+    occ = cimod.build_basis(n, m_orb)
+    for ms, _, rows, groups in cimod._sectors(occ):
+        entries = cimod._hamiltonian_entries(model, occ[rows])
+        h = cimod.hamiltonian_matrix(model, occ[rows])
+        for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
+            carrying = [g for g in groups if g[0] >= 2 * s]
+            block = [
+                (len(conf), cimod.spin_functions(k, n_beta, s))
+                for k, n_beta, _, conf in carrying
+            ]
+            start = carrying[0][2]
+            half = oracles._to_csf(block, h[start:, start:])
+            dense = oracles._to_csf(block, half.T)
+            sparse = cimod._csf_block(entries, start, block)
+            assert np.abs(sparse - dense).max() < 1e-12, (ms, s)
 
 
 class TestLowestN4:
