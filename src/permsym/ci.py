@@ -24,14 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
+from . import lazy_numpy
 from .errors import BasisTooSmallError, NumericalIntegrityError
 from .oscillator import LevelDescriptor, OscillatorModel, level_energy
 
 if TYPE_CHECKING:
     from .spin import AllowedIrrepMap
 
+np = lazy_numpy()
 #: largest |S^2 f - S(S+1) f| a spin function may show
 _SPIN_GUARD = 1e-10
 #: relative width of a run of degenerate energies

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-# honor the thread cap before any numpy-backed module loads BLAS
+# set the thread cap first: numpy (and BLAS) runs later, on first use, if at all
 _threads = os.environ.get("PERMSYM_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

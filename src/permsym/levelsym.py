@@ -19,8 +19,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import lazy_numpy
 from .errors import NumericalIntegrityError
 from .oscillator import LevelDescriptor, OscillatorModel, permutation_action_matrix
 from .symgroup import (
@@ -32,6 +31,7 @@ from .symgroup import (
     partitions,
 )
 
+np = lazy_numpy()
 _RANK_TOL = 1e-8
 
 

@@ -22,11 +22,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
+from . import lazy_numpy
 from .errors import NumericalIntegrityError, UnboundModelError
 from .symgroup import Permutation, all_permutations
 
+np = lazy_numpy()
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
 

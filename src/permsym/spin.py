@@ -29,9 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
-from . import ci
+from . import ci, lazy_numpy
 from .errors import NumericalIntegrityError
 from .levelsym import character_projector, irrep_multiplicities
 from .oscillator import (
@@ -49,6 +47,7 @@ from .symgroup import (
     sign_irrep,
 )
 
+np = lazy_numpy()
 _HALF_GUARD = 1e-6
 _ZERO_TOL = 1e-8
 #: highest n_sym searched for the first level that holds an irrep

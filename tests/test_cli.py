@@ -501,26 +501,95 @@ class TestOutputErrors:
         assert err
 
 
+def _fresh(probe, *argv, env=os.environ):
+    """Run the Python source ``probe`` with ``argv`` in a fresh interpreter on
+    this source tree, in ``env`` with the tree put on PYTHONPATH."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=dict(env, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
 def _fresh_import(module, names):
     """Run ``import module`` in a fresh interpreter on this source tree and
     return the sorted names of ``sys.modules`` that ``names`` selects."""
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if {names}))"
-    return subprocess.run(
-        [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
+    run = _fresh(f"import sys, {module}; print(sorted(m for m in sys.modules if {names}))")
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
 
 
 def test_package_import_loads_nothing():
-    """``import permsym`` loads no numpy and none of its own modules, so the
-    CLI's PERMSYM_THREADS cap runs before BLAS loads."""
+    """``import permsym`` loads no numpy and none of its own modules.  The
+    modules load numpy on first use, so the CLI's PERMSYM_THREADS cap acts
+    before BLAS loads (see ``test_thread_cap_precedes_numpy``)."""
     loaded = "m.split('.')[0] == 'numpy' or m.startswith('permsym.')"
     assert _fresh_import("permsym", loaded) == "[]"
+
+
+#: runs the CLI on ``argv[2:]``, with numpy blocked when ``argv[1]`` is "1"
+_CLI_PROBE = """
+import sys
+if sys.argv[1] == "1":
+    sys.modules["numpy"] = None
+from permsym import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--n", "3"],
+        ["table", "--n", "4"],
+        ["spectrum", "--n", "4", "--xi", "0.1", "--max-quanta", "6"],
+        ["irreps", "--n", "3", "--xi", "0.1", "--max-quanta", "20"],
+        ["irreps", "--n", "4", "--xi", "0.1", "--max-quanta", "10"],
+        ["allowed", "--n", "3"],
+        ["allowed", "--n", "4"],
+    ],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_integer_commands_load_no_numpy(argv):
+    """The integer commands never touch numpy: with it blocked they exit 0
+    and print, byte for byte, what they print without the block."""
+    blocked, free = (_fresh(_CLI_PROBE, flag, *argv) for flag in ("1", "0"))
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout
+    assert (free.returncode, free.stdout) == (0, blocked.stdout)
+
+
+#: imports numpy first when ``argv[1]`` is "1", then the CLI, then solves
+_SOLVE_PROBE = """
+import json, os, sys
+if sys.argv[1] == "1":
+    import numpy
+import permsym.cli
+from permsym import ci, oscillator
+print(json.dumps(["numpy.linalg" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
+result = ci.ci_solve(oscillator.make_model(3, 0.1), ci.build_basis(3, 6))
+print(json.dumps(result.eigenvalues.tolist()))
+"""
+
+
+def test_thread_cap_precedes_numpy():
+    """``import permsym.cli`` sets the BLAS thread cap and has not loaded
+    numpy's linear algebra yet; numpy then runs on first use and solves as
+    it does when imported before the package (every test module's case)."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PERMSYM_THREADS"] = "1"
+    lazy, eager = (_fresh(_SOLVE_PROBE, flag, env=env) for flag in ("0", "1"))
+    assert lazy.returncode == 0, lazy.stderr
+    assert eager.returncode == 0, eager.stderr
+    lazy_state, lazy_values = map(json.loads, lazy.stdout.splitlines())
+    eager_state, eager_values = map(json.loads, eager.stdout.splitlines())
+    assert lazy_state == [False, "1"]
+    assert eager_state[0]  # the control really loaded numpy first
+    assert len(lazy_values) == math.comb(12, 3)
+    np.testing.assert_allclose(lazy_values, eager_values, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

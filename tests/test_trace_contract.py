@@ -33,6 +33,8 @@ OPERATIONS = [
         math.comb(10, 3),
     ),
     (["allowed", "--n", "3", "--verify", "constructive"], 0),
+    # integer-only: numpy is first loaded by the tracer, not the command
+    (["irreps", "--n", "3", "--xi", "0.1", "--max-quanta", "6"], 0),
 ]
 
 
