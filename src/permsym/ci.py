@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import lazy_numpy
 from .errors import BasisTooSmallError, NumericalIntegrityError
@@ -38,23 +38,6 @@ _SPIN_GUARD = 1e-10
 _DEGENERACY_TOL = 1e-9
 #: determinants are int64 bitmasks over the spin-orbitals
 _MASK_BITS = 63
-
-
-def x_matrix_element(a: int, b: int) -> float:
-    """<phi_a | x | phi_b> for unit-frequency oscillator orbitals:
-    sqrt(max(a, b)/2) when |a - b| = 1, else 0."""
-    if a < 0 or b < 0:
-        raise ValueError("orbital indices must be >= 0")
-    if abs(a - b) != 1:
-        return 0.0
-    return math.sqrt(max(a, b) / 2.0)
-
-
-def core_energy(a: int) -> float:
-    """One-body energy of orbital a: a + 1/2 (diagonal in this basis)."""
-    if a < 0:
-        raise ValueError("orbital index must be >= 0")
-    return a + 0.5
 
 
 def _ms(occ: np.ndarray) -> np.ndarray:
@@ -138,9 +121,10 @@ def _one_body(occ: np.ndarray, op: np.ndarray):
 
 
 def _position(n_orbitals: int) -> np.ndarray:
-    """x on the interleaved spin-orbital index (spin-free)."""
-    m = range(n_orbitals)
-    return np.kron([[x_matrix_element(a, b) for b in m] for a in m], np.eye(2))
+    """x on the interleaved spin-orbital index (spin-free): for unit-frequency
+    oscillator orbitals <phi_a | x | phi_(a+1)> = sqrt((a + 1)/2)."""
+    off = np.sqrt(np.arange(1, n_orbitals) / 2.0)
+    return np.kron(np.diag(off, 1) + np.diag(off, -1), np.eye(2))
 
 
 def _gram_entries(targets: np.ndarray, src: np.ndarray, values: np.ndarray):
@@ -195,7 +179,7 @@ def _hamiltonian_entries(model: OscillatorModel, basis: np.ndarray):
         )
     n_orb = int(occ.max()) // 2 + 1
     x = _position(n_orb)
-    h1 = np.kron(np.diag([core_energy(a) for a in range(n_orb)]), np.eye(2))
+    h1 = np.diag(np.arange(2 * n_orb) // 2 + 0.5)  # orbital a: a + 1/2
     targets, src, values = _one_body(occ, h1 - 0.5 * model.xi * (x @ x))
     masks = _masks(occ)
     order = np.argsort(masks)
@@ -308,15 +292,6 @@ def _csf_block(entries, start: int, groups) -> np.ndarray:
     return np.bincount(at.ravel(), products.ravel(), size * size).reshape(size, size)
 
 
-@dataclass(frozen=True)
-class CIResult:
-    """Eigenvalues over the determinant basis, labelled per state."""
-
-    basis: np.ndarray  # (dim, N) occupations, read-only
-    eigenvalues: np.ndarray
-    states: tuple[CIState, ...]
-
-
 def _runs(values: np.ndarray):
     """(start, stop) of each run of ascending values that lie within
     _DEGENERACY_TOL (relative) of the run's first value."""
@@ -374,8 +349,9 @@ def _sectors(occ: np.ndarray):
         yield m, p, rows, groups
 
 
-def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
-    """Spin-adapted dense eigenvalues with deterministic output.
+def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
+    """The CI states over the determinant basis: spin-adapted dense
+    eigenvalues, each labelled (S, M_s, parity), in a deterministic order.
 
     H conserves M_s, the parity of the total orbital quanta and the total
     spin S.  Each (M_s, parity) sector of the basis is ordered by open-shell
@@ -399,7 +375,6 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
     eigenvalue.
     """
     occ = _occupations(basis)
-    occ.setflags(write=False)
     solved = {}  # (S, parity, configurations) -> eigenvalues
     entries = []  # (energy, M_s, parity, S, index in block)
     for ms, parity, rows, groups in _sectors(occ):
@@ -420,13 +395,7 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> CIResult:
     entries.sort()
     for i, j in _runs(np.array([t[0] for t in entries])):
         entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:])
-    return CIResult(
-        basis=occ,
-        eigenvalues=np.array([t[0] for t in entries]),
-        states=tuple(
-            CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _ in entries
-        ),
-    )
+    return tuple(CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _ in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +412,18 @@ class MatchedState:
 
 
 @dataclass(frozen=True)
-class MissingLevel:
-    quanta_key: tuple[int, int]
-    energy: float
-    irrep_mults: Mapping[str, int]
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Outcome of matching CI states against the exact level list.
 
-    ``missing`` holds exact levels below the convergence horizon that no CI
-    state matched; on a successful experiment every one of them carries only
-    forbidden irrep content and ``spurious`` is empty.  ``vacuous`` is set
-    when no allowed exact state lies below the horizon, so nothing was
-    verified.
+    ``missing`` holds the given exact levels below the convergence horizon
+    that no CI state matched; on a successful experiment every one of them
+    carries only forbidden irrep content and ``spurious`` is empty.
+    ``vacuous`` is set when no allowed exact state lies below the horizon,
+    so nothing was verified.
     """
 
     matched: tuple[MatchedState, ...]
-    missing: tuple[MissingLevel, ...]
+    missing: tuple[LevelDescriptor, ...]
     spurious: tuple[float, ...]
     horizon: float
     vacuous: bool
@@ -505,13 +467,13 @@ class ComparisonReport:
 
 def compare(
     model: OscillatorModel,
-    ci_result: CIResult,
+    states: Sequence[CIState],
     exact_levels: Sequence[LevelDescriptor],
     allowed: AllowedIrrepMap,
     tol: float,
 ) -> ComparisonReport:
-    """Pair CI states with exact states rank by rank in each (M_s, S, parity)
-    block.
+    """Pair the CI states (as :func:`ci_solve` orders them) with exact states
+    rank by rank in each (M_s, S, parity) block.
 
     Every exact level must carry irrep multiplicities.  A level holding m
     copies of irrep Gamma puts m exact states into block (M_s, S, its
@@ -530,9 +492,9 @@ def compare(
     is matched when its same-rank exact state lies within tol and the lower
     of the two energies (normally the exact one) is below the horizon; an
     unmatched CI state below the horizon is spurious.  Levels below the
-    horizon with no matched state are reported missing.  A CI result whose
-    states all have |M_s| above some allowed spin cannot hold that spin's
-    states, so it raises ValueError.
+    horizon with no matched state are reported missing, as given.  CI
+    states that all have |M_s| above some allowed spin cannot hold that
+    spin's states, so they raise ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -541,7 +503,7 @@ def compare(
             f"allowed map is for N={allowed.n}, model has N={model.n_particles}"
         )
     spins = [s for ss in allowed.spins.values() for s in ss]
-    lowest_ms = min(abs(st.ms) for st in ci_result.states)
+    lowest_ms = min(abs(st.ms) for st in states)
     if spins and min(spins) < lowest_ms:
         raise ValueError(
             f"allowed spin S={min(spins):g} has no state with |M_s| >= "
@@ -555,12 +517,12 @@ def compare(
             )
     levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
     ci, ranks = {}, []  # block eigenvalues ascending; each state's rank
-    for st in ci_result.states:
+    for st in states:
         block = ci.setdefault((st.ms, st.s, st.parity), [])
         ranks.append(len(block))
         block.append(st.energy)
     exact = {key: [] for key in ci}
-    ms_values = {st.ms for st in ci_result.states}
+    ms_values = {st.ms for st in states}
     for lv in levels:
         for label, m in lv.irrep_mults.items():
             for s, ms in itertools.product(allowed.spins[label], ms_values):
@@ -587,7 +549,7 @@ def compare(
 
     matched: list[MatchedState] = []
     spurious: list[float] = []
-    for state, k in zip(ci_result.states, ranks):
+    for state, k in zip(states, ranks):
         ex = exact[state.ms, state.s, state.parity]
         exact_e = ex[k].energy if k < len(ex) else math.inf
         if abs(state.energy - exact_e) <= tol and min(state.energy, exact_e) < horizon:
@@ -601,9 +563,7 @@ def compare(
 
     matched_keys = {m.quanta_key for m in matched}
     missing = tuple(
-        MissingLevel(lv.quanta_key, lv.energy, dict(lv.irrep_mults))
-        for lv in levels
-        if lv.energy < horizon and lv.quanta_key not in matched_keys
+        lv for lv in levels if lv.energy < horizon and lv.quanta_key not in matched_keys
     )
     return ComparisonReport(
         matched=tuple(matched),

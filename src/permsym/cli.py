@@ -185,17 +185,17 @@ def _cmd_project(config: RunConfig) -> int:
     table = symgroup.character_table(config.n)
     dimension = table.dimension(config.irrep)
     level = oscillator.make_level(model, config.n_sym, config.n_last)
-    salc_set = levelsym.salc(model, level, table, config.irrep)
+    vectors = levelsym.salc(model, level, table, config.irrep)
     _emit_json(
         {
             "irrep": config.irrep,
             "dimension": dimension,
-            "copies": salc_set.copies,
+            "copies": len(vectors) // dimension,
             "level": _level_row(level),
             "basis_patterns": [
                 list(p) for p in oscillator.level_patterns(config.n, config.n_sym)
             ],
-            "vectors": [list(v) for v in salc_set.vectors],
+            "vectors": [list(v) for v in vectors],
         },
         config,
     )
@@ -234,10 +234,9 @@ def _determinant_basis(config: RunConfig):
 def _cmd_ci(config: RunConfig) -> int:
     model = oscillator.make_model(config.n, config.xi)
     basis = _determinant_basis(config)
-    result = cimod.ci_solve(model, basis)
     rows = [
         {"energy": st.energy, "S": st.s, "Ms": st.ms, "parity": st.parity}
-        for st in result.states
+        for st in cimod.ci_solve(model, basis)
     ]
     if config.format == "csv":
         _emit_csv(rows, config)
@@ -250,8 +249,8 @@ def _cmd_compare(config: RunConfig) -> int:
     model, levels = _decorated_levels(config)
     allowed = spin.allowed_spatial_irreps(config.n)
     basis = _determinant_basis(config)
-    result = cimod.ci_solve(model, basis)
-    report = cimod.compare(model, result, levels, allowed, config.tol)
+    states = cimod.ci_solve(model, basis)
+    report = cimod.compare(model, states, levels, allowed, config.tol)
     _emit_json(report.to_dict(), config)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 

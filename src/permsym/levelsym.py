@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 from . import lazy_numpy
 from .errors import NumericalIntegrityError
@@ -80,22 +79,6 @@ def attach_multiplicities(
     return dataclasses.replace(level, irrep_mults=mults)
 
 
-@dataclass(frozen=True)
-class SalcSet:
-    """Orthonormal symmetry-adapted vectors over a level's basis.
-
-    ``vectors`` has shape (copies * dimension, degeneracy); the split of a
-    multidimensional irrep block into partners is convention-dependent
-    (fixed here by the orthonormalization of the projected column space).
-    Signs are fixed: in each vector the first component whose magnitude
-    exceeds 1e-8 (``_RANK_TOL``) is positive.
-    """
-
-    irrep: str
-    copies: int
-    vectors: np.ndarray
-
-
 def character_projector(
     model: OscillatorModel,
     level: LevelDescriptor,
@@ -118,10 +101,16 @@ def salc(
     level: LevelDescriptor,
     table: CharacterTable,
     irrep: str,
-) -> SalcSet:
-    """Orthonormal basis of the irrep's isotypic subspace of a level.
+) -> np.ndarray:
+    """Orthonormal basis of the irrep's isotypic subspace of a level: the
+    symmetry-adapted vectors as rows over the level's basis, shape
+    (copies * dimension, degeneracy), with copies the irrep's multiplicity
+    in the level (zero rows when it does not occur).
 
-    Returns an empty set (zero vectors) when the irrep does not occur.
+    The split of a multidimensional irrep block into partners is
+    convention-dependent (fixed here by the orthonormalization of the
+    projected column space).  Signs are fixed: in each vector the first
+    component whose magnitude exceeds 1e-8 (``_RANK_TOL``) is positive.
     """
     dimension = table.dimension(irrep)  # an unknown label fails before any work
     mults = irrep_multiplicities(model, level, table)
@@ -143,4 +132,4 @@ def salc(
     vectors = u[:, :rank].T.copy()
     lead = np.argmax(np.abs(vectors) > _RANK_TOL, axis=1)
     vectors *= np.sign(vectors[np.arange(rank), lead])[:, None]
-    return SalcSet(irrep=irrep, copies=mults[irrep], vectors=vectors)
+    return vectors

@@ -31,17 +31,27 @@ def model4():
 
 
 @pytest.fixture(scope="session")
-def ci3_m10(model3):
-    """Full CI for N=3, M=10, Ms=+1/2 (reused across tests)."""
-    basis = cimod.build_basis(3, 10, ms=0.5)
-    return cimod.ci_solve(model3, basis)
+def basis3_m10():
+    """The N=3, M=10, Ms=+1/2 determinant basis."""
+    return cimod.build_basis(3, 10, ms=0.5)
+
+
+@pytest.fixture(scope="session")
+def ci3_m10(model3, basis3_m10):
+    """Full CI states for N=3, M=10, Ms=+1/2 (reused across tests)."""
+    return cimod.ci_solve(model3, basis3_m10)
 
 
 @pytest.fixture(scope="session")
 def ci4_m8(model4):
-    """Full CI for N=4, M=8, Ms=0."""
+    """Full CI states for N=4, M=8, Ms=0."""
     basis = cimod.build_basis(4, 8, ms=0.0)
     return cimod.ci_solve(model4, basis)
+
+
+def energies(states):
+    """The energies of CI states as an array, in state order."""
+    return np.array([st.energy for st in states])
 
 
 def perm_sign(p):

@@ -1,10 +1,11 @@
 """Test-only reference implementations.
 
 ``hamiltonian_element`` is the textbook Slater-Condon casework for the
-coupled-oscillator Hamiltonian, element by element.  The package builds H
-from one-body operators instead; this oracle checks it entrywise.
-``product_basis_oracle`` diagonalizes H on the non-antisymmetrized product
-basis, which holds the forbidden levels too.  ``ci_solve_dense`` is the
+coupled-oscillator Hamiltonian, element by element, from the scalar
+one-body integrals ``x_matrix_element`` and ``core_energy``.  The package
+builds H from one-body operator matrices instead; this oracle checks it
+entrywise.  ``product_basis_oracle`` diagonalizes H on the
+non-antisymmetrized product basis, which holds the forbidden levels too.  ``ci_solve_dense`` is the
 determinant-basis CI that measures total spin instead of imposing it.
 ``spin_content_by_eigh`` decomposes the spin space by diagonalizing S^2 and
 tracing permutation matrices, in floats, against the package's integer
@@ -16,8 +17,8 @@ as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.
 ``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
 before it paired states rank by rank per block; where it passes, the two
-reports agree.  ``eigenvectors`` rebuilds each CSF block of a CI result,
-which keeps eigenvalues only, by the dense transform ``_to_csf`` of the
+reports agree.  ``eigenvectors`` rebuilds each CSF block of the CI states,
+which carry eigenvalues only, by the dense transform ``_to_csf`` of the
 determinant H (the reference for the package's sparse blocks), re-solves
 it and assembles the dense eigenvector matrix.
 ``one_body_gram`` builds the two-body square A^T A of a one-body operator
@@ -38,19 +39,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from permsym.ci import (
-    CIResult,
     CIState,
     ComparisonReport,
     MatchedState,
-    MissingLevel,
     _occupations,
     _runs,
     _sectors,
-    core_energy,
     hamiltonian_matrix,
     s_squared_matrix,
     spin_functions,
-    x_matrix_element,
 )
 from permsym.errors import NumericalIntegrityError
 from permsym.oscillator import (
@@ -80,6 +77,23 @@ from permsym.symgroup import (
     decompose,
     parity,
 )
+
+
+def x_matrix_element(a: int, b: int) -> float:
+    """<phi_a | x | phi_b> for unit-frequency oscillator orbitals:
+    sqrt(max(a, b)/2) when |a - b| = 1, else 0."""
+    if a < 0 or b < 0:
+        raise ValueError("orbital indices must be >= 0")
+    if abs(a - b) != 1:
+        return 0.0
+    return math.sqrt(max(a, b) / 2.0)
+
+
+def core_energy(a: int) -> float:
+    """One-body energy of orbital a: a + 1/2 (diagonal in this basis)."""
+    if a < 0:
+        raise ValueError("orbital index must be >= 0")
+    return a + 0.5
 
 
 def _orb(index):
@@ -303,17 +317,21 @@ def _to_csf(groups, x: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def eigenvectors(model: OscillatorModel, result: CIResult) -> np.ndarray:
-    """The dense eigenvector matrix of a CI result, column j for
-    eigenvalues[j]: each (M_s, parity, S) block is rebuilt from the
-    package's sectors and spin functions, its CSF H is solved with eigh, and
-    its eigenvectors are taken back to determinants.  By the documented
-    state order, the k-th state of a block is its k-th eigenvector."""
-    out = np.zeros((len(result.basis), len(result.basis)))
+def eigenvectors(
+    model: OscillatorModel, basis, states: Sequence[CIState]
+) -> np.ndarray:
+    """The dense eigenvector matrix of the CI states ``ci_solve`` gave on
+    ``basis``, column j for states[j], rows in the order of ``basis``: each
+    (M_s, parity, S) block is rebuilt from the package's sectors and spin
+    functions, its CSF H is solved with eigh, and its eigenvectors are taken
+    back to determinants.  By the documented state order, the k-th state of
+    a block is its k-th eigenvector."""
+    occ = _occupations(basis)
+    out = np.zeros((len(occ), len(occ)))
     cols = {}  # (M_s, parity, S) -> state indices in order
-    for j, st in enumerate(result.states):
+    for j, st in enumerate(states):
         cols.setdefault((st.ms, st.parity, st.s), []).append(j)
-    for ms, parity, rows, groups in _sectors(result.basis):
+    for ms, parity, rows, groups in _sectors(occ):
         for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
             carrying = [g for g in groups if g[0] >= 2 * s]
             block = [
@@ -321,7 +339,7 @@ def eigenvectors(model: OscillatorModel, result: CIResult) -> np.ndarray:
                 for k, n_beta, _, conf in carrying
             ]
             block_rows = rows[carrying[0][2]:]
-            h = hamiltonian_matrix(model, result.basis[block_rows])
+            h = hamiltonian_matrix(model, occ[block_rows])
             _, coeffs = np.linalg.eigh(_to_csf(block, _to_csf(block, h).T))
             k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block]
             block_cols = cols[ms, parity, s]
@@ -703,7 +721,7 @@ def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[str]:
 
 def compare_greedy(
     model: OscillatorModel,
-    ci_result: CIResult,
+    states: Sequence[CIState],
     exact_levels: Sequence[LevelDescriptor],
     allowed: AllowedIrrepMap,
     tol: float,
@@ -718,7 +736,7 @@ def compare_greedy(
     n_sym + n_last given, that is the lowest level of the cutoff+1 shell,
     since energies rise with both quanta.  Only CI states below the horizon
     are classified.  Levels below the horizon with no matching CI state are
-    reported missing.  A CI result whose states all have |M_s| above some
+    reported missing, as given.  CI states that all have |M_s| above some
     allowed spin cannot hold that spin's states, so it raises ValueError.
     """
     if tol <= 0:
@@ -728,7 +746,7 @@ def compare_greedy(
             f"allowed map is for N={allowed.n}, model has N={model.n_particles}"
         )
     spins = [s for ss in allowed.spins.values() for s in ss]
-    lowest_ms = min(abs(st.ms) for st in ci_result.states)
+    lowest_ms = min(abs(st.ms) for st in states)
     if spins and min(spins) < lowest_ms:
         raise ValueError(
             f"allowed spin S={min(spins):g} has no state with |M_s| >= "
@@ -746,7 +764,7 @@ def compare_greedy(
     def has_allowed_content(lv: LevelDescriptor) -> bool:
         return any(m and lbl not in forbidden for lbl, m in lv.irrep_mults.items())
 
-    evals = ci_result.eigenvalues
+    evals = np.array([st.energy for st in states])
     horizon = levels[-1].energy + tol if levels else 0.0
     if levels:
         shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
@@ -776,7 +794,7 @@ def compare_greedy(
         if best is None:
             spurious.append(float(e))
             continue
-        state = ci_result.states[j]
+        state = states[j]
         matched.append(
             MatchedState(
                 ci_energy=float(e),
@@ -789,9 +807,7 @@ def compare_greedy(
         matched_keys.add(best.quanta_key)
 
     missing = tuple(
-        MissingLevel(lv.quanta_key, lv.energy, dict(lv.irrep_mults))
-        for lv in levels
-        if lv.energy < horizon and lv.quanta_key not in matched_keys
+        lv for lv in levels if lv.energy < horizon and lv.quanta_key not in matched_keys
     )
     return ComparisonReport(
         matched=tuple(matched),

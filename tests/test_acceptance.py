@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import first_quantized_determinant_matrix
+from conftest import energies, first_quantized_determinant_matrix
 from permsym import ci as cimod
 from permsym import cli
 from permsym import levelsym as ls
@@ -90,17 +90,17 @@ def test_criterion_03_salc_reproduction(model3, t3):
         pat2 = osc.level_patterns(3, 2)
         a1 = ls.salc(model3, lv2, t3, "A1")
         target = hermite_product_vector(pat2, {(2, 0): 1.0, (0, 2): 1.0})
-        assert np.linalg.norm(target - a1.vectors.T @ (a1.vectors @ target)) < 1e-8
+        assert np.linalg.norm(target - a1.T @ (a1 @ target)) < 1e-8
 
         lv3 = osc.make_level(model3, 3, 0)
         pat3 = osc.level_patterns(3, 3)
         a2 = ls.salc(model3, lv3, t3, "A2")
         target = hermite_product_vector(pat3, {(3, 0): 1.0, (1, 2): -3.0})
-        assert np.linalg.norm(target - a2.vectors.T @ (a2.vectors @ target)) < 1e-8
+        assert np.linalg.norm(target - a2.T @ (a2 @ target)) < 1e-8
 
         a1_3 = ls.salc(model3, lv3, t3, "A1")
         target = hermite_product_vector(pat3, {(2, 1): 3.0, (0, 3): -1.0})
-        assert np.linalg.norm(target - a1_3.vectors.T @ (a1_3.vectors @ target)) < 1e-8
+        assert np.linalg.norm(target - a1_3.T @ (a1_3 @ target)) < 1e-8
 
 
 def test_criterion_04a_irrep_content_n4(model4, t4):
@@ -149,7 +149,7 @@ def test_criterion_07_missing_levels_n3(model3, t3, ci3_m10, tmp_path):
     with _report("7", "N=3, xi=0.1, M=10: lowest CI at the first allowed "
                  "level within 1e-4; E_00j levels missing; compare exits 0"):
         lowest_allowed = 2 * math.sqrt(0.9) + 0.5 * math.sqrt(1.2)
-        assert abs(ci3_m10.eigenvalues[0] - lowest_allowed) < 1e-4
+        assert abs(ci3_m10[0].energy - lowest_allowed) < 1e-4
         levels = [
             ls.attach_multiplicities(model3, lv, t3)
             for lv in osc.enumerate_levels(model3, 4)
@@ -159,7 +159,7 @@ def test_criterion_07_missing_levels_n3(model3, t3, ci3_m10, tmp_path):
         )
         for lv in levels:
             if lv.n_sym == 0 and lv.energy < report.horizon:
-                assert np.abs(ci3_m10.eigenvalues - lv.energy).min() > 0.05
+                assert np.abs(energies(ci3_m10) - lv.energy).min() > 0.05
         missing_keys = {m.quanta_key for m in report.missing}
         expected_missing = {
             lv.quanta_key
@@ -182,8 +182,8 @@ def test_criterion_08_missing_levels_n4(model4, t4, ci4_m8):
     with _report("8", "N=4, xi=0.1, M=8: lowest CI state is a singlet at the "
                  "n_sym=2 level within 5e-3; n_sym = 0, 1 levels missing"):
         target = 3.5 * math.sqrt(0.9) + 0.5 * math.sqrt(1.3)
-        assert abs(ci4_m8.eigenvalues[0] - target) < 5e-3
-        assert ci4_m8.states[0].s == 0.0
+        assert abs(ci4_m8[0].energy - target) < 5e-3
+        assert ci4_m8[0].s == 0.0
         levels = [
             ls.attach_multiplicities(model4, lv, t4)
             for lv in osc.enumerate_levels(model4, 3)
@@ -212,7 +212,7 @@ def test_criterion_09_oracle_equivalence(model3):
         assert np.abs(h - oracle).max() < 1e-10
 
 
-def test_criterion_10_property_suites(model3, ci3_m10):
+def test_criterion_10_property_suites(model3, ci3_m10, basis3_m10):
     with _report("10", "projector algebra exact in the regular rep; "
                  "representation homomorphism to 1e-9; variational "
                  "monotonicity; <S^2> = S(S+1) within 1e-6"):
@@ -256,14 +256,14 @@ def test_criterion_10_property_suites(model3, ci3_m10):
         previous = None
         for m_orb in (4, 6, 8, 10):
             basis = cimod.build_basis(3, m_orb, ms=0.5)
-            e0 = cimod.ci_solve(model3, basis).eigenvalues[0]
+            e0 = cimod.ci_solve(model3, basis)[0].energy
             if previous is not None:
                 assert e0 <= previous + 1e-12
             previous = e0
 
         # <S^2> equals S(S+1) for every eigenvector of the M=10 run
-        s2 = cimod.s_squared_matrix(list(ci3_m10.basis))
-        vecs = oracles.eigenvectors(model3, ci3_m10)
-        for j, state in enumerate(ci3_m10.states):
+        s2 = cimod.s_squared_matrix(list(basis3_m10))
+        vecs = oracles.eigenvectors(model3, basis3_m10, ci3_m10)
+        for j, state in enumerate(ci3_m10):
             vec = vecs[:, j]
             assert abs(vec @ s2 @ vec - state.s * (state.s + 1)) < 1e-6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import first_quantized_determinant_matrix
+from conftest import energies, first_quantized_determinant_matrix
 from permsym import ci as cimod
 from permsym import levelsym as ls
 from permsym import oscillator as osc
@@ -28,32 +28,42 @@ def quadrature_x_element(a, b, nodes=64):
 
 
 class TestOneBodyIntegrals:
+    """The oracles' scalar integrals, and the package's position matrix,
+    against Gauss-Hermite quadrature."""
+
     def test_frozen_values(self):
-        assert cimod.x_matrix_element(0, 1) == pytest.approx(
+        assert oracles.x_matrix_element(0, 1) == pytest.approx(
             0.70710678, abs=1e-8
         )
-        assert cimod.x_matrix_element(3, 4) == pytest.approx(
+        assert oracles.x_matrix_element(3, 4) == pytest.approx(
             1.41421356, abs=1e-8
         )
-        assert cimod.x_matrix_element(2, 2) == 0.0
+        assert oracles.x_matrix_element(2, 2) == 0.0
 
     def test_against_quadrature_oracle(self):
         for a in range(12):
             for b in range(12):
                 assert abs(
-                    cimod.x_matrix_element(a, b) - quadrature_x_element(a, b)
+                    oracles.x_matrix_element(a, b) - quadrature_x_element(a, b)
                 ) < 1e-12
 
+    def test_position_matrix_against_quadrature(self):
+        """x on the interleaved spin-orbitals: spin-free, so the quadrature
+        element of orbitals (a, b) sits at (2a + sigma, 2b + sigma)."""
+        quadrature = [[quadrature_x_element(a, b) for b in range(12)] for a in range(12)]
+        expected = np.kron(quadrature, np.eye(2))
+        assert np.abs(cimod._position(12) - expected).max() < 1e-12
+
     def test_core_energy(self):
-        assert cimod.core_energy(0) == 0.5
-        assert cimod.core_energy(3) == 3.5
-        assert cimod.core_energy(10) == 10.5
+        assert oracles.core_energy(0) == 0.5
+        assert oracles.core_energy(3) == 3.5
+        assert oracles.core_energy(10) == 10.5
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            cimod.x_matrix_element(-1, 0)
+            oracles.x_matrix_element(-1, 0)
         with pytest.raises(ValueError):
-            cimod.core_energy(-2)
+            oracles.core_energy(-2)
 
 
 def _checked_entry_points(model):
@@ -234,82 +244,84 @@ class TestCISolve:
     def test_uncoupled_diagonal(self):
         m = osc.make_model(3, 0.0)
         basis = cimod.build_basis(3, 3)
-        result = cimod.ci_solve(m, basis)
+        states = cimod.ci_solve(m, basis)
         expected = sorted(
-            sum(cimod.core_energy(i // 2) for i in det) for det in basis
+            sum(oracles.core_energy(i // 2) for i in det) for det in basis
         )
-        assert np.abs(result.eigenvalues - np.array(expected)).max() < 1e-12
+        assert np.abs(energies(states) - np.array(expected)).max() < 1e-12
 
     def test_lowest_allowed_n3(self, ci3_m10, model3):
         exact = osc.level_energy(model3, 1, 0)
-        assert ci3_m10.eigenvalues[0] == pytest.approx(exact, abs=1e-4)
-        assert ci3_m10.eigenvalues[0] == pytest.approx(2.4450892, abs=1e-6)
+        assert ci3_m10[0].energy == pytest.approx(exact, abs=1e-4)
+        assert ci3_m10[0].energy == pytest.approx(2.4450892, abs=1e-6)
 
     def test_no_eigenvalue_near_forbidden_n3(self, ci3_m10, model3):
         for j in range(4):
             forbidden = osc.level_energy(model3, 0, j)
-            assert np.abs(ci3_m10.eigenvalues - forbidden).min() > 0.05
+            assert np.abs(energies(ci3_m10) - forbidden).min() > 0.05
 
     def test_eigenvectors_orthonormal(self, model3):
         basis = cimod.build_basis(3, 4, ms=0.5)
-        result = cimod.ci_solve(model3, basis)
-        vecs = oracles.eigenvectors(model3, result)
+        states = cimod.ci_solve(model3, basis)
+        vecs = oracles.eigenvectors(model3, basis, states)
         gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(len(gram))).max() < 1e-10
 
     def test_s2_labels_are_half_integers(self, ci3_m10):
-        for st in ci3_m10.states:
+        for st in ci3_m10:
             assert st.s in (0.5, 1.5)
             assert st.ms == pytest.approx(0.5)
 
     def test_s2_expectation_guard(self, model3):
         basis = cimod.build_basis(3, 4, ms=0.5)
-        result = cimod.ci_solve(model3, basis)
+        states = cimod.ci_solve(model3, basis)
         s2 = cimod.s_squared_matrix(basis)
-        vecs = oracles.eigenvectors(model3, result)
+        vecs = oracles.eigenvectors(model3, basis, states)
         for j in range(len(basis)):
             vec = vecs[:, j]
             s2v = vec @ s2 @ vec
-            s = result.states[j].s
+            s = states[j].s
             assert abs(s2v - s * (s + 1)) < 1e-6
 
     def test_energy_invariant_under_basis_order(self, model3):
         basis = cimod.build_basis(3, 3)
         shuffled = basis[::-1]
-        e1 = cimod.ci_solve(model3, basis).eigenvalues
-        e2 = cimod.ci_solve(model3, shuffled).eigenvalues
+        e1 = energies(cimod.ci_solve(model3, basis))
+        e2 = energies(cimod.ci_solve(model3, shuffled))
         assert np.abs(e1 - e2).max() < 1e-10
 
     def test_states_invariant_under_basis_order(self, model4):
         basis = cimod.build_basis(4, 5)
-        r1 = cimod.ci_solve(model4, basis)
-        r2 = cimod.ci_solve(model4, basis[::-1])
-        assert r1.states == r2.states
+        s1 = cimod.ci_solve(model4, basis)
+        s2 = cimod.ci_solve(model4, basis[::-1])
+        assert s1 == s2
         assert np.array_equal(
-            oracles.eigenvectors(model4, r1), oracles.eigenvectors(model4, r2)[::-1]
+            oracles.eigenvectors(model4, basis, s1),
+            oracles.eigenvectors(model4, basis[::-1], s2)[::-1],
         )
 
     def test_state_order_rule(self, model4):
         """Ascending energy; inside a run of energies within 1e-9 the
         states go by (M_s, parity, index within the block)."""
-        result = cimod.ci_solve(model4, cimod.build_basis(4, 5))
-        energies = result.eigenvalues
+        states = cimod.ci_solve(model4, cimod.build_basis(4, 5))
+        values = energies(states)
         start, quintets = 0, 0
-        for k in range(1, len(energies) + 1):
-            width = 1e-9 * max(1.0, abs(energies[start]))
-            if k < len(energies) and energies[k] - energies[start] <= width:
+        for k in range(1, len(values) + 1):
+            width = 1e-9 * max(1.0, abs(values[start]))
+            if k < len(values) and values[k] - values[start] <= width:
                 continue
-            keys = [(st.ms, st.parity) for st in result.states[start:k]]
+            keys = [(st.ms, st.parity) for st in states[start:k]]
             assert keys == sorted(keys)
             quintets += k - start >= 5  # the M_s members of S=2 share a run
             start = k
         assert quintets
 
     def test_eigenvectors_have_one_parity(self, model4):
-        result = cimod.ci_solve(model4, cimod.build_basis(4, 5))
-        det_parity = (-1) ** (result.basis // 2).sum(axis=1)
-        vecs = oracles.eigenvectors(model4, result)
-        for j, st in enumerate(result.states):
+        basis = cimod.build_basis(4, 5)
+        states = cimod.ci_solve(model4, basis)
+        det_parity = (-1) ** (basis // 2).sum(axis=1)
+        vecs = oracles.eigenvectors(model4, basis, states)
+        for j, st in enumerate(states):
             support = np.abs(vecs[:, j]) > 0
             assert set(det_parity[support]) == {st.parity}
 
@@ -318,7 +330,7 @@ class TestCISolve:
         previous = None
         for m_orb in (4, 6, 8, 10):
             basis = cimod.build_basis(3, m_orb, ms=0.5)
-            e0 = cimod.ci_solve(model3, basis).eigenvalues[0]
+            e0 = cimod.ci_solve(model3, basis)[0].energy
             assert e0 >= lowest_allowed - 1e-12
             if previous is not None:
                 assert e0 <= previous + 1e-12
@@ -326,11 +338,11 @@ class TestCISolve:
 
     def test_multiplet_completeness_across_ms(self, model3):
         """Every spin-S eigenvalue appears in each Ms block from -S to S."""
-        result = cimod.ci_solve(model3, cimod.build_basis(3, 3))
+        states = cimod.ci_solve(model3, cimod.build_basis(3, 3))
         by_ms: dict[float, list] = {}
-        for st in result.states:
+        for st in states:
             by_ms.setdefault(st.ms, []).append(st)
-        for st in result.states:
+        for st in states:
             for ms2 in np.arange(-st.s, st.s + 0.5, 1.0):
                 partners = [
                     o
@@ -341,20 +353,13 @@ class TestCISolve:
 
     def test_parity_labels(self, ci3_m10):
         # lowest state comes from the odd level n_sym=1
-        assert ci3_m10.states[0].parity == -1
+        assert ci3_m10[0].parity == -1
 
     def test_empty_basis(self, model3):
         with pytest.raises(ValueError, match="empty"):
             cimod.ci_solve(model3, [])
         with pytest.raises(ValueError, match="empty"):
             cimod.ci_solve(model3, cimod.build_basis(3, 2, ms=1.5))
-
-    def test_basis_stored_read_only(self, model3):
-        basis = cimod.build_basis(3, 3, ms=0.5)
-        result = cimod.ci_solve(model3, basis)
-        assert np.array_equal(result.basis, basis)
-        assert not result.basis.flags.writeable
-        assert basis.flags.writeable  # the caller's array is left alone
 
 
 def _lowering(k):
@@ -437,14 +442,14 @@ class TestSpinAdaptedSolve:
         <S^2>, and the same (S, M_s, parity) label on each."""
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, m_orb, ms=ms)
-        result = cimod.ci_solve(model, basis)
+        ci_states = cimod.ci_solve(model, basis)
         evals, states = oracles.ci_solve_dense(model, basis)
-        assert np.abs(result.eigenvalues - evals).max() < 1e-10
+        assert np.abs(energies(ci_states) - evals).max() < 1e-10
 
         def labelled(sts):
             return sorted((st.s, st.ms, st.parity, st.energy) for st in sts)
 
-        ours, theirs = labelled(result.states), labelled(states)
+        ours, theirs = labelled(ci_states), labelled(states)
         assert [t[:3] for t in ours] == [t[:3] for t in theirs]
         assert max(abs(a[3] - b[3]) for a, b in zip(ours, theirs)) < 1e-10
 
@@ -468,7 +473,7 @@ class TestSpinAdaptedSolve:
                 out.setdefault((st.ms, st.parity, st.s), []).append(st.energy)
             return out
 
-        ours, theirs = blocks(cimod.ci_solve(model, basis).states), blocks(states)
+        ours, theirs = blocks(cimod.ci_solve(model, basis)), blocks(states)
         assert ours.keys() == theirs.keys()
         for key, energies in ours.items():
             assert energies == sorted(energies)
@@ -476,9 +481,9 @@ class TestSpinAdaptedSolve:
 
     @pytest.mark.parametrize("n,m_orb,xi", [(3, 6, 0.45), (4, 5, 0.6)])
     def test_multiplet_energies_bitwise_equal(self, n, m_orb, xi):
-        result = cimod.ci_solve(osc.make_model(n, xi), cimod.build_basis(n, m_orb))
+        states = cimod.ci_solve(osc.make_model(n, xi), cimod.build_basis(n, m_orb))
         by_block: dict = {}
-        for st in result.states:
+        for st in states:
             sectors = by_block.setdefault((st.s, st.parity), {})
             sectors.setdefault(st.ms, []).append(st.energy)
         for (s, _), sectors in by_block.items():
@@ -514,16 +519,16 @@ class TestSpinAdaptedSolve:
         with pytest.raises(ValueError, match="M_s sector"):
             getattr(cimod, entry)(*model, np.delete(basis, victim, axis=0))
 
-    def test_eigenpairs(self, ci3_m10, model3):
+    def test_eigenpairs(self, ci3_m10, basis3_m10, model3):
         """Each energy belongs to its own vector: at N=3 M=10 three states
         within 1e-9 of 7.1885 carry S = 1/2, 1/2 and 3/2, and a rotation of
         the cluster onto S^2 that kept the eigenvalues in place paired the
         S = 3/2 vector with another state's energy."""
-        vecs = oracles.eigenvectors(model3, ci3_m10)
-        h = cimod.hamiltonian_matrix(model3, ci3_m10.basis)
-        assert np.abs(h @ vecs - vecs * ci3_m10.eigenvalues).max() < 1e-10
+        vecs = oracles.eigenvectors(model3, basis3_m10, ci3_m10)
+        h = cimod.hamiltonian_matrix(model3, basis3_m10)
+        assert np.abs(h @ vecs - vecs * energies(ci3_m10)).max() < 1e-10
         quartet = [
-            st.energy for st in ci3_m10.states
+            st.energy for st in ci3_m10
             if abs(st.energy - 7.1885056) < 1e-6 and st.s == 1.5
         ]
         assert quartet == [pytest.approx(7.188505643877, abs=1e-11)]
@@ -535,13 +540,13 @@ class TestSpinAdaptedSolve:
         eigenvectors, orthonormal over the whole basis, carry them."""
         model = osc.make_model(n, 0.3)
         basis = cimod.build_basis(n, m_orb)
-        result = cimod.ci_solve(model, basis)
-        vecs = oracles.eigenvectors(model, result)
+        states = cimod.ci_solve(model, basis)
+        vecs = oracles.eigenvectors(model, basis, states)
         h = cimod.hamiltonian_matrix(model, basis)
-        assert np.abs(h @ vecs - vecs * result.eigenvalues).max() < 1e-10
+        assert np.abs(h @ vecs - vecs * energies(states)).max() < 1e-10
         assert np.abs(vecs.T @ vecs - np.eye(len(basis))).max() < 1e-12
         ms = np.array([oracles.det_ms(det) for det in basis])
-        for j, st in enumerate(result.states):
+        for j, st in enumerate(states):
             assert set(ms[np.abs(vecs[:, j]) > 0]) == {st.ms}
 
 
@@ -574,9 +579,9 @@ def test_csf_blocks_match_dense_transform(n, m_orb, where):
 class TestLowestN4:
     def test_lowest_is_singlet(self, ci4_m8, model4):
         exact = osc.level_energy(model4, 2, 0)
-        assert ci4_m8.eigenvalues[0] == pytest.approx(exact, abs=5e-3)
-        assert ci4_m8.eigenvalues[0] == pytest.approx(3.8904793, abs=1e-6)
-        assert ci4_m8.states[0].s == 0.0
+        assert ci4_m8[0].energy == pytest.approx(exact, abs=5e-3)
+        assert ci4_m8[0].energy == pytest.approx(3.8904793, abs=1e-6)
+        assert ci4_m8[0].s == 0.0
 
 
 class TestS2Matrix:
@@ -643,7 +648,7 @@ class TestCompare:
         for lv in levels:
             gap = min(abs(e - lv.energy) for e, _ in oracle)
             assert gap < 1e-4, f"oracle misses level {lv.quanta_key}"
-            ci_gap = np.abs(ci3_m10.eigenvalues - lv.energy).min()
+            ci_gap = np.abs(energies(ci3_m10) - lv.energy).min()
             content = {l for l, m in lv.irrep_mults.items() if m}
             if content == {"A1"}:
                 assert ci_gap > 0.05
@@ -713,13 +718,13 @@ class TestCompareBlocks:
         both reports agree."""
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
-        result = cimod.ci_solve(model, basis)
+        states = cimod.ci_solve(model, basis)
         levels = _decorated_levels(model, symgroup.character_table(n), 4)
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
-            report = cimod.compare(model, result, levels, allowed, tol)
+            report = cimod.compare(model, states, levels, allowed, tol)
             assert report.ok, (tol, report.to_dict())
-            greedy = oracles.compare_greedy(model, result, levels, allowed, tol)
+            greedy = oracles.compare_greedy(model, states, levels, allowed, tol)
             if greedy.ok:
                 assert greedy.to_dict() == report.to_dict()
 
@@ -737,11 +742,11 @@ class TestCompareBlocks:
         state just above it, so it is not reported missing."""
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
-        result = cimod.ci_solve(model, basis)
+        states = cimod.ci_solve(model, basis)
         levels = _decorated_levels(model, symgroup.character_table(n), 4)
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
-            report = cimod.compare(model, result, levels, allowed, tol)
+            report = cimod.compare(model, states, levels, allowed, tol)
             assert report.ok, (tol, report.to_dict())
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-3])
@@ -751,14 +756,14 @@ class TestCompareBlocks:
         block starts with a state the CI lacks, so its lowest CI state lands
         on the next predicted level: the list has shifted."""
         model = osc.make_model(n, 0.1)
-        result = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
+        states = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
         levels = _decorated_levels(model, symgroup.character_table(n), 4)
         allowed = spin.allowed_spatial_irreps(n)
         wrong = spin.AllowedIrrepMap(n, {**allowed.spins, "A1": (a1_spin,)})
-        report = cimod.compare(model, result, levels, wrong, tol)
+        report = cimod.compare(model, states, levels, wrong, tol)
         assert report.spurious
         assert not report.ok
-        assert cimod.compare(model, result, levels, allowed, tol).ok
+        assert cimod.compare(model, states, levels, allowed, tol).ok
 
     @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
     @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.4, 0.8])
@@ -771,7 +776,7 @@ class TestCompareBlocks:
         that symmetry, counted over the levels below the first shell left
         out (a complete list there)."""
         model = osc.make_model(n, xi)
-        result = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
+        states = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
         allowed = spin.allowed_spatial_irreps(n)
         shell = max_quanta + 1
         unlisted = min(osc.level_energy(model, q, shell - q) for q in range(shell + 1))
@@ -782,7 +787,7 @@ class TestCompareBlocks:
                     if lv.energy < unlisted:
                         exact.setdefault((s, lv.parity), []).extend([lv.energy] * m)
         blocks = {}  # (M_s, S, parity) -> its states' energies, ascending
-        for st in result.states:
+        for st in states:
             blocks.setdefault((st.ms, st.s, st.parity), []).append(st.energy)
         compared = 0
         for (_, s, parity), evals in blocks.items():
@@ -817,13 +822,14 @@ class TestProductBasisOracle:
 class TestDeterminism:
     def test_ci_solve_bit_stable(self, model3):
         basis = cimod.build_basis(3, 5, ms=0.5)
-        r1 = cimod.ci_solve(model3, basis)
-        r2 = cimod.ci_solve(model3, basis)
-        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+        s1 = cimod.ci_solve(model3, basis)
+        s2 = cimod.ci_solve(model3, basis)
+        assert np.array_equal(energies(s1), energies(s2))
         assert np.array_equal(
-            oracles.eigenvectors(model3, r1), oracles.eigenvectors(model3, r2)
+            oracles.eigenvectors(model3, basis, s1),
+            oracles.eigenvectors(model3, basis, s2),
         )
-        assert r1.states == r2.states
+        assert s1 == s2
 
     def test_spurious_detected_with_doctored_allowed_map(
         self, ci3_m10, model3, t3
@@ -858,18 +864,18 @@ class TestCanonicalizeProperty:
 
 
 class TestDegenerateSpinResolution:
-    def test_coincident_spins_resolved(self, ci3_m10, model3):
+    def test_coincident_spins_resolved(self, ci3_m10, basis3_m10, model3):
         """The (3,0) level hosts an S=3/2 state (from A2) and an S=1/2
         state (from E) at one energy; the solver must hand back vectors of
         definite spin, not arbitrary mixtures."""
         target = osc.level_energy(model3, 3, 0)
-        idx = np.nonzero(np.abs(ci3_m10.eigenvalues - target) < 1e-8)[0]
+        idx = np.nonzero(np.abs(energies(ci3_m10) - target) < 1e-8)[0]
         assert len(idx) == 2
-        spins = {ci3_m10.states[j].s for j in idx}
+        spins = {ci3_m10[j].s for j in idx}
         assert spins == {0.5, 1.5}
-        s2 = cimod.s_squared_matrix(ci3_m10.basis)
-        vecs = oracles.eigenvectors(model3, ci3_m10)
+        s2 = cimod.s_squared_matrix(basis3_m10)
+        vecs = oracles.eigenvectors(model3, basis3_m10, ci3_m10)
         for j in idx:
             vec = vecs[:, j]
-            s = ci3_m10.states[j].s
+            s = ci3_m10[j].s
             assert abs(vec @ s2 @ vec - s * (s + 1)) < 1e-9

@@ -13,7 +13,7 @@ import pytest
 from permsym import ci as cimod
 from permsym import cli
 from permsym import oscillator as osc
-from permsym import spin
+from permsym import spin, symgroup
 from permsym.errors import NumericalIntegrityError
 
 
@@ -135,7 +135,32 @@ class TestIrreps:
         assert "mult_E" in rows[0]
 
 
+#: every irrep at every level (n_sym, 0) up to n_sym 6 (N=3) and 4 (N=4)
+PROJECT_CASES = [
+    (n, n_sym, irrep)
+    for n, top in ((3, 6), (4, 4))
+    for n_sym in range(top + 1)
+    for irrep in symgroup.character_table(n).irreps
+]
+
+
 class TestProject:
+    @pytest.mark.parametrize("n,n_sym,irrep", PROJECT_CASES)
+    def test_copies_are_the_level_multiplicity(self, capsys, n, n_sym, irrep):
+        """``copies`` is the irrep's multiplicity in the level as ``irreps``
+        reports it, 0 included, and ``copies * dimension`` vectors are given
+        over the level's basis."""
+        levels = run_json(
+            capsys, "irreps", "--n", str(n), "--xi", "0.1", "--max-quanta", str(n_sym)
+        )["levels"]
+        (mults,) = [lv["irrep_mults"] for lv in levels if lv["quanta_key"] == [n_sym, 0]]
+        data = run_json(
+            capsys, "project", "--n", str(n), "--nsym", str(n_sym), "--irrep", irrep
+        )
+        assert data["copies"] == mults[irrep]
+        assert len(data["vectors"]) == data["copies"] * data["dimension"]
+        assert all(len(v) == data["level"]["degeneracy"] for v in data["vectors"])
+
     def test_a2_vector(self, capsys):
         data = run_json(capsys, "project", "--n", "3", "--nsym", "3", "--irrep", "A2")
         assert data["copies"] == 1 and data["dimension"] == 1
@@ -570,8 +595,8 @@ if sys.argv[1] == "1":
 import permsym.cli
 from permsym import ci, oscillator
 print(json.dumps(["numpy.linalg" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
-result = ci.ci_solve(oscillator.make_model(3, 0.1), ci.build_basis(3, 6))
-print(json.dumps(result.eigenvalues.tolist()))
+states = ci.ci_solve(oscillator.make_model(3, 0.1), ci.build_basis(3, 6))
+print(json.dumps([st.energy for st in states]))
 """
 
 

@@ -155,47 +155,46 @@ def hermite_product_vector(patterns, components):
 class TestSalc:
     def test_nsym2_a1_span_contains_sum(self, model3, t3):
         lv = osc.make_level(model3, 2, 0)
-        salc = ls.salc(model3, lv, t3, "A1")
-        assert salc.copies == 1
+        vectors = ls.salc(model3, lv, t3, "A1")
+        assert len(vectors) == 1  # one copy of the one-dimensional A1
         patterns = osc.level_patterns(3, 2)
         # psi_20 + psi_02: identical norms, so components (1, 0, 1)/sqrt(2)
         target = np.zeros(3)
         target[patterns.index((2, 0))] = 1.0
         target[patterns.index((0, 2))] = 1.0
         target /= np.linalg.norm(target)
-        residual = target - salc.vectors.T @ (salc.vectors @ target)
+        residual = target - vectors.T @ (vectors @ target)
         assert np.linalg.norm(residual) < 1e-8
 
     def test_nsym3_a2_span(self, model3, t3):
         # the printed combination psi_30 - 3 psi_12 is in Hermite-product
         # (unnormalized) components; the A2 subspace is one-dimensional
         lv = osc.make_level(model3, 3, 0)
-        salc = ls.salc(model3, lv, t3, "A2")
-        assert salc.vectors.shape == (1, 4)
+        vectors = ls.salc(model3, lv, t3, "A2")
+        assert vectors.shape == (1, 4)
         patterns = osc.level_patterns(3, 3)
         target = hermite_product_vector(patterns, {(3, 0): 1.0, (1, 2): -3.0})
-        residual = target - salc.vectors.T @ (salc.vectors @ target)
+        residual = target - vectors.T @ (vectors @ target)
         assert np.linalg.norm(residual) < 1e-8
 
     def test_nsym3_a1_span(self, model3, t3):
         lv = osc.make_level(model3, 3, 0)
-        salc = ls.salc(model3, lv, t3, "A1")
+        vectors = ls.salc(model3, lv, t3, "A1")
         patterns = osc.level_patterns(3, 3)
         target = hermite_product_vector(patterns, {(2, 1): 3.0, (0, 3): -1.0})
-        residual = target - salc.vectors.T @ (salc.vectors @ target)
+        residual = target - vectors.T @ (vectors @ target)
         assert np.linalg.norm(residual) < 1e-8
 
     def test_empty_when_absent(self, model3, t3):
         lv = osc.make_level(model3, 0, 0)
-        salc = ls.salc(model3, lv, t3, "A2")
-        assert salc.copies == 0
-        assert salc.vectors.shape[0] == 0
+        vectors = ls.salc(model3, lv, t3, "A2")
+        assert vectors.shape == (0, 1)  # no copy: zero vectors over the level
 
     def test_vectors_orthonormal(self, model4, t4):
         lv = osc.make_level(model4, 3, 0)
         for label in ("A1", "T1", "T2"):
-            salc = ls.salc(model4, lv, t4, label)
-            gram = salc.vectors @ salc.vectors.T
+            vectors = ls.salc(model4, lv, t4, label)
+            gram = vectors @ vectors.T
             assert np.abs(gram - np.eye(len(gram))).max() < 1e-9
 
     def test_projector_consistency(self, model3, t3):
@@ -206,8 +205,8 @@ class TestSalc:
             lbl: ls.character_projector(model3, lv, t3, lbl)
             for lbl in ("A1", "A2", "E")
         }
-        for lbl, salc in salcs.items():
-            for vec in salc.vectors:
+        for lbl, vectors in salcs.items():
+            for vec in vectors:
                 assert np.linalg.norm(projs[lbl] @ vec - vec) < 1e-9
                 for other, proj in projs.items():
                     if other != lbl:
@@ -222,15 +221,15 @@ class TestSalc:
         for n_sym in range(max_nsym + 1):
             lv = osc.make_level(model, n_sym, 0)
             for irrep in table.irreps:
-                for vec in ls.salc(model, lv, table, irrep).vectors:
+                for vec in ls.salc(model, lv, table, irrep):
                     assert vec[np.abs(vec) > 1e-8][0] > 0
 
     def test_counts_match_multiplicity_times_dimension(self, model4, t4):
         lv = osc.make_level(model4, 4, 0)
         mults = ls.irrep_multiplicities(model4, lv, t4)
         for ir, m in mults.items():
-            salc = ls.salc(model4, lv, t4, ir)
-            assert salc.vectors.shape[0] == m * t4.dimension(ir)
+            vectors = ls.salc(model4, lv, t4, ir)
+            assert vectors.shape == (m * t4.dimension(ir), lv.degeneracy)
 
 
 class TestAllPermEigenfunctionIrreps:
@@ -264,8 +263,8 @@ class TestNsym4Content:
         projs = {
             lbl: ls.character_projector(model4, lv, t4, lbl) for lbl in t4.irreps
         }
-        for lbl, salc_set in salcs.items():
-            for vec in salc_set.vectors:
+        for lbl, vectors in salcs.items():
+            for vec in vectors:
                 assert np.linalg.norm(projs[lbl] @ vec - vec) < 1e-9
                 for other, proj in projs.items():
                     if other != lbl:

@@ -35,6 +35,8 @@ OPERATIONS = [
     (["allowed", "--n", "3", "--verify", "constructive"], 0),
     # integer-only: numpy is first loaded by the tracer, not the command
     (["irreps", "--n", "3", "--xi", "0.1", "--max-quanta", "6"], 0),
+    # the only operation that runs salc (and its character projectors)
+    (["project", "--n", "3", "--nsym", "3", "--irrep", "E"], 0),
 ]
 
 
