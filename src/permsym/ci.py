@@ -38,6 +38,8 @@ _SPIN_GUARD = 1e-10
 _DEGENERACY_TOL = 1e-9
 #: determinants are int64 bitmasks over the spin-orbitals
 _MASK_BITS = 63
+#: largest (S, parity) CSF block solved densely, 128 MiB (README, "CI conventions")
+MAX_CSF_BLOCK = 4096
 
 
 def _ms(occ: np.ndarray) -> np.ndarray:
@@ -309,12 +311,13 @@ def _runs(values: np.ndarray):
 def _sectors(occ: np.ndarray):
     """Split the determinants into (M_s, parity) sectors, solve order first.
 
-    Yields (M_s, parity, rows, open-shell groups): ``rows`` are basis
-    indices ordered by open-shell count k, configuration and spin string,
-    and each group is (k, beta open shells, first position in rows,
-    configurations) for one k.
+    Yields (M_s, parity, rows, blocks): ``rows`` are basis indices ordered
+    by open-shell count k, configuration and spin string, and each block is
+    one total spin S >= |M_s| of the sector's CSFs: (S, first position in
+    rows, the (configuration count, spin functions) of each k >= 2S, those
+    configurations).
     Raises ValueError unless every configuration present comes with all of
-    its spin strings.
+    its spin strings, and when a block holds more than ``MAX_CSF_BLOCK`` CSFs.
     """
     orb, beta = occ // 2, occ % 2
     pair = orb[:, 1:] == orb[:, :-1]
@@ -346,7 +349,19 @@ def _sectors(occ: np.ndarray):
                     "use a full M_s sector"
                 )
             groups.append((kk, n_beta, at, config[group[::d]]))
-        yield m, p, rows, groups
+        blocks = []
+        for s in np.arange(abs(m), groups[-1][0] / 2 + 0.25).tolist():
+            carrying = [g for g in groups if g[0] >= 2 * s]
+            csf = [(len(c), spin_functions(kk, nb, s)) for kk, nb, _, c in carrying]
+            dim = sum(n_conf * funcs.shape[1] for n_conf, funcs in csf)
+            if dim > MAX_CSF_BLOCK:
+                raise ValueError(
+                    f"the S={s:g}, parity {p:+d} CSF block has dim {dim} "
+                    f"({8 * dim * dim / 2**30:.2f} GiB dense), above {MAX_CSF_BLOCK}"
+                )
+            configs = np.concatenate([c for *_, c in carrying])
+            blocks.append((s, carrying[0][2], csf, configs))
+        yield m, p, rows, blocks
 
 
 def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
@@ -366,7 +381,8 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
     same CSF matrix, so the members of a multiplet carry bitwise-equal
     energies.  The result does not depend on the order of
     ``basis``; a basis that lacks a spin partner of one of its
-    determinants raises ValueError.
+    determinants raises ValueError, and so does one with a CSF block above
+    ``MAX_CSF_BLOCK``, before any entry of H is built.
 
     State order: ascending energy, except that inside a run of energies
     within 1e-9 (relative) of its lowest member, states are ordered by
@@ -377,19 +393,14 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
     occ = _occupations(basis)
     solved = {}  # (S, parity, configurations) -> eigenvalues
     entries = []  # (energy, M_s, parity, S, index in block)
-    for ms, parity, rows, groups in _sectors(occ):
+    for ms, parity, rows, blocks in list(_sectors(occ)):  # all sizes checked first
         h = None
-        for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
-            carrying = [g for g in groups if g[0] >= 2 * s]
-            key = (s, parity, np.concatenate([c for *_, c in carrying]).tobytes())
+        for s, start, csf, configs in blocks:
+            key = (s, parity, configs.tobytes())
             if key not in solved:
                 if h is None:
                     h = _hamiltonian_entries(model, occ[rows])
-                block = [
-                    (len(conf), spin_functions(kk, n_beta, s))
-                    for kk, n_beta, _, conf in carrying
-                ]
-                solved[key] = np.linalg.eigvalsh(_csf_block(h, carrying[0][2], block))
+                solved[key] = np.linalg.eigvalsh(_csf_block(h, start, csf))
             entries += [(float(e), ms, parity, s, j) for j, e in enumerate(solved[key])]
 
     entries.sort()

@@ -1,59 +1,48 @@
 """Spin space of N electrons and the Pauli-allowed spatial symmetry species.
 
-Two independent routes decide which spatial irreps survive total
-antisymmetrization:
+Two independent routes, both in exact integers, decide which spatial irreps
+survive total antisymmetrization:
 
-* the character route, in exact integers: the characters of the spin
-  functions of each total spin S come from a generating function
-  (:func:`spin_character`), and spatial Gamma is allowed with S iff
-  Gamma (x) (those spin functions) contains the sign irrep;
-* the constructive route: each column of an irrep's character projector
-  on a level, times each spin product, is antisymmetrized over
-  simultaneous space-spin label permutations
-  (:func:`antisymmetrize_space_spin`), and the survivors' spins are
-  collected.  Antisymmetrizing a product of spin-orbitals gives their
-  Slater determinant (Slater, Phys. Rev. 34, 1293 (1929)), signed by the
-  parity of the sort that orders them and zero when one repeats, so no
-  sum over the N! permutations is formed.  The determinants are rows of
-  :mod:`permsym.ci` occupied spin-orbitals, and total spin comes from
-  |S+ psi|^2 with the S+ of that module.
+* the character route: spatial Gamma is allowed with total spin S iff
+  Gamma (x) (the spin functions of S) contains the sign irrep, with the spin
+  characters from a generating function (:func:`spin_character`);
+* the constructive route: the determinants whose orbital quanta sum to Q
+  span the levels with n_sym + n_last = Q once each, as an equal-frequency
+  shell is closed under the change to normal modes (Moshinsky, The Harmonic
+  Oscillator in Modern Physics, 1969).  N!/dim times an irrep's character
+  projector maps each determinant to an integer row; differences of exact
+  ranks, between shells and then between M_s, count a level's multiplets.
 
 The two must agree pair by pair; their agreement is the module's central
-cross-validation (a test failure, not a runtime recovery).
+cross-validation (a test failure, not a runtime recovery).  Each count n_S
+must also be 0 or the irrep's multiplicity, as the spatial irrep is the
+conjugate of the spin diagram (Pauncz, The Symmetric Group in Quantum
+Chemistry, 1995).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
-from . import ci, lazy_numpy
 from .errors import NumericalIntegrityError
-from .levelsym import character_projector, irrep_multiplicities
-from .oscillator import (
-    LevelDescriptor,
-    OscillatorModel,
-    make_level,
-    make_model,
-    uncoupled_expansion,
-)
+from .levelsym import irrep_multiplicities
+from .oscillator import LevelDescriptor, OscillatorModel, make_level, make_model
 from .symgroup import (
     CharacterTable,
     CycleType,
+    all_permutations,
     character_table,
+    cycle_type,
     decompose,
     sign_irrep,
 )
 
-np = lazy_numpy()
-_HALF_GUARD = 1e-6
-_ZERO_TOL = 1e-8
 #: highest n_sym searched for the first level that holds an irrep
 _MAX_FIRST_N_SYM = 8
-
-ALPHA, BETA = "a", "b"
 
 _MULTIPLET_NAMES = {
     1: "singlet",
@@ -64,41 +53,6 @@ _MULTIPLET_NAMES = {
     6: "sextet",
     7: "septet",
 }
-
-
-@dataclass(frozen=True)
-class SpinProduct:
-    """A product of N one-electron spin states, each alpha or beta; the
-    labels may be given as any sequence, such as ``"aab"``."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if any(l not in (ALPHA, BETA) for l in self.labels):
-            raise ValueError(f"spin labels must be '{ALPHA}'/'{BETA}': {self.labels}")
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def ms(self) -> float:
-        up = self.labels.count(ALPHA)
-        return (up - (self.n - up)) / 2.0
-
-
-def spin_basis(n: int) -> list[tuple[str, ...]]:
-    """All 2^N products in lexicographic order (alpha before beta)."""
-    return [tuple(p) for p in itertools.product((ALPHA, BETA), repeat=n)]
-
-
-def _s_from_eigenvalue(value: float) -> float:
-    s = 0.5 * (-1.0 + math.sqrt(max(1.0 + 4.0 * value, 0.0)))
-    twice = round(2 * s)
-    if abs(2 * s - twice) >= _HALF_GUARD:
-        raise NumericalIntegrityError(f"S^2 eigenvalue {value} gives non-half-integer S")
-    return twice / 2.0
 
 
 def multiplet_name(s: float) -> str:
@@ -189,109 +143,141 @@ def allowed_spatial_irreps(n: int) -> AllowedIrrepMap:
 
 
 # ---------------------------------------------------------------------------
-# constructive route: antisymmetrized space-spin functions
+# constructive route: integer rows over total-quanta shells
 
 
 @dataclass(frozen=True)
 class SpaceSpinFunction:
-    """Result of antisymmetrizing (spatial function) x (spin product).
+    """Integer coefficients over Slater determinants, keyed by their
+    :mod:`permsym.ci` rows (ascending spin-orbital indices)."""
 
-    ``determinants`` expands the survivor over normalized determinants of
-    one-particle space x spin functions, keyed by their :mod:`permsym.ci`
-    occupation rows (ascending spin-orbital indices).  A zero result is a
-    valid answer.
-    """
+    determinants: Mapping[tuple[int, ...], int]
 
-    nonzero: bool
-    norm: float
-    s_value: Optional[float]
-    determinants: Mapping[tuple[int, ...], float]
+    @property
+    def nonzero(self) -> bool:
+        return bool(self.determinants)
+
+
+def _shell(n: int, quanta: int, n_beta: int) -> list[tuple[int, ...]]:
+    """The determinants with n_beta beta electrons whose orbital quanta sum
+    to ``quanta``, as CI rows: 2a is orbital a with alpha spin, 2a + 1 beta."""
+    return [
+        det
+        for det in itertools.combinations(range(2 * quanta + 2), n)
+        if sum(c >> 1 for c in det) == quanta and sum(c & 1 for c in det) == n_beta
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _class_weights(table: CharacterTable, irrep: str) -> tuple[tuple, ...]:
+    """(zero-based images, chi_Gamma(p)) of each p with chi_Gamma(p) != 0."""
+    weights = [
+        (tuple(i - 1 for i in p.images), table.char(irrep, cycle_type(p)))
+        for p in all_permutations(table.n)
+    ]
+    return tuple(w for w in weights if w[1])
+
+
+def _sort_sign(codes: list[int]) -> int:
+    """The parity (+1 or -1) of the sort that orders the codes; 0 when one
+    repeats (the Pauli principle)."""
+    if len(set(codes)) < len(codes):
+        return 0
+    return (-1) ** sum(a > b for a, b in itertools.combinations(codes, 2))
 
 
 def antisymmetrize_space_spin(
-    model: OscillatorModel,
-    level: LevelDescriptor,
-    spatial: np.ndarray,
-    spin_product: SpinProduct,
+    determinant: tuple[int, ...], table: CharacterTable, irrep: str
 ) -> SpaceSpinFunction:
-    """Antisymmetrize (spatial vector over the level basis) x spin product
-    over simultaneous space-spin relabeling.
+    """(N!/dim) P_Gamma = sum_p chi_Gamma(p) p on one Slater determinant, p
+    permuting the electrons' orbitals and leaving their spins.
 
-    The spatial function is expanded over products of one-particle
-    oscillator orbitals (valid for symmetry purposes at any coupling, see
-    :func:`uncoupled_expansion`) and the spin product attached.  The
-    antisymmetrizer turns a product of spin-orbitals into their Slater
-    determinant over sqrt(N!), signed by the parity of the sort that orders
-    them, and into zero when a spin-orbital repeats, so no sum over
-    permutations is formed.  Spin-orbitals are coded as in :mod:`permsym.ci`,
-    2a (orbital a, alpha) and 2a + 1 (beta).  Survivors carry their total
-    spin, <S^2> = |S+ psi|^2 / |psi|^2 + M_s(M_s + 1).  A spin product whose
-    length is not the model's N, or a level whose orbital products reach
-    orbital 31 with beta spin (beyond a determinant mask), raises ValueError.
-
-    A zero result shows only that this combination dies; forbiddenness
-    needs exhaustion (:func:`constructive_allowed_spins`).
+    P_Gamma commutes with the antisymmetrizer, so each term is the
+    determinant in which electron i takes the orbital of electron p(i): one
+    determinant signed by :func:`_sort_sign`, or zero.  The image has
+    integer coefficients, and no sum over space-spin relabelings is formed.
     """
-    n = model.n_particles
-    if spin_product.n != n:
-        raise ValueError(f"spin product has {spin_product.n} labels, model N={n}")
-    if np.linalg.norm(spatial) < _ZERO_TOL:
-        return SpaceSpinFunction(False, 0.0, None, {})
-    spatial = spatial / np.linalg.norm(spatial)
+    orbitals = [code >> 1 for code in determinant]
+    spins = [code & 1 for code in determinant]
+    image: dict[tuple[int, ...], int] = {}
+    for images, chi in _class_weights(table, irrep):
+        codes = [2 * orbitals[j] + s for j, s in zip(images, spins)]
+        if sign := _sort_sign(codes):
+            key = tuple(sorted(codes))
+            image[key] = image.get(key, 0) + sign * chi
+    return SpaceSpinFunction({k: c for k, c in image.items() if c})
 
-    orb_patterns, expansion = uncoupled_expansion(n, level.n_sym, level.n_last)
-    xvec = spatial @ expansion  # coefficients over orbital patterns
-    keep = np.abs(xvec) > 1e-14
-    beta = [label == BETA for label in spin_product.labels]
-    codes = 2 * np.array(orb_patterns, dtype=np.int64)[keep] + beta
-    inversions = np.triu(codes[:, :, None] > codes[:, None, :]).sum(axis=(1, 2))
-    weights = xvec[keep] * (1 - 2 * (inversions % 2))
-    codes = np.sort(codes, axis=1)
-    pauli = (np.diff(codes, axis=1) > 0).all(axis=1)
-    dets, which = np.unique(codes[pauli], axis=0, return_inverse=True)
-    nfact = math.factorial(n)
-    # coefficient of one product of each determinant; below 1e-12 is round-off
-    coeffs = np.bincount(which.reshape(-1), weights[pauli], len(dets)) / nfact
-    survives = np.abs(coeffs) >= 1e-12
-    dets, coeffs = dets[survives], coeffs[survives] * math.sqrt(nfact)
-    norm = float(np.linalg.norm(coeffs))
-    if norm <= _ZERO_TOL:
-        return SpaceSpinFunction(False, norm, None, {})
 
-    occ = ci._occupations(dets)
-    targets, src, values = ci._s_plus(occ)
-    _, image = np.unique(targets, return_inverse=True)
-    raised = np.bincount(image, values * coeffs[src])  # S+ psi over its images
-    ms = spin_product.ms
-    s_value = _s_from_eigenvalue(raised @ raised / norm**2 + ms * (ms + 1))
-    keys = map(tuple, occ.tolist())
-    return SpaceSpinFunction(True, norm, s_value, dict(zip(keys, coeffs.tolist())))
+def _rank(rows) -> int:
+    """Exact rank of integer rows ({column: value} with ordered columns):
+    each row is reduced, fraction-free, by the kept row that leads at its
+    leading column, and kept when anything is left."""
+    pivots: dict = {}
+    for row in rows:
+        while row and (lead := min(row)) in pivots:
+            pivot = pivots[lead]
+            a, b = pivot[lead], row[lead]
+            row = {
+                k: v
+                for k in row.keys() | pivot.keys()
+                if (v := a * row.get(k, 0) - b * pivot.get(k, 0))
+            }
+        if row:
+            pivots[min(row)] = row
+    return len(pivots)
+
+
+def _shell_rank(
+    table: CharacterTable, irrep: str, quanta: int, n_beta: int
+) -> tuple[int, int]:
+    """(rank, trace) of the images of one shell's determinants."""
+    shell = _shell(table.n, quanta, n_beta)
+    rows = [antisymmetrize_space_spin(det, table, irrep).determinants for det in shell]
+    return _rank(rows), sum(row.get(det, 0) for det, row in zip(shell, rows))
+
+
+def _level_multiplets(table: CharacterTable, irrep: str, n_sym: int):
+    """n_S, the antisymmetric spin-S multiplets with spatial Gamma at a level
+    with n_sym degenerate quanta, per S ascending.
+
+    With R_Q the rank of shell Q at M_s = N/2 - n_beta, the level holds
+    r = R_(n_sym) - R_(n_sym - 1) states at each M_s >= 0, and
+    n_S = r(M_s = S) - r(M_s = S + 1).  Raises NumericalIntegrityError
+    unless each rank is the trace times dim/N!, as for N!/dim times a
+    projector.
+    """
+    n, dimension = table.n, table.dimension(irrep)
+    order = math.factorial(n)
+    counts = [0] * (n // 2 + 1)
+    for n_beta in range(n // 2 + 1):
+        for quanta, sign in ((n_sym, 1), (n_sym - 1, -1)):
+            rank, trace = _shell_rank(table, irrep, quanta, n_beta)
+            if rank * order != trace * dimension:
+                raise NumericalIntegrityError(
+                    f"{irrep} Q={quanta} n_beta={n_beta}: rank {rank}, trace {trace}"
+                )
+            counts[n_beta] += sign * rank
+    return {
+        (n - 2 * b) / 2: counts[b] - (counts[b - 1] if b else 0)
+        for b in range(n // 2, -1, -1)
+    }
 
 
 def constructive_allowed_spins(
-    model: OscillatorModel,
-    level: LevelDescriptor,
-    table: CharacterTable,
-    irrep: str,
+    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable, irrep: str
 ) -> set[float]:
-    """Exhaust all spin products and all projector columns (seeds) of a
-    level; return the set of total spins of the surviving antisymmetrized
-    functions.
-
-    An empty set proves the irrep forbidden at this level: a single zero
-    does not, but exhaustion over the finite space does.  The projector is
-    built once and shared by every (spin product, seed) pair.
-    """
-    proj = character_projector(model, level, table, irrep)
-    spins: set[float] = set()
-    for labels in spin_basis(model.n_particles):
-        for seed in range(level.degeneracy):
-            res = antisymmetrize_space_spin(
-                model, level, proj[:, seed], SpinProduct(labels)
-            )
-            if res.nonzero:
-                spins.add(res.s_value)
-    return spins
+    """The total spins of the level's antisymmetric states with spatial part
+    in the irrep (:func:`_level_multiplets`); empty proves it forbidden.
+    Raises NumericalIntegrityError unless each n_S is 0 or the irrep's
+    multiplicity in the level."""
+    multiplets = _level_multiplets(table, irrep, level.n_sym)
+    copies = irrep_multiplicities(model, level, table)[irrep]
+    if any(count not in (0, copies) for count in multiplets.values()):
+        raise NumericalIntegrityError(
+            f"{irrep} at level {level.quanta_key}: multiplets per S {multiplets}, "
+            f"expected 0 or its multiplicity {copies}"
+        )
+    return {s for s, count in multiplets.items() if count}
 
 
 def first_level_with_irrep(
@@ -309,9 +295,9 @@ def first_level_with_irrep(
 
 
 def constructive_spatial_irreps(n: int) -> AllowedIrrepMap:
-    """Constructive route: each irrep's spins are those that survive
-    antisymmetrization at the first level holding it (weak coupling, xi =
-    0.1); it must equal :func:`allowed_spatial_irreps`."""
+    """Constructive route: each irrep's spins are those of its antisymmetric
+    states at the first level holding it (weak coupling, xi = 0.1); it must
+    equal :func:`allowed_spatial_irreps`."""
     model = make_model(n, 0.1)
     table = character_table(n)
     spins = {}

@@ -9,10 +9,13 @@ non-antisymmetrized product basis, which holds the forbidden levels too.  ``ci_s
 determinant-basis CI that measures total spin instead of imposing it.
 ``spin_content_by_eigh`` decomposes the spin space by diagonalizing S^2 and
 tracing permutation matrices, in floats, against the package's integer
-generating function.  ``antisymmetrize_by_permutations`` applies the
-space-spin antisymmetrizer as a sum over all N! relabelings and measures
-spin in the 2^N product space, against the package's Slater-determinant
-route.  ``eigenfunction`` evaluates the exact eigenfunctions
+generating function.  ``constructive_spins_by_floats`` is the constructive
+route in floats, the reference for the package's integer shell ranks: each
+projector column times each spin product is antisymmetrized into Slater
+determinants (``antisymmetrize_space_spin``) and each survivor's spin read
+from <S^2>; ``antisymmetrize_by_permutations`` checks that in turn as a sum
+over all N! relabelings with spin measured in the 2^N product space.
+``eigenfunction`` evaluates the exact eigenfunctions
 as Hermite polynomials times Gaussians, an independent numerical check of
 the representation matrices built from creation operators.
 ``compare_greedy`` is the nearest-level matcher that ``ci.compare`` used
@@ -34,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,10 +47,10 @@ from permsym.ci import (
     MatchedState,
     _occupations,
     _runs,
+    _s_plus,
     _sectors,
     hamiltonian_matrix,
     s_squared_matrix,
-    spin_functions,
 )
 from permsym.errors import NumericalIntegrityError
 from permsym.oscillator import (
@@ -57,17 +60,8 @@ from permsym.oscillator import (
     normal_modes,
     uncoupled_expansion,
 )
-from permsym.spin import (
-    ALPHA,
-    AllowedIrrepMap,
-    SpaceSpinFunction,
-    SpinProduct,
-    _s_from_eigenvalue,
-    _spin_traces,
-    _ZERO_TOL,
-    _spins,
-    spin_basis,
-)
+from permsym.levelsym import character_projector
+from permsym.spin import AllowedIrrepMap, _spin_traces, _spins
 from permsym.symgroup import (
     CharacterTable,
     Permutation,
@@ -331,14 +325,9 @@ def eigenvectors(
     cols = {}  # (M_s, parity, S) -> state indices in order
     for j, st in enumerate(states):
         cols.setdefault((st.ms, st.parity, st.s), []).append(j)
-    for ms, parity, rows, groups in _sectors(occ):
-        for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
-            carrying = [g for g in groups if g[0] >= 2 * s]
-            block = [
-                (len(conf), spin_functions(k, n_beta, s))
-                for k, n_beta, _, conf in carrying
-            ]
-            block_rows = rows[carrying[0][2]:]
+    for ms, parity, rows, blocks in _sectors(occ):
+        for s, start, block, _ in blocks:
+            block_rows = rows[start:]
             h = hamiltonian_matrix(model, occ[block_rows])
             _, coeffs = np.linalg.eigh(_to_csf(block, _to_csf(block, h).T))
             k_transposed = [(n_conf, funcs.T) for n_conf, funcs in block]
@@ -366,6 +355,131 @@ def one_body_gram(basis, op: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spin space, by floats
+
+ALPHA, BETA = "a", "b"
+_HALF_GUARD = 1e-6
+_ZERO_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class SpinProduct:
+    """A product of N one-electron spin states, each alpha or beta; the
+    labels may be given as any sequence, such as ``"aab"``."""
+
+    labels: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if any(l not in (ALPHA, BETA) for l in self.labels):
+            raise ValueError(f"spin labels must be '{ALPHA}'/'{BETA}': {self.labels}")
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @property
+    def ms(self) -> float:
+        up = self.labels.count(ALPHA)
+        return (up - (self.n - up)) / 2.0
+
+
+def spin_basis(n: int) -> list[tuple[str, ...]]:
+    """All 2^N products in lexicographic order (alpha before beta)."""
+    return [tuple(p) for p in itertools.product((ALPHA, BETA), repeat=n)]
+
+
+def _s_from_eigenvalue(value: float) -> float:
+    s = 0.5 * (-1.0 + math.sqrt(max(1.0 + 4.0 * value, 0.0)))
+    twice = round(2 * s)
+    if abs(2 * s - twice) >= _HALF_GUARD:
+        raise NumericalIntegrityError(f"S^2 eigenvalue {value} gives non-half-integer S")
+    return twice / 2.0
+
+
+@dataclass(frozen=True)
+class FloatSpaceSpinFunction:
+    """Result of antisymmetrizing (spatial function) x (spin product).
+
+    ``determinants`` expands the survivor over normalized determinants,
+    keyed by their CI occupation rows.  A zero result is a valid answer.
+    """
+
+    nonzero: bool
+    norm: float
+    s_value: Optional[float]
+    determinants: Mapping[tuple[int, ...], float]
+
+
+def antisymmetrize_space_spin(
+    model: OscillatorModel,
+    level: LevelDescriptor,
+    spatial: np.ndarray,
+    spin_product: SpinProduct,
+) -> FloatSpaceSpinFunction:
+    """Antisymmetrize (spatial vector over the level basis) x spin product
+    over simultaneous space-spin relabeling, in floats.
+
+    The spatial function is expanded over products of one-particle
+    oscillator orbitals (``uncoupled_expansion``) and the spin product
+    attached.  The antisymmetrizer turns a product of spin-orbitals into
+    their Slater determinant over sqrt(N!), signed by the parity of the sort
+    that orders them, and into zero when a spin-orbital repeats.
+    Survivors carry their total spin, <S^2> = |S+ psi|^2 / |psi|^2 +
+    M_s(M_s + 1), with the CI's S+, rounded to a half-integer within 1e-6.
+    A spin product whose length is not the model's N, or a level whose
+    orbital products reach orbital 31 with beta spin (beyond a determinant
+    mask), raises ValueError.
+    """
+    n = model.n_particles
+    if spin_product.n != n:
+        raise ValueError(f"spin product has {spin_product.n} labels, model N={n}")
+    if np.linalg.norm(spatial) < _ZERO_TOL:
+        return FloatSpaceSpinFunction(False, 0.0, None, {})
+    spatial = spatial / np.linalg.norm(spatial)
+
+    orb_patterns, expansion = uncoupled_expansion(n, level.n_sym, level.n_last)
+    xvec = spatial @ expansion  # coefficients over orbital patterns
+    keep = np.abs(xvec) > 1e-14
+    beta = [label == BETA for label in spin_product.labels]
+    codes = 2 * np.array(orb_patterns, dtype=np.int64)[keep] + beta
+    inversions = np.triu(codes[:, :, None] > codes[:, None, :]).sum(axis=(1, 2))
+    weights = xvec[keep] * (1 - 2 * (inversions % 2))
+    codes = np.sort(codes, axis=1)
+    pauli = (np.diff(codes, axis=1) > 0).all(axis=1)
+    dets, which = np.unique(codes[pauli], axis=0, return_inverse=True)
+    nfact = math.factorial(n)
+    # coefficient of one product of each determinant; below 1e-12 is round-off
+    coeffs = np.bincount(which.reshape(-1), weights[pauli], len(dets)) / nfact
+    survives = np.abs(coeffs) >= 1e-12
+    dets, coeffs = dets[survives], coeffs[survives] * math.sqrt(nfact)
+    norm = float(np.linalg.norm(coeffs))
+    if norm <= _ZERO_TOL:
+        return FloatSpaceSpinFunction(False, norm, None, {})
+
+    occ = _occupations(dets)
+    targets, src, values = _s_plus(occ)
+    _, image = np.unique(targets, return_inverse=True)
+    raised = np.bincount(image, values * coeffs[src])  # S+ psi over its images
+    ms = spin_product.ms
+    s_value = _s_from_eigenvalue(raised @ raised / norm**2 + ms * (ms + 1))
+    keys = map(tuple, occ.tolist())
+    return FloatSpaceSpinFunction(True, norm, s_value, dict(zip(keys, coeffs.tolist())))
+
+
+def constructive_spins_by_floats(
+    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable, irrep: str
+) -> set[float]:
+    """The spins of the survivors of every (spin product, projector column)
+    pair of a level (:func:`antisymmetrize_space_spin`)."""
+    proj = character_projector(model, level, table, irrep)
+    spins: set[float] = set()
+    for labels in spin_basis(model.n_particles):
+        for seed in range(level.degeneracy):
+            product = SpinProduct(labels)
+            res = antisymmetrize_space_spin(model, level, proj[:, seed], product)
+            if res.nonzero:
+                spins.add(res.s_value)
+    return spins
 
 
 def _basis_index(labels: tuple[str, ...]) -> int:
@@ -410,14 +524,14 @@ def spin_s_squared_matrix(n: int) -> np.ndarray:
 
 def antisymmetrize_by_permutations(
     level: LevelDescriptor, spatial: np.ndarray, spin_product: SpinProduct
-) -> SpaceSpinFunction:
+) -> FloatSpaceSpinFunction:
     """The space-spin antisymmetrizer as an explicit sum over all N!
     simultaneous relabelings of (spatial vector over the level basis) x spin
     product, with total spin measured by the 2^N product-space S^2 on the
     spin factor of each orbital pattern."""
     n = spin_product.n
     if np.linalg.norm(spatial) < _ZERO_TOL:
-        return SpaceSpinFunction(False, 0.0, None, {})
+        return FloatSpaceSpinFunction(False, 0.0, None, {})
     spatial = spatial / np.linalg.norm(spatial)
 
     orb_patterns, expansion = uncoupled_expansion(n, level.n_sym, level.n_last)
@@ -437,7 +551,7 @@ def antisymmetrize_by_permutations(
 
     norm = math.sqrt(sum(c * c for c in out.values()))
     if norm <= _ZERO_TOL:
-        return SpaceSpinFunction(False, norm, None, {})
+        return FloatSpaceSpinFunction(False, norm, None, {})
 
     dets = {}
     for (pat, labels), coeff in out.items():
@@ -459,7 +573,7 @@ def antisymmetrize_by_permutations(
         vec[_basis_index(labels)] += c
     num = sum(vec @ s2 @ vec for vec in grouped.values())
     den = sum(vec @ vec for vec in grouped.values())
-    return SpaceSpinFunction(True, norm, _s_from_eigenvalue(num / den), dets)
+    return FloatSpaceSpinFunction(True, norm, _s_from_eigenvalue(num / den), dets)
 
 
 def spin_permutation_matrix(n: int, p: Permutation) -> np.ndarray:

@@ -381,6 +381,29 @@ SPIN_CASES = [
 ]
 
 
+class TestSizeBound:
+    def test_checked_before_hamiltonian_entries(self, model3, monkeypatch):
+        """Every block is counted before the first H entry: with the bound
+        below the largest N=3 M=6 block, ci_solve refuses and builds none."""
+        def no_entries(*args):
+            raise AssertionError("H entries built before the size check")
+
+        monkeypatch.setattr(cimod, "MAX_CSF_BLOCK", 20)
+        monkeypatch.setattr(cimod, "_hamiltonian_entries", no_entries)
+        refused = r"CSF block has dim \d+ \(0\.00 GiB dense\)"
+        with pytest.raises(ValueError, match=refused):
+            cimod.ci_solve(model3, cimod.build_basis(3, 6, ms=0.5))
+
+    def test_bound_admits_its_own_size(self, model3, monkeypatch):
+        largest = 35  # both S=1/2 blocks of N=3 M=6 at M_s=1/2
+        states = cimod.ci_solve(model3, cimod.build_basis(3, 6, ms=0.5))
+        monkeypatch.setattr(cimod, "MAX_CSF_BLOCK", largest)
+        assert cimod.ci_solve(model3, cimod.build_basis(3, 6, ms=0.5)) == states
+        monkeypatch.setattr(cimod, "MAX_CSF_BLOCK", largest - 1)
+        with pytest.raises(ValueError, match=f"dim {largest} "):
+            cimod.ci_solve(model3, cimod.build_basis(3, 6, ms=0.5))
+
+
 class TestSpinFunctions:
     def _embedded(self, k, n_beta, s):
         out = np.zeros((2**k, math.comb(k, n_beta)))
@@ -560,16 +583,10 @@ def test_csf_blocks_match_dense_transform(n, m_orb, where):
     xi = {"low edge": lo + 1e-3, "high edge": hi - 1e-3}.get(where, where)
     model = osc.make_model(n, xi)
     occ = cimod.build_basis(n, m_orb)
-    for ms, _, rows, groups in cimod._sectors(occ):
+    for ms, _, rows, blocks in cimod._sectors(occ):
         entries = cimod._hamiltonian_entries(model, occ[rows])
         h = cimod.hamiltonian_matrix(model, occ[rows])
-        for s in np.arange(abs(ms), groups[-1][0] / 2 + 0.25).tolist():
-            carrying = [g for g in groups if g[0] >= 2 * s]
-            block = [
-                (len(conf), cimod.spin_functions(k, n_beta, s))
-                for k, n_beta, _, conf in carrying
-            ]
-            start = carrying[0][2]
+        for s, start, block, _ in blocks:
             half = oracles._to_csf(block, h[start:, start:])
             dense = oracles._to_csf(block, half.T)
             sparse = cimod._csf_block(entries, start, block)

@@ -575,6 +575,8 @@ sys.exit(cli.main(sys.argv[2:]))
         ["irreps", "--n", "4", "--xi", "0.1", "--max-quanta", "10"],
         ["allowed", "--n", "3"],
         ["allowed", "--n", "4"],
+        ["allowed", "--n", "3", "--verify", "constructive"],
+        ["allowed", "--n", "4", "--verify", "constructive"],
     ],
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
@@ -625,3 +627,35 @@ def test_cli_import_needs_numpy_only(module):
     these modules first, in a fresh interpreter, must succeed (no import
     cycle) and must not pull in scipy."""
     assert _fresh_import(module, "m.split('.')[0] == 'scipy'") == "[]"
+
+
+#: runs the CLI on ``argv[1:]`` with at most 1 GiB of address space, so an
+#: oversized CI fails in allocation instead of running for long
+_CAPPED_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from permsym import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["compare", "--n", "4", "--xi", "0.1", "--orbitals", "24",
+          "--max-quanta", "4", "--tol", "1e-4"], 13728),
+        (["ci", "--n", "4", "--xi", "0.1", "--orbitals", "31", "--ms", "2"], 15680),
+        (["ci", "--n", "4", "--xi", "0.1", "--orbitals", "31", "--ms", "all"], 38320),
+    ],
+    ids=["compare_m24", "ci_m31_ms2", "ci_m31_all"],
+)
+def test_oversized_ci_is_a_usage_error(argv, dim):
+    """A CSF block above ci.MAX_CSF_BLOCK is refused (exit 1) with its dim and
+    dense size, before any H entry is built: the refusal fits in 1 GiB,
+    where the dense block alone would not."""
+    env = dict(os.environ, PERMSYM_THREADS="1")
+    run = _fresh(_CAPPED_PROBE, *argv, env=env)
+    assert run.returncode == cli.EXIT_USAGE, run.stderr
+    gib = 8 * dim * dim / 2**30
+    assert f"CSF block has dim {dim} ({gib:.2f} GiB dense)" in run.stderr
+    assert dim > cimod.MAX_CSF_BLOCK

@@ -1,14 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import oracles
 from permsym import ci as cimod
+from permsym import cli
 from permsym import levelsym as ls
 from permsym import oscillator as osc
 from permsym import spin
 from permsym import symgroup as sg
+from permsym.errors import NumericalIntegrityError
 
 
 class TestSpinPermutationMatrix:
@@ -74,7 +77,8 @@ class TestCharacterRoute:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_spin_character_is_a_trace_difference(self, n):
-        ms = np.array([spin.SpinProduct(labels).ms for labels in spin.spin_basis(n)])
+        products = map(oracles.SpinProduct, oracles.spin_basis(n))
+        ms = np.array([product.ms for product in products])
         for ct in sg.partitions(n):
             rep = sg.class_representative(ct)
             diag = np.diag(oracles.spin_permutation_matrix(n, rep))
@@ -126,7 +130,7 @@ class TestSpinIrrepContent:
         """Independent check: apply the 24-term antisymmetrizer to every one
         of the 16 spin products and observe annihilation."""
         perms = sg.all_permutations(4)
-        basis = spin.spin_basis(4)
+        basis = oracles.spin_basis(4)
         index = {labels: i for i, labels in enumerate(basis)}
         for labels in basis:
             acc = np.zeros(16)
@@ -197,13 +201,15 @@ def _antisymmetrize_first_seed(model, level, table, irrep, product):
     projector whose norm exceeds 1e-8 (column 0, a zero, when none does)."""
     proj = ls.character_projector(model, level, table, irrep)
     seed = proj[:, np.argmax(np.linalg.norm(proj, axis=0) > 1e-8)]
-    return spin.antisymmetrize_space_spin(model, level, seed, spin.SpinProduct(product))
+    return oracles.antisymmetrize_space_spin(
+        model, level, seed, oracles.SpinProduct(product)
+    )
 
 
 class TestAntisymmetrizeSpaceSpin:
     def test_a1_always_zero(self, model3, t3):
         lv = osc.make_level(model3, 0, 0)
-        for labels in spin.spin_basis(3):
+        for labels in oracles.spin_basis(3):
             res = _antisymmetrize_first_seed(model3, lv, t3, "A1", labels)
             assert not res.nonzero
 
@@ -267,11 +273,11 @@ def test_determinants_match_permutation_sum(n, n_sym, n_last):
     level = osc.make_level(model, n_sym, n_last)
     for irrep in table.irreps:
         proj = ls.character_projector(model, level, table, irrep)
-        for labels in spin.spin_basis(n):
-            product = spin.SpinProduct(labels)
+        for labels in oracles.spin_basis(n):
+            product = oracles.SpinProduct(labels)
             for seed in range(level.degeneracy):
                 case = (irrep, "".join(labels), seed)
-                got = spin.antisymmetrize_space_spin(
+                got = oracles.antisymmetrize_space_spin(
                     model, level, proj[:, seed], product
                 )
                 want = oracles.antisymmetrize_by_permutations(
@@ -302,7 +308,7 @@ def test_determinants_are_ci_basis_rows(n, irrep, product, n_sym):
         model, osc.make_level(model, n_sym, 0), sg.character_table(n), irrep, product
     )
     n_orb = max(map(max, res.determinants)) // 2 + 1
-    basis = cimod.build_basis(n, n_orb, ms=spin.SpinProduct(product).ms)
+    basis = cimod.build_basis(n, n_orb, ms=oracles.SpinProduct(product).ms)
     rows = {row: i for i, row in enumerate(map(tuple, basis.tolist()))}
     psi = np.zeros(len(basis))
     psi[[rows[key] for key in res.determinants]] = list(res.determinants.values())
@@ -320,20 +326,124 @@ class TestRoutesAgree:
         assert constructive == spin.allowed_spatial_irreps(n)
 
 
+#: every level the exact route is checked at: N=3 n_sym <= 12, N=4 n_sym <= 8
+EXACT_TOPS = [(3, 12), (4, 8)]
+
+
+class TestExactRoute:
+    """The integer shell-rank route, at every level, against the character
+    route and the float oracle, with negative controls."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_first_levels_match_float_oracle(self, n):
+        model, table = osc.make_model(n, 0.1), sg.character_table(n)
+        for irrep in table.irreps:
+            level = spin.first_level_with_irrep(model, table, irrep)
+            want = oracles.constructive_spins_by_floats(model, level, table, irrep)
+            assert spin.constructive_allowed_spins(model, level, table, irrep) == want
+
+    @pytest.mark.parametrize("n, top", EXACT_TOPS)
+    def test_shell_rank_is_trace_times_dim_over_order(self, n, top):
+        """(N!/dim) P_Gamma is N!/dim times a projector, so its rank on each
+        shell and M_s >= 0 is its trace times dim/N!."""
+        table, order = sg.character_table(n), math.factorial(n)
+        shells, total = 0, 0
+        for irrep in table.irreps:
+            for quanta in range(top + 1):
+                for n_beta in range(n // 2 + 1):
+                    rank, trace = spin._shell_rank(table, irrep, quanta, n_beta)
+                    assert rank * order == trace * table.dimension(irrep)
+                    shells, total = shells + 1, total + rank
+        assert shells == {3: 78, 4: 135}[n]  # 213 in all
+        assert total > 0
+
+    @pytest.mark.parametrize("n, top", EXACT_TOPS)
+    def test_multiplets_at_every_level(self, n, top):
+        """n_S is the level's multiplicity of Gamma for each spin the
+        character route allows with Gamma, and 0 for every other S."""
+        model, table = osc.make_model(n, 0.1), sg.character_table(n)
+        allowed = spin.allowed_spatial_irreps(n).spins
+        for n_sym in range(top + 1):
+            level = osc.make_level(model, n_sym, 0)
+            mults = ls.irrep_multiplicities(model, level, table)
+            for irrep in table.irreps:
+                got = spin._level_multiplets(table, irrep, n_sym)
+                want = {
+                    s: mults[irrep] if s in allowed[irrep] else 0
+                    for s in sorted(spin.multiplet_table(n))
+                }
+                assert got == want, (n_sym, irrep)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_multiplicity_off_by_one_raises(self, n, delta, monkeypatch):
+        model, table = osc.make_model(n, 0.1), sg.character_table(n)
+        levels = {
+            irrep: spin.first_level_with_irrep(model, table, irrep)
+            for irrep, spins in spin.allowed_spatial_irreps(n).spins.items()
+            if spins
+        }
+        true_mults = spin.irrep_multiplicities
+
+        def shifted(model, level, table):
+            return {ir: m + delta for ir, m in true_mults(model, level, table).items()}
+
+        monkeypatch.setattr(spin, "irrep_multiplicities", shifted)
+        for irrep, level in levels.items():
+            with pytest.raises(NumericalIntegrityError, match="multiplets per S"):
+                spin.constructive_allowed_spins(model, level, table, irrep)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dropped_sort_sign_loses_a2(self, n, monkeypatch):
+        """Without the sort's sign the images are symmetric, not
+        antisymmetric: A2 (the space-spin partner of the all-alpha spin
+        function) vanishes, and the CLI reports an integrity failure."""
+        model, table = osc.make_model(n, 0.1), sg.character_table(n)
+        level = spin.first_level_with_irrep(model, table, "A2")
+        sort_sign = spin._sort_sign
+        monkeypatch.setattr(spin, "_sort_sign", lambda codes: abs(sort_sign(codes)))
+        assert spin.constructive_allowed_spins(model, level, table, "A2") == set()
+        argv = ["allowed", "--n", str(n), "--verify", "constructive"]
+        assert cli.main(argv) == cli.EXIT_INTEGRITY
+
+    def test_a2_image_of_the_all_alpha_determinant(self, t3):
+        """Each of the 6 permutations maps |0a 1a 2a| to itself signed by its
+        parity, which the A2 character repeats; A1 cancels it."""
+        det = (0, 2, 4)
+        a2 = spin.antisymmetrize_space_spin(det, t3, "A2")
+        assert a2.nonzero and a2.determinants == {det: 6}
+        assert not spin.antisymmetrize_space_spin(det, t3, "A1").nonzero
+
+    @pytest.mark.parametrize("n, quanta", [(3, 6), (4, 5)])
+    def test_shells_are_the_ci_basis_rows_of_their_quanta(self, n, quanta):
+        for n_beta in range(n // 2 + 1):
+            basis = cimod.build_basis(n, quanta + 1, ms=n / 2 - n_beta)
+            want = [tuple(r) for r in basis.tolist() if sum(c // 2 for c in r) == quanta]
+            assert spin._shell(n, quanta, n_beta) == want
+
+    def test_rank_against_floats(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            mat = rng.integers(-2, 3, size=(6, 5)) * (rng.random((6, 5)) < 0.4)
+            mat[3] = 2 * mat[0] - mat[1]  # a dependent row
+            rows = [{j: int(v) for j, v in enumerate(row) if v} for row in mat]
+            assert spin._rank(rows) == np.linalg.matrix_rank(mat)
+
+
 class TestSpinProduct:
     def test_ms(self):
-        assert spin.SpinProduct("aab").ms == pytest.approx(0.5)
-        assert spin.SpinProduct("bbbb").ms == pytest.approx(-2.0)
+        assert oracles.SpinProduct("aab").ms == pytest.approx(0.5)
+        assert oracles.SpinProduct("bbbb").ms == pytest.approx(-2.0)
 
     def test_string_and_tuple_labels_are_one_value(self):
-        text, pair = spin.SpinProduct("ab"), spin.SpinProduct(("a", "b"))
+        text, pair = oracles.SpinProduct("ab"), oracles.SpinProduct(("a", "b"))
         assert text == pair
         assert hash(text) == hash(pair)
         assert text.labels == ("a", "b")
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
-            spin.SpinProduct(("a", "x"))
+            oracles.SpinProduct(("a", "x"))
 
     def test_first_level_with_irrep(self, model4, t4):
         assert spin.first_level_with_irrep(model4, t4, "A2").n_sym == 6
