@@ -231,14 +231,11 @@ def _spin_strings(k: int, n_beta: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def spin_functions(k: int, n_beta: int, s: float) -> np.ndarray:
     """Orthonormal total-spin-``s`` eigenfunctions of k open shells with
-    n_beta of them beta, as columns over ``_spin_strings(k, n_beta)``.
-
-    With L the matrix of S- from the strings of M_s + 1 to these, the k-site
-    S^2 here is L L^T + M_s(M_s + 1).  The M_s = s members are an eigenbasis
-    of it on the highest-weight strings; each lower M_s applies S- to the
-    one above and renormalizes, so column j is one member of the same
-    multiplet in every M_s.  Each set is checked against S(S+1) once, when
-    it is built.
+    n_beta of them beta, as columns over ``_spin_strings(k, n_beta)``: the
+    S(S+1) eigenvectors of the k-site S^2 = L L^T + M_s(M_s + 1) in this M_s,
+    with L the matrix of S- from the strings of M_s + 1.  Each M_s is solved
+    alone, so columns need not pair up across M_s; each set is checked
+    against S(S+1) once, when it is built.
     """
     m = k / 2 - n_beta
     if not abs(m) <= s <= k / 2 or (k / 2 - s) % 1:
@@ -249,12 +246,8 @@ def spin_functions(k: int, n_beta: int, s: float) -> np.ndarray:
     # bits of b are those of a plus one
     lower = (np.bitwise_and(strings[:, None], above) == above) * 1.0
     s2 = lower @ lower.T + m * (m + 1) * np.eye(len(strings))
-    if m == s:
-        evals, evecs = np.linalg.eigh(s2)
-        funcs = evecs[:, np.abs(evals - s * (s + 1)) < 0.5]
-    else:
-        funcs = lower @ spin_functions(k, n_beta - 1, s)
-        funcs /= math.sqrt(s * (s + 1) - m * (m + 1))
+    evals, evecs = np.linalg.eigh(s2)
+    funcs = evecs[:, np.abs(evals - s * (s + 1)) < 0.5]
     if np.abs(s2 @ funcs - s * (s + 1) * funcs).max(initial=0.0) > _SPIN_GUARD:
         raise NumericalIntegrityError(
             f"spin functions of {k} shells miss S(S+1) for S={s}"
@@ -377,12 +370,12 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
     solved for its eigenvalues only (``eigvalsh``), so every spin label
     holds by construction.  Each (S, parity) block is solved once, in the
     sector of smallest |M_s| that holds it (+M_s on a tie); the other
-    sectors reuse its eigenvalues, as their lowered spin functions give the
-    same CSF matrix, so the members of a multiplet carry bitwise-equal
-    energies.  The result does not depend on the order of
-    ``basis``; a basis that lacks a spin partner of one of its
-    determinants raises ValueError, and so does one with a CSF block above
-    ``MAX_CSF_BLOCK``, before any entry of H is built.
+    sectors reuse its eigenvalues, so the members of a multiplet carry
+    bitwise-equal energies (H commutes with S-, so a block has one spectrum
+    in every M_s, whichever orthonormal spin functions span it).  The
+    result does not depend on the order of ``basis``; a basis that lacks a
+    spin partner of one of its determinants raises ValueError, and so does
+    one with a CSF block above ``MAX_CSF_BLOCK``, before any H is built.
 
     State order: ascending energy, except that inside a run of energies
     within 1e-9 (relative) of its lowest member, states are ordered by

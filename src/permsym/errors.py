@@ -2,10 +2,11 @@
 
 
 class NumericalIntegrityError(RuntimeError):
-    """An exact symmetry result failed its check: a character inner product
-    is not a non-negative integer, a measured total spin is not a
-    half-integer within its guard, a projected subspace has the wrong rank,
-    or a dimension count does not add up.
+    """An exact symmetry result failed its check: a shipped character table
+    or normal-mode matrix is invalid, a character inner product is not a
+    non-negative integer, a dimension or multiplet count does not add up, a
+    projected subspace has the wrong rank or spectrum, a spin function
+    misses S(S+1), or the two routes to the allowed irreps disagree.
 
     Symmetry results are exact; a guard breach means the build is wrong,
     so this is never silently recovered from.

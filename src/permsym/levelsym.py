@@ -32,6 +32,8 @@ from .symgroup import (
 
 np = lazy_numpy()
 _RANK_TOL = 1e-8
+#: largest level :func:`salc` projects (README, "Numerical conventions")
+MAX_SALC_DEGENERACY = 500
 
 
 def level_characters(
@@ -110,9 +112,17 @@ def salc(
     The split of a multidimensional irrep block into partners is
     convention-dependent (fixed here by the orthonormalization of the
     projected column space).  Signs are fixed: in each vector the first
-    component whose magnitude exceeds 1e-8 (``_RANK_TOL``) is positive.
+    component whose magnitude exceeds 1e-8 (``_RANK_TOL``) is positive.  A
+    level above ``MAX_SALC_DEGENERACY`` raises ValueError before any work.
     """
     dimension = table.dimension(irrep)  # an unknown label fails before any work
+    if (deg := level.degeneracy) > MAX_SALC_DEGENERACY:
+        order = math.factorial(table.n)
+        raise ValueError(
+            f"level {level.quanta_key} has degeneracy {deg}, above "
+            f"{MAX_SALC_DEGENERACY}: its {order} representation matrices "
+            f"take {8 * order * deg**2 / 2**30:.2f} GiB dense"
+        )
     mults = irrep_multiplicities(model, level, table)
     expected = mults[irrep] * dimension
     proj = character_projector(model, level, table, irrep)

@@ -206,31 +206,26 @@ def _substitution_matrix(rows: np.ndarray, degree: int) -> np.ndarray:
     Entry [m', m] is the coefficient of |m'> in the image of |m>, rows and
     columns in :func:`_compositions` order: the coefficient of the monomial
     a†^{m'} in the substituted a†^m, weighted by sqrt(m'! / m!).  It is
-    built one quantum at a time: |m> = a†_i |m - e_i> / sqrt(m_i) for the
-    first occupied mode i, and a†_j |m''> = sqrt(m''_j + 1) |m'' + e_j>.
-    Every term keeps the degree, so nothing can leak out of the level.
+    built one quantum at a time from |m> = sum_i sqrt(m_i) a†_i |m - e_i> / n
+    at degree n: D_n[m', m] = sum_ij sqrt(m_i m'_j) rows[i, j]
+    D_{n-1}[m' - e_j, m - e_i] / n, an isometric image of D_{n-1} for
+    orthogonal ``rows``, so rounding does not compound with the degree.
+    Every term keeps the degree, so nothing leaks out of the level.
     """
-    n_modes = len(rows)
-    states = [(0,) * n_modes]
-    mat = np.ones((1, 1))
+    k = len(rows)
+    states, mat = np.zeros((1, k), dtype=np.int64), np.ones((1, 1))
     for n in range(1, degree + 1):
-        index = {m: k for k, m in enumerate(states)}
-        states = _compositions(n, n_modes)
-        first = [next(i for i, q in enumerate(m) if q) for m in states]
-        parents = [index[_lowered(m, i)] for m, i in zip(states, first)]
-        # image of |m - e_i> / sqrt(m_i), still to be raised by a†_i
-        lowered = mat[:, parents] / np.sqrt([m[i] for m, i in zip(states, first)])
-        mat = np.zeros((len(states), len(states)))
-        for j in range(n_modes):
-            hit = [k for k, m in enumerate(states) if m[j]]
-            lower = [index[_lowered(states[k], j)] for k in hit]
-            raise_j = np.sqrt([[states[k][j]] for k in hit])
-            mat[hit] += raise_j * lowered[lower] * rows[first, j]
+        base = (n + 1) ** np.arange(k - 1, -1, -1)  # keys in lexicographic order
+        below, states = states @ base, np.array(_compositions(n, k))
+        # m - e_i one degree down (clipped where m_i = 0, which sqrt(m_i) cancels)
+        lower = np.searchsorted(below, states @ base - base[:, None])
+        lower = lower.clip(max=len(below) - 1)
+        roots = np.sqrt(states.T)
+        # peel mode i from the columns, [a, i, m] = sqrt(m_i) D[a, m - e_i],
+        # mix the modes by rows, and raise mode j in the rows
+        mixed = rows.T @ (np.take(mat, lower, axis=1) * roots)
+        mat = np.einsum("jm,mjx->mx", roots / n, mixed[lower.T, range(k)])
     return mat
-
-
-def _lowered(m: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return m[:i] + (m[i] - 1,) + m[i + 1:]
 
 
 @functools.lru_cache(maxsize=None)

@@ -421,11 +421,23 @@ class TestSpinFunctions:
         "k,n_beta,s", [(k, nb, s) for k, nb, s in SPIN_CASES if k / 2 - nb - 1 >= -s]
     )
     def test_lowering_consistent(self, k, n_beta, s):
-        """Column j at M_s - 1 is S- applied to column j at M_s, normalized."""
+        """S- maps the set at M_s, normalized, onto an orthonormal basis of
+        the set at M_s - 1 (each M_s is solved alone, so their columns need
+        not pair up as members of one multiplet)."""
         m = k / 2 - n_beta
         lowered = _lowering(k) @ self._embedded(k, n_beta, s)
         lowered /= math.sqrt(s * (s + 1) - m * (m - 1))
-        assert np.abs(lowered - self._embedded(k, n_beta + 1, s)).max() < 1e-12
+        below = self._embedded(k, n_beta + 1, s)
+        assert np.abs(lowered @ lowered.T - below @ below.T).max() < 1e-12
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_count_matches_spin_character(self, k):
+        """Each M_s holds one spin function per multiplet of total spin S:
+        the exact S_k character of S at the identity."""
+        for n_beta in range(k + 1):
+            for s in np.arange(abs(k / 2 - n_beta), k / 2 + 0.25).tolist():
+                funcs = cimod.spin_functions(k, n_beta, s)
+                assert funcs.shape[1] == spin.spin_character(k, s, (1,) * k)
 
     @pytest.mark.parametrize("k", range(7))
     def test_complete(self, k):

@@ -12,6 +12,7 @@ import pytest
 
 from permsym import ci as cimod
 from permsym import cli
+from permsym import levelsym
 from permsym import oscillator as osc
 from permsym import spin, symgroup
 from permsym.errors import NumericalIntegrityError
@@ -135,11 +136,13 @@ class TestIrreps:
         assert "mult_E" in rows[0]
 
 
-#: every irrep at every level (n_sym, 0) up to n_sym 6 (N=3) and 4 (N=4)
+#: every irrep at every level (n_sym, 0) up to n_sym 6 (N=3) and 4 (N=4),
+#: and at N=3 n_sym 68, 72 and 120, where a D(p) whose rounding compounds
+#: with the degree fails the rank guard
 PROJECT_CASES = [
     (n, n_sym, irrep)
-    for n, top in ((3, 6), (4, 4))
-    for n_sym in range(top + 1)
+    for n, degrees in ((3, [*range(7), 68, 72, 120]), (4, range(5)))
+    for n_sym in degrees
     for irrep in symgroup.character_table(n).irreps
 ]
 
@@ -160,6 +163,8 @@ class TestProject:
         assert data["copies"] == mults[irrep]
         assert len(data["vectors"]) == data["copies"] * data["dimension"]
         assert all(len(v) == data["level"]["degeneracy"] for v in data["vectors"])
+        vecs = np.array(data["vectors"]).reshape(-1, data["level"]["degeneracy"])
+        assert np.abs(vecs @ vecs.T - np.eye(len(vecs))).max(initial=0.0) < 1e-8
 
     def test_a2_vector(self, capsys):
         data = run_json(capsys, "project", "--n", "3", "--nsym", "3", "--irrep", "A2")
@@ -659,3 +664,17 @@ def test_oversized_ci_is_a_usage_error(argv, dim):
     gib = 8 * dim * dim / 2**30
     assert f"CSF block has dim {dim} ({gib:.2f} GiB dense)" in run.stderr
     assert dim > cimod.MAX_CSF_BLOCK
+
+
+def test_oversized_project_is_a_usage_error():
+    """A level above levelsym.MAX_SALC_DEGENERACY is refused (exit 1) with
+    its degeneracy and the dense size of its N! representation matrices,
+    before any is built: the refusal fits in 1 GiB, where the 24 matrices
+    of degeneracy 5151 would take 4.74 GiB."""
+    env = dict(os.environ, PERMSYM_THREADS="1")
+    argv = ["project", "--n", "4", "--nsym", "100", "--irrep", "E"]
+    run = _fresh(_CAPPED_PROBE, *argv, env=env)
+    assert run.returncode == cli.EXIT_USAGE, run.stderr
+    assert "level (100, 0) has degeneracy 5151" in run.stderr
+    assert "24 representation matrices take 4.74 GiB dense" in run.stderr
+    assert 5151 > levelsym.MAX_SALC_DEGENERACY

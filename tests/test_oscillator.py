@@ -236,6 +236,20 @@ class TestPermutationAction:
                     dpq = mats[sg.compose(p, q).images]
                     assert np.abs(dp @ dq - dpq).max() < 1e-9
 
+    def test_deep_level_orthogonal_representation(self, model3):
+        """The one-quantum step is an isometry for orthogonal mode maps, so
+        rounding does not compound with the degree: at n_sym 200 the
+        matrices stay an orthogonal representation to 1e-12."""
+        lv = osc.make_level(model3, 200, 0)
+        perms = sg.all_permutations(3)
+        mats = {p.images: osc.permutation_action_matrix(model3, lv, p) for p in perms}
+        for p in perms:
+            dp = mats[p.images]
+            assert np.abs(dp @ dp.T - np.eye(lv.degeneracy)).max() <= 1e-12
+            for q in perms:
+                dpq = mats[sg.compose(p, q).images]
+                assert np.abs(dp @ mats[q.images] - dpq).max() <= 1e-12
+
     @pytest.mark.parametrize(
         "n,pattern",
         [(3, (2, 1, 1)), (3, (0, 3, 0)), (4, (1, 0, 2, 1))],
