@@ -251,6 +251,11 @@ def _cmd_compare(config: RunConfig) -> int:
     basis = _determinant_basis(config)
     states = cimod.ci_solve(model, basis)
     report = cimod.compare(model, states, levels, allowed, config.tol)
+    if report.vacuous:
+        raise UsageError(
+            f"no allowed exact state lies below the horizon {report.horizon:.9g}, "
+            "so nothing is verified: use more --orbitals or a smaller --tol"
+        )
     _emit_json(report.to_dict(), config)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 

@@ -5,7 +5,7 @@ class NumericalIntegrityError(RuntimeError):
     """An exact symmetry result failed its check: a shipped character table
     or normal-mode matrix is invalid, a character inner product is not a
     non-negative integer, a dimension or multiplet count does not add up, a
-    projected subspace has the wrong rank or spectrum, a spin function
+    projector's factor is not orthonormal of the expected rank, a spin function
     misses S(S+1), or the two routes to the allowed irreps disagree.
 
     Symmetry results are exact; a guard breach means the build is wrong,

@@ -7,10 +7,9 @@ integers read off a generating function (no representation matrix is built
 for them).  :func:`irrep_multiplicities` turns a level's characters into
 irrep multiplicities by the exact character inner product
 (:func:`symgroup.decompose`), checked to account for the whole degeneracy.
-The character projectors, built from the float representation matrices,
-yield orthonormal symmetry-adapted linear combinations (SALCs); their ranks
-are checked against the multiplicities, and a breach of any guard is a
-hard :class:`NumericalIntegrityError`, never a silent round.
+Character projectors, built from the float representation matrices, yield
+symmetry-adapted linear combinations (SALCs) fixed by their span; a guard's
+breach is a hard :class:`NumericalIntegrityError`, never a silent round.
 """
 
 from __future__ import annotations
@@ -104,16 +103,16 @@ def salc(
     table: CharacterTable,
     irrep: str,
 ) -> np.ndarray:
-    """Orthonormal basis of the irrep's isotypic subspace of a level: the
-    symmetry-adapted vectors as rows over the level's basis, shape
-    (copies * dimension, degeneracy), with copies the irrep's multiplicity
-    in the level (zero rows when it does not occur).
+    """Orthonormal basis of the irrep's isotypic subspace of a level, as rows
+    over the level's basis: shape (copies * dimension, degeneracy), with copies
+    the irrep's multiplicity in the level (zero rows when it does not occur).
 
-    The split of a multidimensional irrep block into partners is
-    convention-dependent (fixed here by the orthonormalization of the
-    projected column space).  Signs are fixed: in each vector the first
-    component whose magnitude exceeds 1e-8 (``_RANK_TOL``) is positive.  A
-    level above ``MAX_SALC_DEGENERACY`` raises ValueError before any work.
+    The rows are the pivoted Cholesky factor of the character projector, so
+    they depend on its span alone: each step emits the residual column of
+    the heaviest diagonal entry (the first within ``_RANK_TOL``) over the
+    root of that weight and subtracts the row's outer product.  Each row is
+    positive at its pivot and zero at every earlier one.  A level above
+    ``MAX_SALC_DEGENERACY`` raises ValueError before any work.
     """
     dimension = table.dimension(irrep)  # an unknown label fails before any work
     if (deg := level.degeneracy) > MAX_SALC_DEGENERACY:
@@ -123,23 +122,19 @@ def salc(
             f"{MAX_SALC_DEGENERACY}: its {order} representation matrices "
             f"take {8 * order * deg**2 / 2**30:.2f} GiB dense"
         )
-    mults = irrep_multiplicities(model, level, table)
-    expected = mults[irrep] * dimension
-    proj = character_projector(model, level, table, irrep)
-    u, s, _ = np.linalg.svd(proj)
-    rank = int(np.sum(s > _RANK_TOL))
-    if rank != expected:
+    rank = irrep_multiplicities(model, level, table)[irrep] * dimension
+    residual = character_projector(model, level, table, irrep)
+    vectors = np.zeros((rank, deg))
+    for row in vectors:
+        weights = residual.diagonal()
+        pivot = int(np.argmax(weights >= weights.max() - _RANK_TOL))
+        row[:] = residual[:, pivot] / math.sqrt(max(weights[pivot], _RANK_TOL))
+        residual -= np.outer(row, row)
+    # only an orthogonal projector of this rank passes: a step past its rank
+    # divides a vanishing column by the clamped weight, far from a unit row
+    overlap = np.abs(vectors @ vectors.T - np.eye(rank)).max(initial=0.0)
+    if max(overlap, np.abs(residual).max()) > _RANK_TOL:
         raise NumericalIntegrityError(
-            f"projected rank {rank} != multiplicity * dimension {expected} "
-            f"for irrep {irrep} at level {level.quanta_key}"
+            f"{irrep} projector at {level.quanta_key} is not {rank} orthonormal vectors"
         )
-    # kept singular values of a projector must be 1
-    if rank and np.abs(s[:rank] - 1.0).max() > _RANK_TOL:
-        raise NumericalIntegrityError(
-            f"projector spectrum deviates from 0/1 for {irrep}"
-        )
-    # the SVD's signs flip under rounding-level changes of proj: fix them
-    vectors = u[:, :rank].T.copy()
-    lead = np.argmax(np.abs(vectors) > _RANK_TOL, axis=1)
-    vectors *= np.sign(vectors[np.arange(rank), lead])[:, None]
     return vectors

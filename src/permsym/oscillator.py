@@ -270,9 +270,8 @@ def uncoupled_expansion(
 
     At zero coupling the mode and particle pictures share one isotropic
     Gaussian, so each level eigenfunction is a finite combination of
-    products prod_i phi_{m_i}(x_i) with sum(m) = n_sym + n_last.  Since the
-    representation matrices are coupling-independent, this realization is
-    the one used for all symmetry bookkeeping in particle coordinates.
+    products prod_i phi_{m_i}(x_i) with sum(m) = n_sym + n_last.  No package
+    code calls it; the test oracles antisymmetrize it to check the package.
 
     Returns (orbital patterns, coefficient matrix C) with C[a, j] the
     coefficient of orbital pattern j in level-basis function a; rows are

@@ -175,7 +175,7 @@ class TestProject:
         # one-dimensional span of psi_30 - sqrt(3) psi_12 (normalized basis)
         ratio = comp[(3, 0)] / comp[(1, 2)]
         assert abs(ratio) == pytest.approx(3**-0.5, abs=1e-8)
-        # sign convention: the first nonzero component is positive
+        # pivot convention: positive at the heaviest component
         assert vec == pytest.approx([0.0, 3**0.5 / 2, 0.0, -0.5], abs=1e-8)
 
     def test_deep_level(self, capsys):
@@ -183,6 +183,34 @@ class TestProject:
         vecs = np.array(data["vectors"])
         assert vecs.shape == (2 * data["copies"], 13)
         assert np.abs(vecs @ vecs.T - np.eye(len(vecs))).max() < 1e-8
+
+    @pytest.mark.parametrize("doctor", ["one vector short", "one vector over", "scaled"])
+    def test_doctored_projector_exits_2(self, capsys, monkeypatch, doctor):
+        """A projector of the wrong rank, or not a projector at all, fails
+        salc's one check: NumericalIntegrityError, exit 2."""
+        model = osc.make_model(4, 0.1)
+        table = symgroup.character_table(4)
+        level = osc.make_level(model, 3, 0)
+        t2 = levelsym.salc(model, level, table, "T2")
+        a1 = levelsym.salc(model, level, table, "A1")
+        projector = levelsym.character_projector
+
+        def doctored(*args):
+            proj = projector(*args)
+            if doctor == "one vector short":
+                return proj - np.outer(t2[0], t2[0])
+            if doctor == "one vector over":  # a unit vector outside the span
+                return proj + np.outer(a1[0], a1[0])
+            return 1.1 * proj
+
+        monkeypatch.setattr(levelsym, "character_projector", doctored)
+        with pytest.raises(NumericalIntegrityError, match="6 orthonormal vectors"):
+            levelsym.salc(model, level, table, "T2")
+        rc, out, err = run_cli(
+            capsys, "project", "--n", "4", "--nsym", "3", "--irrep", "T2"
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("numerical integrity error:")
 
     def test_unknown_irrep_exits_1(self, capsys):
         rc, _, err = run_cli(
@@ -334,6 +362,21 @@ class TestCompare:
         assert rc == 3
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--n 3 --xi 0.1 --orbitals 8 --max-quanta 4 --tol 10",
+            "--n 3 --xi 0.999 --orbitals 8 --max-quanta 4 --tol 1e-4",
+            "--n 4 --xi -0.333 --orbitals 8 --max-quanta 4 --tol 1e-4",
+        ],
+    )
+    def test_vacuous_comparison_is_a_usage_error(self, capsys, argv):
+        """No allowed exact state below the horizon: nothing is verified,
+        so the run exits 1 instead of reading as a pass."""
+        rc, out, err = run_cli(capsys, "compare", *argv.split())
+        assert rc == 1 and out == ""
+        assert "below the horizon" in err and "--orbitals" in err
+
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -358,6 +401,31 @@ class TestGolden:
         rc, out, err = run_cli(capsys, *argv.split())
         assert rc == 0, err
         assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("project_n4_nsym8_T1.json", "project --n 4 --nsym 8 --irrep T1"),
+            ("project_n3_nsym12_E.json", "project --n 3 --nsym 12 --irrep E"),
+        ],
+    )
+    def test_reproduces_project_reference(self, capsys, name, argv):
+        """The vectors depend on the projector alone, so they hold to 2e-9
+        (their last printed digit) on any numpy build; every other field is
+        exact."""
+        got = run_json(capsys, *argv.split())
+        assert same_within(got, json.loads((GOLDEN / name).read_text()), 2e-9)
+
+
+def same_within(a, b, tol):
+    """Equal JSON values, floats within tol, keys in the same order."""
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) <= tol
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(same_within(a[k], b[k], tol) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(same_within(x, y, tol) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
 
 
 class TestExitCodes:

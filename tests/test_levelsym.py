@@ -213,16 +213,41 @@ class TestSalc:
                         assert np.linalg.norm(proj @ vec) < 1e-9
 
     @pytest.mark.parametrize("n,max_nsym", [(3, 6), (4, 4)])
-    def test_sign_convention(self, n, max_nsym):
-        """In every vector the first component above the rank tolerance is
-        positive, whichever signs the SVD picked."""
+    def test_pivot_convention(self, n, max_nsym):
+        """Each vector has a column (its pivot) where it is positive and
+        every later vector is zero, as in a pivoted Cholesky factor."""
         model = osc.make_model(n, 0.1)
         table = sg.character_table(n)
         for n_sym in range(max_nsym + 1):
             lv = osc.make_level(model, n_sym, 0)
             for irrep in table.irreps:
-                for vec in ls.salc(model, lv, table, irrep):
-                    assert vec[np.abs(vec) > 1e-8][0] > 0
+                vectors = ls.salc(model, lv, table, irrep)
+                for k, vec in enumerate(vectors):
+                    later_zero = (np.abs(vectors[k + 1 :]) <= 1e-12).all(axis=0)
+                    assert ((vec > 1e-12) & later_zero).any(), (n_sym, irrep, k)
+
+    @pytest.mark.parametrize(
+        "n,n_sym", [(3, s) for s in range(13)] + [(4, s) for s in (*range(9), 30)]
+    )
+    def test_vectors_fixed_by_the_span(self, monkeypatch, n, n_sym):
+        """1e-16 relative noise on every D(p) moves the vectors by rounding
+        only, not within their span (an SVD basis moved by up to 2.0)."""
+        model = osc.make_model(n, 0.1)
+        table = sg.character_table(n)
+        lv = osc.make_level(model, n_sym, 0)
+        irreps = ("T1",) if n_sym == 30 else table.irreps
+        exact = {ir: ls.salc(model, lv, table, ir) for ir in irreps}
+        rng = np.random.default_rng(n_sym)
+        action = ls.permutation_action_matrix
+
+        def noisy(model, level, p):
+            d = action(model, level, p)
+            return d * (1 + 1e-16 * rng.standard_normal(d.shape))
+
+        monkeypatch.setattr(ls, "permutation_action_matrix", noisy)
+        for ir, vectors in exact.items():
+            moved = ls.salc(model, lv, table, ir) - vectors
+            assert np.abs(moved).max(initial=0.0) <= 1e-10, ir
 
     def test_counts_match_multiplicity_times_dimension(self, model4, t4):
         lv = osc.make_level(model4, 4, 0)
