@@ -22,14 +22,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Mapping, Sequence
 
 from . import lazy_numpy
 from .errors import BasisTooSmallError, NumericalIntegrityError
 from .oscillator import LevelDescriptor, OscillatorModel, level_energy
-
-if TYPE_CHECKING:
-    from .spin import AllowedIrrepMap
+from .symgroup import character_table
 
 np = lazy_numpy()
 #: largest |S^2 f - S(S+1) f| a spin function may show
@@ -473,7 +471,7 @@ def compare(
     model: OscillatorModel,
     states: Sequence[CIState],
     exact_levels: Sequence[LevelDescriptor],
-    allowed: AllowedIrrepMap,
+    allowed: Mapping[str, Sequence[float]],
     tol: float,
 ) -> ComparisonReport:
     """Pair the CI states (as :func:`ci_solve` orders them) with exact states
@@ -498,15 +496,18 @@ def compare(
     unmatched CI state below the horizon is spurious.  Levels below the
     horizon with no matched state are reported missing, as given.  CI
     states that all have |M_s| above some allowed spin cannot hold that
-    spin's states, so they raise ValueError.
+    spin's states, so they raise ValueError, as does an allowed map (label
+    -> spins) whose labels are not the irreps of S_N.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if allowed.n != model.n_particles:
+    labels = character_table(model.n_particles).irreps
+    if set(allowed) != set(labels):
         raise ValueError(
-            f"allowed map is for N={allowed.n}, model has N={model.n_particles}"
+            f"allowed map has irreps {sorted(allowed)}, "
+            f"S{model.n_particles} has {sorted(labels)}"
         )
-    spins = [s for ss in allowed.spins.values() for s in ss]
+    spins = [s for ss in allowed.values() for s in ss]
     lowest_ms = min(abs(st.ms) for st in states)
     if spins and min(spins) < lowest_ms:
         raise ValueError(
@@ -529,7 +530,7 @@ def compare(
     ms_values = {st.ms for st in states}
     for lv in levels:
         for label, m in lv.irrep_mults.items():
-            for s, ms in itertools.product(allowed.spins[label], ms_values):
+            for s, ms in itertools.product(allowed[label], ms_values):
                 if s >= abs(ms):
                     exact.setdefault((ms, s, lv.parity), []).extend([lv] * m)
 
@@ -575,5 +576,5 @@ def compare(
         spurious=tuple(spurious + sorted(skipped)),
         horizon=float(horizon),
         vacuous=not any(ex and ex[0].energy < horizon for ex in exact.values()),
-        forbidden_irreps=tuple(sorted(allowed.forbidden_labels())),
+        forbidden_irreps=tuple(sorted(lbl for lbl, ss in allowed.items() if not ss)),
     )

@@ -18,7 +18,6 @@ if _threads:
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -50,26 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation, echoed into every output artifact."""
+#: the run echoed into every artifact, in this order; unset values are left out
+_ECHO_KEYS = (
+    "command", "n", "xi", "orbitals", "max_quanta", "ms", "tol",
+    "n_sym", "n_last", "irrep", "verify", "format", "output",
+)
 
-    command: str
-    n: Optional[int] = None
-    xi: Optional[float] = None
-    orbitals: Optional[int] = None
-    max_quanta: Optional[int] = None
-    ms: Optional[str] = None
-    tol: Optional[float] = None
-    n_sym: Optional[int] = None
-    n_last: Optional[int] = None
-    irrep: Optional[str] = None
-    verify: Optional[str] = None
-    format: str = "json"
-    output: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
+def _echo(args: argparse.Namespace) -> dict:
+    """The resolved invocation; commands without --format echo "json"."""
+    values = {"format": "json", **vars(args)}
+    return {k: values[k] for k in _ECHO_KEYS if values.get(k) is not None}
 
 
 def _round9(obj):
@@ -91,21 +81,21 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, config: RunConfig) -> None:
-    payload = {"config": config.to_dict(), **payload}
-    _emit(json.dumps(_round9(payload), indent=2) + "\n", config.output)
+def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    payload = {"config": _echo(args), **payload}
+    _emit(json.dumps(_round9(payload), indent=2) + "\n", args.output)
 
 
-def _emit_csv(rows: list[dict], config: RunConfig) -> None:
+def _emit_csv(rows: list[dict], args: argparse.Namespace) -> None:
     buf = io.StringIO()
-    for key, value in config.to_dict().items():
+    for key, value in _echo(args).items():
         buf.write(f"# {key}={value}\n")
     if rows:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _round9(v) for k, v in row.items()})
-    _emit(buf.getvalue(), config.output)
+    _emit(buf.getvalue(), args.output)
 
 
 def _parse_ms(text: str):
@@ -146,117 +136,129 @@ def _flatten_level_row(row: dict) -> dict:
 # subcommands
 
 
-def _cmd_table(config: RunConfig) -> int:
-    table = symgroup.character_table(config.n)
-    _emit_json({"table": table.to_dict()}, config)
+def _cmd_table(args: argparse.Namespace) -> int:
+    table = symgroup.character_table(args.n)
+    _emit_json({"table": table.to_dict()}, args)
     return EXIT_OK
 
 
-def _emit_levels(levels, config: RunConfig) -> int:
+def _emit_levels(levels, args: argparse.Namespace) -> int:
     rows = [_level_row(lv) for lv in levels]
-    if config.format == "csv":
-        _emit_csv([_flatten_level_row(r) for r in rows], config)
+    if args.format == "csv":
+        _emit_csv([_flatten_level_row(r) for r in rows], args)
     else:
-        _emit_json({"levels": rows}, config)
+        _emit_json({"levels": rows}, args)
     return EXIT_OK
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    model = oscillator.make_model(config.n, config.xi)
-    return _emit_levels(oscillator.enumerate_levels(model, config.max_quanta), config)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    model = oscillator.make_model(args.n, args.xi)
+    return _emit_levels(oscillator.enumerate_levels(model, args.max_quanta), args)
 
 
-def _decorated_levels(config: RunConfig):
-    model = oscillator.make_model(config.n, config.xi)
-    table = symgroup.character_table(config.n)
+def _decorated_levels(args: argparse.Namespace):
+    model = oscillator.make_model(args.n, args.xi)
+    table = symgroup.character_table(args.n)
     levels = [
         levelsym.attach_multiplicities(model, lv, table)
-        for lv in oscillator.enumerate_levels(model, config.max_quanta)
+        for lv in oscillator.enumerate_levels(model, args.max_quanta)
     ]
     return model, levels
 
 
-def _cmd_irreps(config: RunConfig) -> int:
-    return _emit_levels(_decorated_levels(config)[1], config)
+def _cmd_irreps(args: argparse.Namespace) -> int:
+    return _emit_levels(_decorated_levels(args)[1], args)
 
 
-def _cmd_project(config: RunConfig) -> int:
-    model = oscillator.make_model(config.n, config.xi)
-    table = symgroup.character_table(config.n)
-    dimension = table.dimension(config.irrep)
-    level = oscillator.make_level(model, config.n_sym, config.n_last)
-    vectors = levelsym.salc(model, level, table, config.irrep)
+def _cmd_project(args: argparse.Namespace) -> int:
+    model = oscillator.make_model(args.n, args.xi)
+    table = symgroup.character_table(args.n)
+    dimension = table.dimension(args.irrep)
+    level = oscillator.make_level(model, args.n_sym, args.n_last)
+    vectors = levelsym.salc(model, level, table, args.irrep)
     _emit_json(
         {
-            "irrep": config.irrep,
+            "irrep": args.irrep,
             "dimension": dimension,
             "copies": len(vectors) // dimension,
             "level": _level_row(level),
             "basis_patterns": [
-                list(p) for p in oscillator.level_patterns(config.n, config.n_sym)
+                list(p) for p in oscillator.level_patterns(args.n, args.n_sym)
             ],
             "vectors": [list(v) for v in vectors],
         },
-        config,
+        args,
     )
     return EXIT_OK
 
 
-def _cmd_allowed(config: RunConfig) -> int:
-    allowed = spin.allowed_spatial_irreps(config.n)
-    mtable = spin.multiplet_table(config.n)
+def _cmd_allowed(args: argparse.Namespace) -> int:
+    allowed = spin.allowed_spatial_irreps(args.n)
+    mtable = spin.multiplet_table(args.n)
     payload = {
-        "allowed": allowed.to_dict(),
+        "allowed": {
+            label: {
+                "allowed": bool(spins),
+                "spins": list(spins),
+                "multiplets": [spin.multiplet_name(s) for s in spins],
+            }
+            for label, spins in allowed.items()
+        },
         "multiplets": {str(s): c for s, c in sorted(mtable.items())},
     }
-    if config.verify == "constructive":
-        constructive = spin.constructive_spatial_irreps(config.n)
-        payload["constructive"] = {k: list(v) for k, v in constructive.spins.items()}
+    if args.verify == "constructive":
+        constructive = spin.constructive_spatial_irreps(args.n)
+        payload["constructive"] = {k: list(v) for k, v in constructive.items()}
         payload["routes_agree"] = constructive == allowed
         if not payload["routes_agree"]:
             raise NumericalIntegrityError(
                 "character and constructive routes disagree on allowed irreps"
             )
-    _emit_json(payload, config)
+    _emit_json(payload, args)
     return EXIT_OK
 
 
-def _determinant_basis(config: RunConfig):
-    basis = cimod.build_basis(config.n, config.orbitals, ms=_parse_ms(config.ms))
+def _determinant_basis(args: argparse.Namespace):
+    basis = cimod.build_basis(args.n, args.orbitals, ms=_parse_ms(args.ms))
     if not len(basis):
         raise UsageError(
-            f"--ms {config.ms}: no determinant of N={config.n} particles in "
-            f"{config.orbitals} orbitals has this M_s"
+            f"--ms {args.ms}: no determinant of N={args.n} particles in "
+            f"{args.orbitals} orbitals has this M_s"
         )
     return basis
 
 
-def _cmd_ci(config: RunConfig) -> int:
-    model = oscillator.make_model(config.n, config.xi)
-    basis = _determinant_basis(config)
+def _cmd_ci(args: argparse.Namespace) -> int:
+    model = oscillator.make_model(args.n, args.xi)
+    basis = _determinant_basis(args)
     rows = [
         {"energy": st.energy, "S": st.s, "Ms": st.ms, "parity": st.parity}
         for st in cimod.ci_solve(model, basis)
     ]
-    if config.format == "csv":
-        _emit_csv(rows, config)
+    if args.format == "csv":
+        _emit_csv(rows, args)
     else:
-        _emit_json({"basis_size": len(basis), "states": rows}, config)
+        _emit_json({"basis_size": len(basis), "states": rows}, args)
     return EXIT_OK
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    model, levels = _decorated_levels(config)
-    allowed = spin.allowed_spatial_irreps(config.n)
-    basis = _determinant_basis(config)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
+    if args.ms is None:
+        # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
+        args.ms = "1/2" if args.n % 2 else "0"
+    model, levels = _decorated_levels(args)
+    allowed = spin.allowed_spatial_irreps(args.n)
+    basis = _determinant_basis(args)
     states = cimod.ci_solve(model, basis)
-    report = cimod.compare(model, states, levels, allowed, config.tol)
+    report = cimod.compare(model, states, levels, allowed, args.tol)
     if report.vacuous:
         raise UsageError(
             f"no allowed exact state lies below the horizon {report.horizon:.9g}, "
             "so nothing is verified: use more --orbitals or a smaller --tol"
         )
-    _emit_json(report.to_dict(), config)
+    _emit_json(report.to_dict(), args)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
@@ -331,22 +333,11 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(**vars(args))
-    if config.command == "compare" and config.ms is None:
-        # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
-        config = dataclasses.replace(config, ms="1/2" if config.n % 2 else "0")
-    return config
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        if config.tol is not None and not 0 < config.tol < math.inf:
-            raise UsageError("--tol must be positive and finite")
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,8 +9,7 @@ modes share one width, so a level's states are the monomials
 prod_i (a†_i)^{m_i} / sqrt(m_i!) of fixed total degree n_sym, and a
 permutation acts on them by the substitution a† -> W^T a†.  This module
 builds the resulting representation matrices, and the expansion of each
-level over one-particle orbitals, from that substitution (no quadrature,
-no Hermite tables).
+level over one-particle orbitals, from that substitution.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ from .symgroup import Permutation, all_permutations
 np = lazy_numpy()
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
+#: largest cutoff :func:`enumerate_levels` accepts (README, "Command line")
+MAX_TOTAL_QUANTA = 200
 
 _ORTHO_TOL = 1e-12
 
@@ -154,10 +155,17 @@ def enumerate_levels(model: OscillatorModel, max_total_quanta: int) -> list[Leve
     with (n_sym, n_last) lexicographic tie-break.
 
     Accidental energy coincidences between distinct keys are reported as a
-    warning, never merged.
+    warning, never merged.  A cutoff above ``MAX_TOTAL_QUANTA`` raises
+    ValueError before any level is built.
     """
     if max_total_quanta < 0:
         raise ValueError("max_total_quanta must be >= 0")
+    if max_total_quanta > MAX_TOTAL_QUANTA:
+        count = (max_total_quanta + 1) * (max_total_quanta + 2) // 2
+        raise ValueError(
+            f"cutoff {max_total_quanta} gives {count} levels, above the "
+            f"{MAX_TOTAL_QUANTA}-quanta bound"
+        )
     levels = [
         make_level(model, n_sym, n_last)
         for n_sym in range(max_total_quanta + 1)
@@ -229,7 +237,7 @@ def _substitution_matrix(rows: np.ndarray, degree: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], np.ndarray]:
+def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[Permutation, np.ndarray]:
     """D(p) for every permutation p on the level basis (cached).
 
     The matrices are independent of the coupling because permutations act
@@ -239,7 +247,7 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[tuple[int, ...], n
     u = normal_modes(n_particles)[:-1]
     # U P = U[:, images - 1]; p substitutes a†_i -> sum_j W[j, i] a†_j
     return {
-        p.images: _substitution_matrix((u[:, np.subtract(p.images, 1)] @ u.T).T, n_sym)
+        p: _substitution_matrix((u[:, np.subtract(p, 1)] @ u.T).T, n_sym)
         for p in all_permutations(n_particles)
     }
 
@@ -249,16 +257,16 @@ def permutation_action_matrix(
 ) -> np.ndarray:
     """Matrix of p on the span of the level's eigenfunctions.
 
-    p sends particle j to p(j), acts by (p f)(x) = f(x_{p(1)}, ..., x_{p(N)}),
+    p sends particle j to p[j-1], acts by (p f)(x) = f(x_{p[0]}, ..., x_{p[N-1]}),
     and on the modes is W = U P U^T, formed by indexing U's columns.
     Basis: degenerate-mode patterns in lexicographic order
     (:func:`level_patterns`).  The matrices form an orthogonal
     representation: D(p) D(q) = D(compose(p, q)).
     """
-    if p.n != model.n_particles:
-        raise ValueError(f"permutation size {p.n} != model N {model.n_particles}")
+    if len(p) != model.n_particles:
+        raise ValueError(f"permutation size {len(p)} != model N {model.n_particles}")
     mats = _level_rep_matrices(model.n_particles, level.n_sym)
-    return mats[p.images].copy()
+    return mats[p].copy()
 
 
 @functools.lru_cache(maxsize=None)

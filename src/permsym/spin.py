@@ -103,31 +103,11 @@ def _spin_traces(table: CharacterTable, s: float) -> dict[CycleType, int]:
     }
 
 
-@dataclass(frozen=True)
-class AllowedIrrepMap:
-    """For each spatial irrep, the total spins S it can combine with to form
-    a totally antisymmetric space-spin function; empty means forbidden."""
-
-    n: int
-    spins: Mapping[str, tuple[float, ...]]
-
-    def forbidden_labels(self) -> set[str]:
-        return {label for label, s in self.spins.items() if not s}
-
-    def to_dict(self) -> dict:
-        return {
-            label: {
-                "allowed": bool(spins),
-                "spins": list(spins),
-                "multiplets": [multiplet_name(s) for s in spins],
-            }
-            for label, spins in self.spins.items()
-        }
-
-
-def allowed_spatial_irreps(n: int) -> AllowedIrrepMap:
-    """Character route: spatial Gamma is allowed with spin S iff the sign
-    irrep occurs in Gamma (x) (the spin functions of total spin S)."""
+def allowed_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
+    """Character route: for each spatial irrep label, the total spins S it
+    combines with into a totally antisymmetric space-spin function (empty
+    means forbidden).  Gamma is allowed with spin S iff the sign irrep
+    occurs in Gamma (x) (the spin functions of total spin S)."""
     table = character_table(n)
     sign = sign_irrep(table)
     spin_traces = {s: _spin_traces(table, s) for s in _spins(n)}
@@ -139,7 +119,7 @@ def allowed_spatial_irreps(n: int) -> AllowedIrrepMap:
             for s, traces in spin_traces.items()
             if decompose(table, {ct: chi[ct] * t for ct, t in traces.items()})[sign]
         )
-    return AllowedIrrepMap(n=n, spins=spins)
+    return spins
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +152,7 @@ def _shell(n: int, quanta: int, n_beta: int) -> list[tuple[int, ...]]:
 def _class_weights(table: CharacterTable, irrep: str) -> tuple[tuple, ...]:
     """(zero-based images, chi_Gamma(p)) of each p with chi_Gamma(p) != 0."""
     weights = [
-        (tuple(i - 1 for i in p.images), table.char(irrep, cycle_type(p)))
+        (tuple(i - 1 for i in p), table.char(irrep, cycle_type(p)))
         for p in all_permutations(table.n)
     ]
     return tuple(w for w in weights if w[1])
@@ -294,7 +274,7 @@ def first_level_with_irrep(
     raise ValueError(f"irrep {irrep} not found up to n_sym={_MAX_FIRST_N_SYM}")
 
 
-def constructive_spatial_irreps(n: int) -> AllowedIrrepMap:
+def constructive_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     """Constructive route: each irrep's spins are those of its antisymmetric
     states at the first level holding it (weak coupling, xi = 0.1); it must
     equal :func:`allowed_spatial_irreps`."""
@@ -306,4 +286,4 @@ def constructive_spatial_irreps(n: int) -> AllowedIrrepMap:
         spins[irrep] = tuple(
             sorted(constructive_allowed_spins(model, level, table, irrep))
         )
-    return AllowedIrrepMap(n=n, spins=spins)
+    return spins

@@ -18,69 +18,43 @@ from .errors import NumericalIntegrityError
 CycleType = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of the labels 1..N stored as its image tuple.
+#: a permutation of the labels 1..N as its image tuple: p[i - 1] is the
+#: image of label i.  ``compose(p, q)`` means "apply q first, then p".
+Permutation = tuple[int, ...]
 
-    ``images[i-1]`` is the image of label ``i``.  The composition
-    convention is fixed once for the whole package: ``compose(p, q)``
-    means "apply q first, then p", i.e. ``compose(p, q)(i) == p(q(i))``.
-    """
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a bijection of 1..{len(images)}: {images!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, label: int) -> int:
-        return self.images[label - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles (fixed points included), each starting at its
-        smallest label, listed by ascending smallest label."""
-        seen = set()
-        out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            cur = self(start)
-            while cur != start:
-                cyc.append(cur)
-                seen.add(cur)
-                cur = self(cur)
-            out.append(tuple(cyc))
-        return out
+def cycles(p: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles (fixed points included), each starting at its
+    smallest label, listed by ascending smallest label.  Raises ValueError
+    unless p is a bijection of 1..N."""
+    if sorted(p) != list(range(1, len(p) + 1)):
+        raise ValueError(f"not a bijection of 1..{len(p)}: {p!r}")
+    seen = set()
+    out = []
+    for start in range(1, len(p) + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        cur = p[start - 1]
+        while cur != start:
+            cyc.append(cur)
+            seen.add(cur)
+            cur = p[cur - 1]
+        out.append(tuple(cyc))
+    return out
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Composition "apply q, then p"."""
-    if p.n != q.n:
-        raise ValueError(f"size mismatch: N={p.n} vs N={q.n}")
-    return Permutation(tuple(p(q(i)) for i in range(1, p.n + 1)))
+    if len(p) != len(q):
+        raise ValueError(f"size mismatch: N={len(p)} vs N={len(q)}")
+    return tuple(p[i - 1] for i in q)
 
 
 def parity(p: Permutation) -> int:
     """+1 for even permutations, -1 for odd (one transposition is odd)."""
-    transpositions = sum(len(c) - 1 for c in p.cycles())
+    transpositions = sum(len(c) - 1 for c in cycles(p))
     return -1 if transpositions % 2 else +1
 
 
@@ -89,12 +63,12 @@ def cycle_type(p: Permutation) -> CycleType:
 
     Two permutations are conjugate in S_N iff their cycle types agree.
     """
-    return tuple(sorted((len(c) for c in p.cycles()), reverse=True))
+    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
 def all_permutations(n: int) -> list[Permutation]:
     """All N! permutations in lexicographic image order (identity first)."""
-    return [Permutation(images) for images in itertools.permutations(range(1, n + 1))]
+    return list(itertools.permutations(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +124,7 @@ def class_representative(ct: CycleType) -> Permutation:
             images.append(block[(idx + 1) % length])
         start += length
     # images currently indexed by label order within blocks, which is 1..N
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def _class_sort_key(ct: CycleType):
@@ -233,8 +207,8 @@ class CharacterTable:
 
 # Literal tables, classes in canonical order (see conjugacy_classes).
 # S3 classes: identity, 3 transpositions, 2 three-cycles.  Operator-level
-# correspondence with C3v (images tuples, "apply" convention of
-# Permutation): sigma_v1 = (1,3,2), sigma_v2 = (3,2,1), sigma_v3 = (2,1,3);
+# correspondence with C3v (image tuples, "apply" convention of
+# compose): sigma_v1 = (1,3,2), sigma_v2 = (3,2,1), sigma_v3 = (2,1,3);
 # C3 = (3,1,2), C3^2 = (2,3,1).  Any consistent assignment yields the same
 # class data and multiplicities.
 _S3_TABLE = dict(

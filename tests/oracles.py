@@ -61,11 +61,12 @@ from permsym.oscillator import (
     uncoupled_expansion,
 )
 from permsym.levelsym import character_projector
-from permsym.spin import AllowedIrrepMap, _spin_traces, _spins
+from permsym.spin import _spin_traces, _spins
 from permsym.symgroup import (
     CharacterTable,
     Permutation,
     all_permutations,
+    character_table,
     class_representative,
     cycle_type,
     decompose,
@@ -490,13 +491,13 @@ def _basis_index(labels: tuple[str, ...]) -> int:
 
 
 def permute_labels(p: Permutation, labels: Sequence) -> tuple:
-    """Move the content of slot i to slot p(i): out[p(i)-1] = labels[i-1].
+    """Move the content of slot i to slot p[i-1]: out[p[i-1]-1] = labels[i-1].
 
     Matches the action of the permutation operator on product functions.
     """
     out = [None] * len(labels)
     for i, val in enumerate(labels, start=1):
-        out[p(i) - 1] = val
+        out[p[i - 1] - 1] = val
     return tuple(out)
 
 
@@ -578,8 +579,8 @@ def antisymmetrize_by_permutations(
 
 def spin_permutation_matrix(n: int, p: Permutation) -> np.ndarray:
     """2^N x 2^N 0/1 matrix permuting the tensor factors of the spin basis."""
-    if p.n != n:
-        raise ValueError(f"permutation size {p.n} != N {n}")
+    if len(p) != n:
+        raise ValueError(f"permutation size {len(p)} != N {n}")
     dim = 2**n
     mat = np.zeros((dim, dim))
     for labels in spin_basis(n):
@@ -781,15 +782,26 @@ class SpinOrbital:
         return cls(orbital=index // 2, ms2=+1 if index % 2 == 0 else -1)
 
 
+def identity(n: int) -> Permutation:
+    return tuple(range(1, n + 1))
+
+
+def transposition(n: int, i: int, j: int) -> Permutation:
+    """The permutation that swaps labels i and j."""
+    images = list(range(1, n + 1))
+    images[i - 1], images[j - 1] = j, i
+    return tuple(images)
+
+
 def inverse(p: Permutation) -> Permutation:
-    images = [0] * p.n
-    for i in range(1, p.n + 1):
-        images[p(i) - 1] = i
-    return Permutation(tuple(images))
+    images = [0] * len(p)
+    for i, img in enumerate(p, start=1):
+        images[img - 1] = i
+    return tuple(images)
 
 
 def is_identity(p: Permutation) -> bool:
-    return all(img == i + 1 for i, img in enumerate(p.images))
+    return all(img == i + 1 for i, img in enumerate(p))
 
 
 def canonicalize(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -837,7 +849,7 @@ def compare_greedy(
     model: OscillatorModel,
     states: Sequence[CIState],
     exact_levels: Sequence[LevelDescriptor],
-    allowed: AllowedIrrepMap,
+    allowed: dict[str, tuple[float, ...]],
     tol: float,
 ) -> ComparisonReport:
     """The nearest-level matcher ``permsym.ci.compare`` replaced: greedy
@@ -855,11 +867,13 @@ def compare_greedy(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if allowed.n != model.n_particles:
+    labels = character_table(model.n_particles).irreps
+    if set(allowed) != set(labels):
         raise ValueError(
-            f"allowed map is for N={allowed.n}, model has N={model.n_particles}"
+            f"allowed map has irreps {sorted(allowed)}, "
+            f"S{model.n_particles} has {sorted(labels)}"
         )
-    spins = [s for ss in allowed.spins.values() for s in ss]
+    spins = [s for ss in allowed.values() for s in ss]
     lowest_ms = min(abs(st.ms) for st in states)
     if spins and min(spins) < lowest_ms:
         raise ValueError(
@@ -873,7 +887,7 @@ def compare_greedy(
                 "levels before comparing"
             )
     levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
-    forbidden = allowed.forbidden_labels()
+    forbidden = {lbl for lbl, ss in allowed.items() if not ss}
 
     def has_allowed_content(lv: LevelDescriptor) -> bool:
         return any(m and lbl not in forbidden for lbl, m in lv.irrep_mults.items())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -646,6 +647,7 @@ class TestCompare:
         report = cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
         assert report.ok
         assert not report.spurious
+        assert report.forbidden_irreps == ("A1",)
         missing_keys = {lv.quanta_key for lv in report.missing}
         assert all(key[0] == 0 for key in missing_keys)
         assert (0, 0) in missing_keys and (0, 1) in missing_keys
@@ -658,6 +660,7 @@ class TestCompare:
         allowed = spin.allowed_spatial_irreps(4)
         report = cimod.compare(model4, ci4_m8, levels, allowed, tol=5e-3)
         assert report.ok
+        assert report.forbidden_irreps == ("A1", "T2")
         missing_keys = {lv.quanta_key for lv in report.missing}
         assert (0, 0) in missing_keys and (1, 0) in missing_keys
         matched_keys = {m.quanta_key for m in report.matched}
@@ -707,6 +710,36 @@ class TestCompare:
         for tol in (0.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
                 cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
+
+
+class TestCompareLabels:
+    """The allowed map passed to compare must hold exactly the irrep labels
+    of the states' S_N; the error names both label sets.  The oracle matcher
+    applies the same check."""
+
+    @staticmethod
+    def _inputs(n):
+        model = osc.make_model(n, 0.1)
+        states = cimod.ci_solve(model, cimod.build_basis(n, 4, ms=DEFAULT_MS[n]))
+        return model, states, _decorated_levels(model, symgroup.character_table(n), 2)
+
+    @pytest.mark.parametrize("matcher", [cimod.compare, oracles.compare_greedy])
+    @pytest.mark.parametrize("n, map_n", [(3, 4), (4, 3)])
+    def test_map_of_the_other_n(self, matcher, n, map_n):
+        model, states, levels = self._inputs(n)
+        allowed = spin.allowed_spatial_irreps(map_n)
+        own = symgroup.character_table(n).irreps
+        message = f"allowed map has irreps {sorted(allowed)}, S{n} has {sorted(own)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            matcher(model, states, levels, allowed, 1e-4)
+
+    @pytest.mark.parametrize("matcher", [cimod.compare, oracles.compare_greedy])
+    def test_map_lacking_a_label(self, matcher):
+        model, states, levels = self._inputs(3)
+        allowed = spin.allowed_spatial_irreps(3)
+        del allowed["A1"]
+        with pytest.raises(ValueError, match=re.escape("irreps ['A2', 'E'], S3 has")):
+            matcher(model, states, levels, allowed, 1e-4)
 
 
 #: the regression sweep's couplings: 0, 0.1, 0.5 and 15 spread over the
@@ -788,7 +821,7 @@ class TestCompareBlocks:
         states = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
         levels = _decorated_levels(model, symgroup.character_table(n), 4)
         allowed = spin.allowed_spatial_irreps(n)
-        wrong = spin.AllowedIrrepMap(n, {**allowed.spins, "A1": (a1_spin,)})
+        wrong = {**allowed, "A1": (a1_spin,)}
         report = cimod.compare(model, states, levels, wrong, tol)
         assert report.spurious
         assert not report.ok
@@ -812,7 +845,7 @@ class TestCompareBlocks:
         exact = {}
         for lv in _decorated_levels(model, symgroup.character_table(n), max_quanta):
             for label, m in lv.irrep_mults.items():
-                for s in allowed.spins[label]:
+                for s in allowed[label]:
                     if lv.energy < unlisted:
                         exact.setdefault((s, lv.parity), []).extend([lv.energy] * m)
         blocks = {}  # (M_s, S, parity) -> its states' energies, ascending
@@ -869,9 +902,7 @@ class TestDeterminism:
             ls.attach_multiplicities(model3, lv, t3)
             for lv in osc.enumerate_levels(model3, 4)
         ]
-        doctored = spin.AllowedIrrepMap(
-            n=3, spins={"A1": (), "A2": (1.5,), "E": ()}
-        )
+        doctored = {"A1": (), "A2": (1.5,), "E": ()}
         report = cimod.compare(model3, ci3_m10, levels, doctored, tol=1e-4)
         assert report.spurious
         assert not report.ok
@@ -884,9 +915,8 @@ class TestCanonicalizeProperty:
         from permsym import symgroup as sg
 
         base = [0, 3, 5, 8]
-        for images in it.permutations(range(1, 5)):
-            p = sg.Permutation(images)
-            shuffled = [base[p(i) - 1] for i in range(1, 5)]
+        for p in it.permutations(range(1, 5)):
+            shuffled = [base[i - 1] for i in p]
             det, sign = oracles.canonicalize(shuffled)
             assert det == tuple(base)
             assert sign == sg.parity(p)

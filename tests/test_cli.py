@@ -223,7 +223,9 @@ class TestProject:
 class TestAllowed:
     def test_character_route(self, capsys):
         data = run_json(capsys, "allowed", "--n", "3")
-        assert data["allowed"]["A2"]["multiplets"] == ["quadruplet"]
+        assert data["allowed"]["A2"] == {
+            "allowed": True, "spins": [1.5], "multiplets": ["quadruplet"]
+        }
         assert data["allowed"]["E"]["multiplets"] == ["doublet"]
         assert data["allowed"]["A1"] == {
             "allowed": False, "spins": [], "multiplets": []
@@ -242,8 +244,7 @@ class TestAllowed:
 
     def test_routes_disagreeing_exit_2(self, capsys, monkeypatch):
         def wrong(n):
-            amap = spin.allowed_spatial_irreps(n)
-            return spin.AllowedIrrepMap(n, {**amap.spins, "A1": (0.5,)})
+            return {**spin.allowed_spatial_irreps(n), "A1": (0.5,)}
 
         monkeypatch.setattr(spin, "constructive_spatial_irreps", wrong)
         rc, out, err = run_cli(capsys, "allowed", "--n", "3", "--verify", "constructive")
@@ -541,6 +542,74 @@ class TestConfigEcho:
         assert config["command"] == argv[0]
         assert config["n"] == int(argv[2])
 
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (("table", "--n", "3"), [("command", "table"), ("n", 3), ("format", "json")]),
+            (
+                ("spectrum", "--n", "3", "--xi", "0.1", "--max-quanta", "1"),
+                [("command", "spectrum"), ("n", 3), ("xi", 0.1), ("max_quanta", 1),
+                 ("format", "json")],
+            ),
+            (
+                ("irreps", "--n", "4", "--xi", "0.1", "--max-quanta", "2"),
+                [("command", "irreps"), ("n", 4), ("xi", 0.1), ("max_quanta", 2),
+                 ("format", "json")],
+            ),
+            (
+                ("project", "--n", "3", "--nsym", "3", "--irrep", "A2"),
+                [("command", "project"), ("n", 3), ("xi", 0.1), ("n_sym", 3),
+                 ("n_last", 0), ("irrep", "A2"), ("format", "json")],
+            ),
+            (("allowed", "--n", "4"), [("command", "allowed"), ("n", 4), ("format", "json")]),
+            (
+                ("allowed", "--n", "3", "--verify", "constructive"),
+                [("command", "allowed"), ("n", 3), ("verify", "constructive"),
+                 ("format", "json")],
+            ),
+            (
+                ("ci", "--n", "3", "--xi", "0.2", "--orbitals", "4", "--ms", "-1/2"),
+                [("command", "ci"), ("n", 3), ("xi", 0.2), ("orbitals", 4),
+                 ("ms", "-1/2"), ("format", "json")],
+            ),
+            (
+                ("compare", "--n", "4", "--xi", "0.1", "--orbitals", "6",
+                 "--max-quanta", "3", "--tol", "1e-3"),
+                [("command", "compare"), ("n", 4), ("xi", 0.1), ("orbitals", 6),
+                 ("max_quanta", 3), ("ms", "0"), ("tol", 0.001), ("format", "json")],
+            ),
+        ],
+        ids=["table", "spectrum", "irreps", "project", "allowed", "allowed_verify",
+             "ci", "compare"],
+    )
+    def test_whole_echo_in_order(self, capsys, argv, echo):
+        """The echo lists the resolved values in one fixed key order and
+        leaves out the unset ones; compare echoes its default M_s sector."""
+        assert list(run_json(capsys, *argv)["config"].items()) == echo
+
+    def test_csv_echo_lines(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "spectrum", "--n", "4", "--xi", "-0.2", "--max-quanta", "1",
+            "--format", "csv",
+        )
+        assert rc == 0, err
+        assert out.splitlines()[:5] == [
+            "# command=spectrum", "# n=4", "# xi=-0.2", "# max_quanta=1", "# format=csv",
+        ]
+        assert not out.splitlines()[5].startswith("#")
+
+    def test_output_file_echo(self, capsys, tmp_path):
+        path = tmp_path / "levels.json"
+        rc, out, err = run_cli(
+            capsys, "irreps", "--n", "3", "--xi", "0.3", "--max-quanta", "1",
+            "--output", str(path),
+        )
+        assert (rc, out) == (0, "")
+        assert list(json.loads(path.read_text())["config"].items()) == [
+            ("command", "irreps"), ("n", 3), ("xi", 0.3), ("max_quanta", 1),
+            ("format", "json"), ("output", str(path)),
+        ]
+
 
 class TestJsonRoundTrip:
     def test_table_rebuilds_character_table(self, capsys):
@@ -746,3 +815,15 @@ def test_oversized_project_is_a_usage_error():
     assert "level (100, 0) has degeneracy 5151" in run.stderr
     assert "24 representation matrices take 4.74 GiB dense" in run.stderr
     assert 5151 > levelsym.MAX_SALC_DEGENERACY
+
+
+def test_oversized_cutoff_is_a_usage_error():
+    """A --max-quanta above oscillator.MAX_TOTAL_QUANTA is refused (exit 1)
+    with its level count before any level is built: the refusal fits in
+    1 GiB, where the 5,000,150,001 levels of cutoff 100000 would not."""
+    argv = ["spectrum", "--n", "4", "--xi", "0.1", "--max-quanta", "100000"]
+    run = _fresh(_CAPPED_PROBE, *argv)
+    assert run.returncode == cli.EXIT_USAGE, run.stderr
+    assert run.stdout == ""
+    assert "cutoff 100000 gives 5000150001 levels" in run.stderr
+    assert 100000 > osc.MAX_TOTAL_QUANTA
