@@ -158,9 +158,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _decorated_levels(args: argparse.Namespace):
     model = oscillator.make_model(args.n, args.xi)
-    table = symgroup.character_table(args.n)
     levels = [
-        levelsym.attach_multiplicities(model, lv, table)
+        levelsym.attach_multiplicities(model, lv)
         for lv in oscillator.enumerate_levels(model, args.max_quanta)
     ]
     return model, levels
@@ -250,6 +249,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         args.ms = "1/2" if args.n % 2 else "0"
     model, levels = _decorated_levels(args)
     allowed = spin.allowed_spatial_irreps(args.n)
+    if not any(lv.irrep_mults[ir] for lv in levels for ir, s in allowed.items() if s):
+        raise UsageError(
+            f"no level up to --max-quanta {args.max_quanta} holds an allowed "
+            "irrep, so nothing can be verified: raise --max-quanta"
+        )
     basis = _determinant_basis(args)
     states = cimod.ci_solve(model, basis)
     report = cimod.compare(model, states, levels, allowed, args.tol)

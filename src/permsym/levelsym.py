@@ -1,11 +1,11 @@
 """Irrep decomposition of degenerate levels and symmetry-adapted bases.
 
 A level with n_sym quanta in the degenerate modes carries the n_sym-th
-symmetric power of the (N-1)-dimensional mode representation, so its
-characters (:func:`level_characters`, a {cycle type: trace} dict) are exact
-integers read off a generating function (no representation matrix is built
-for them).  :func:`irrep_multiplicities` turns a level's characters into
-irrep multiplicities by the exact character inner product
+symmetric power of the (N-1)-dimensional mode representation, whatever the
+coupling and n_last, so its characters (:func:`level_characters`, a read-only
+{cycle type: trace} map cached per (N, n_sym)) are exact integers read off a
+generating function.  :func:`irrep_multiplicities` turns them into irrep
+multiplicities by the exact character inner product
 (:func:`symgroup.decompose`), checked to account for the whole degeneracy.
 Character projectors, built from the float representation matrices, yield
 symmetry-adapted linear combinations (SALCs) fixed by their span; a guard's
@@ -15,15 +15,23 @@ breach is a hard :class:`NumericalIntegrityError`, never a silent round.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from types import MappingProxyType
 
 from . import lazy_numpy
 from .errors import NumericalIntegrityError
-from .oscillator import LevelDescriptor, OscillatorModel, permutation_action_matrix
+from .oscillator import (
+    LevelDescriptor,
+    OscillatorModel,
+    level_degeneracy,
+    permutation_action_matrix,
+)
 from .symgroup import (
     CharacterTable,
     CycleType,
     all_permutations,
+    character_table,
     cycle_type,
     decompose,
     partitions,
@@ -35,48 +43,44 @@ _RANK_TOL = 1e-8
 MAX_SALC_DEGENERACY = 500
 
 
-def level_characters(
-    model: OscillatorModel, level: LevelDescriptor
-) -> dict[CycleType, int]:
-    """Exact integer trace of the permutation action, per cycle type.
+@functools.lru_cache(maxsize=None)
+def level_characters(n: int, n_sym: int) -> MappingProxyType[CycleType, int]:
+    """Exact integer trace of the permutation action on a level of N
+    particles with n_sym degenerate quanta, per cycle type (cached, read-only).
 
     For a permutation of cycle type lambda the mode representation W has
     sum_n t^n trace(Sym^n W) = 1/det(1 - tW) = (1 - t) / prod_l (1 - t^l)
     (Molien series), so the level's trace is the t^n_sym coefficient.
     """
-    n = level.n_sym
     traces = {}
-    for ct in partitions(model.n_particles):
-        series = [1] + [0] * n  # 1 / prod_l (1 - t^l), up to t^n
+    for ct in partitions(n):
+        series = [1] + [0] * n_sym  # 1 / prod_l (1 - t^l), up to t^n_sym
         for length in ct:
-            for k in range(length, n + 1):
+            for k in range(length, n_sym + 1):
                 series[k] += series[k - length]
-        traces[ct] = series[n] - (series[n - 1] if n else 0)
-    return traces
+        traces[ct] = series[n_sym] - (series[n_sym - 1] if n_sym else 0)
+    return MappingProxyType(traces)
 
 
-def irrep_multiplicities(
-    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable
-) -> dict[str, int]:
-    """Exact irrep multiplicities of a level, from its characters
-    (:func:`symgroup.decompose`), checked to account for its whole
-    degeneracy."""
-    if table.n != model.n_particles:
-        raise ValueError(f"table is for N={table.n}, model for N={model.n_particles}")
-    out = decompose(table, level_characters(model, level))
+def irrep_multiplicities(n: int, n_sym: int) -> dict[str, int]:
+    """Exact irrep multiplicities of a level of N particles with n_sym
+    degenerate quanta, from its characters (:func:`symgroup.decompose`),
+    checked on every call to account for its whole degeneracy."""
+    table = character_table(n)
+    out = decompose(table, level_characters(n, n_sym))
     total = sum(table.dimension(ir) * m for ir, m in out.items())
-    if total != level.degeneracy:
+    if total != (degeneracy := level_degeneracy(n, n_sym)):
         raise NumericalIntegrityError(
-            f"dimension bookkeeping failed: {total} != degeneracy {level.degeneracy}"
+            f"dimension bookkeeping failed: {total} != degeneracy {degeneracy}"
         )
     return out
 
 
 def attach_multiplicities(
-    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable
+    model: OscillatorModel, level: LevelDescriptor
 ) -> LevelDescriptor:
     """Level descriptor with irrep_mults filled in."""
-    mults = irrep_multiplicities(model, level, table)
+    mults = irrep_multiplicities(model.n_particles, level.n_sym)
     return dataclasses.replace(level, irrep_mults=mults)
 
 
@@ -93,7 +97,7 @@ def character_projector(
     for p in all_permutations(model.n_particles):
         chi = table.char(irrep, cycle_type(p))
         if chi:
-            proj += chi * permutation_action_matrix(model, level, p)
+            proj += chi * permutation_action_matrix(model.n_particles, level.n_sym, p)
     return proj * (dimension / order)
 
 
@@ -122,7 +126,7 @@ def salc(
             f"{MAX_SALC_DEGENERACY}: its {order} representation matrices "
             f"take {8 * order * deg**2 / 2**30:.2f} GiB dense"
         )
-    rank = irrep_multiplicities(model, level, table)[irrep] * dimension
+    rank = irrep_multiplicities(table.n, level.n_sym)[irrep] * dimension
     residual = character_projector(model, level, table, irrep)
     vectors = np.zeros((rank, deg))
     for row in vectors:

@@ -253,9 +253,10 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[Permutation, np.nd
 
 
 def permutation_action_matrix(
-    model: OscillatorModel, level: LevelDescriptor, p: Permutation
+    n_particles: int, n_sym: int, p: Permutation
 ) -> np.ndarray:
-    """Matrix of p on the span of the level's eigenfunctions.
+    """Matrix of p on the span of a level's eigenfunctions, n_sym quanta in
+    the degenerate modes of N particles.
 
     p sends particle j to p[j-1], acts by (p f)(x) = f(x_{p[0]}, ..., x_{p[N-1]}),
     and on the modes is W = U P U^T, formed by indexing U's columns.
@@ -263,10 +264,9 @@ def permutation_action_matrix(
     (:func:`level_patterns`).  The matrices form an orthogonal
     representation: D(p) D(q) = D(compose(p, q)).
     """
-    if len(p) != model.n_particles:
-        raise ValueError(f"permutation size {len(p)} != model N {model.n_particles}")
-    mats = _level_rep_matrices(model.n_particles, level.n_sym)
-    return mats[p].copy()
+    if len(p) != n_particles:
+        raise ValueError(f"permutation size {len(p)} != N {n_particles}")
+    return _level_rep_matrices(n_particles, n_sym)[p].copy()
 
 
 @functools.lru_cache(maxsize=None)

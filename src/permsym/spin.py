@@ -30,7 +30,6 @@ from typing import Mapping
 
 from .errors import NumericalIntegrityError
 from .levelsym import irrep_multiplicities
-from .oscillator import LevelDescriptor, OscillatorModel, make_level, make_model
 from .symgroup import (
     CharacterTable,
     CycleType,
@@ -149,11 +148,12 @@ def _shell(n: int, quanta: int, n_beta: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _class_weights(table: CharacterTable, irrep: str) -> tuple[tuple, ...]:
-    """(zero-based images, chi_Gamma(p)) of each p with chi_Gamma(p) != 0."""
+def _class_weights(n: int, irrep: str) -> tuple[tuple, ...]:
+    """(zero-based images, chi_Gamma(p)) of each p in S_N with chi_Gamma(p) != 0."""
+    table = character_table(n)
     weights = [
         (tuple(i - 1 for i in p), table.char(irrep, cycle_type(p)))
-        for p in all_permutations(table.n)
+        for p in all_permutations(n)
     ]
     return tuple(w for w in weights if w[1])
 
@@ -167,10 +167,11 @@ def _sort_sign(codes: list[int]) -> int:
 
 
 def antisymmetrize_space_spin(
-    determinant: tuple[int, ...], table: CharacterTable, irrep: str
+    determinant: tuple[int, ...], irrep: str
 ) -> SpaceSpinFunction:
-    """(N!/dim) P_Gamma = sum_p chi_Gamma(p) p on one Slater determinant, p
-    permuting the electrons' orbitals and leaving their spins.
+    """(N!/dim) P_Gamma = sum_p chi_Gamma(p) p on one Slater determinant of
+    N = len(determinant) electrons, p permuting their orbitals and leaving
+    their spins.
 
     P_Gamma commutes with the antisymmetrizer, so each term is the
     determinant in which electron i takes the orbital of electron p(i): one
@@ -180,7 +181,7 @@ def antisymmetrize_space_spin(
     orbitals = [code >> 1 for code in determinant]
     spins = [code & 1 for code in determinant]
     image: dict[tuple[int, ...], int] = {}
-    for images, chi in _class_weights(table, irrep):
+    for images, chi in _class_weights(len(determinant), irrep):
         codes = [2 * orbitals[j] + s for j, s in zip(images, spins)]
         if sign := _sort_sign(codes):
             key = tuple(sorted(codes))
@@ -207,16 +208,14 @@ def _rank(rows) -> int:
     return len(pivots)
 
 
-def _shell_rank(
-    table: CharacterTable, irrep: str, quanta: int, n_beta: int
-) -> tuple[int, int]:
+def _shell_rank(n: int, irrep: str, quanta: int, n_beta: int) -> tuple[int, int]:
     """(rank, trace) of the images of one shell's determinants."""
-    shell = _shell(table.n, quanta, n_beta)
-    rows = [antisymmetrize_space_spin(det, table, irrep).determinants for det in shell]
+    shell = _shell(n, quanta, n_beta)
+    rows = [antisymmetrize_space_spin(det, irrep).determinants for det in shell]
     return _rank(rows), sum(row.get(det, 0) for det, row in zip(shell, rows))
 
 
-def _level_multiplets(table: CharacterTable, irrep: str, n_sym: int):
+def _level_multiplets(n: int, irrep: str, n_sym: int):
     """n_S, the antisymmetric spin-S multiplets with spatial Gamma at a level
     with n_sym degenerate quanta, per S ascending.
 
@@ -226,12 +225,11 @@ def _level_multiplets(table: CharacterTable, irrep: str, n_sym: int):
     unless each rank is the trace times dim/N!, as for N!/dim times a
     projector.
     """
-    n, dimension = table.n, table.dimension(irrep)
-    order = math.factorial(n)
+    dimension, order = character_table(n).dimension(irrep), math.factorial(n)
     counts = [0] * (n // 2 + 1)
     for n_beta in range(n // 2 + 1):
         for quanta, sign in ((n_sym, 1), (n_sym - 1, -1)):
-            rank, trace = _shell_rank(table, irrep, quanta, n_beta)
+            rank, trace = _shell_rank(n, irrep, quanta, n_beta)
             if rank * order != trace * dimension:
                 raise NumericalIntegrityError(
                     f"{irrep} Q={quanta} n_beta={n_beta}: rank {rank}, trace {trace}"
@@ -243,47 +241,37 @@ def _level_multiplets(table: CharacterTable, irrep: str, n_sym: int):
     }
 
 
-def constructive_allowed_spins(
-    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable, irrep: str
-) -> set[float]:
-    """The total spins of the level's antisymmetric states with spatial part
-    in the irrep (:func:`_level_multiplets`); empty proves it forbidden.
-    Raises NumericalIntegrityError unless each n_S is 0 or the irrep's
-    multiplicity in the level."""
-    multiplets = _level_multiplets(table, irrep, level.n_sym)
-    copies = irrep_multiplicities(model, level, table)[irrep]
+def constructive_allowed_spins(n: int, n_sym: int, irrep: str) -> set[float]:
+    """The total spins of the antisymmetric states with spatial part in the
+    irrep at the levels of N particles with n_sym degenerate quanta
+    (:func:`_level_multiplets`); empty proves it forbidden.  Raises
+    NumericalIntegrityError unless each n_S is 0 or the irrep's multiplicity
+    in the level."""
+    multiplets = _level_multiplets(n, irrep, n_sym)
+    copies = irrep_multiplicities(n, n_sym)[irrep]
     if any(count not in (0, copies) for count in multiplets.values()):
         raise NumericalIntegrityError(
-            f"{irrep} at level {level.quanta_key}: multiplets per S {multiplets}, "
+            f"{irrep} at n_sym={n_sym}: multiplets per S {multiplets}, "
             f"expected 0 or its multiplicity {copies}"
         )
     return {s for s, count in multiplets.items() if count}
 
 
-def first_level_with_irrep(
-    model: OscillatorModel,
-    table: CharacterTable,
-    irrep: str,
-) -> LevelDescriptor:
-    """Lowest level (by n_sym, at n_last = 0) containing the irrep."""
-    table.dimension(irrep)  # an unknown label fails before any work
+def first_level_with_irrep(n: int, irrep: str) -> int:
+    """The lowest n_sym whose levels contain the irrep."""
+    character_table(n).dimension(irrep)  # an unknown label fails before any work
     for n_sym in range(_MAX_FIRST_N_SYM + 1):
-        level = make_level(model, n_sym, 0)
-        if irrep_multiplicities(model, level, table)[irrep]:
-            return level
+        if irrep_multiplicities(n, n_sym)[irrep]:
+            return n_sym
     raise ValueError(f"irrep {irrep} not found up to n_sym={_MAX_FIRST_N_SYM}")
 
 
 def constructive_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     """Constructive route: each irrep's spins are those of its antisymmetric
-    states at the first level holding it (weak coupling, xi = 0.1); it must
-    equal :func:`allowed_spatial_irreps`."""
-    model = make_model(n, 0.1)
-    table = character_table(n)
+    states at the first level holding it (any coupling: a level's symmetry
+    depends on n_sym alone); it must equal :func:`allowed_spatial_irreps`."""
     spins = {}
-    for irrep in table.irreps:
-        level = first_level_with_irrep(model, table, irrep)
-        spins[irrep] = tuple(
-            sorted(constructive_allowed_spins(model, level, table, irrep))
-        )
+    for irrep in character_table(n).irreps:
+        n_sym = first_level_with_irrep(n, irrep)
+        spins[irrep] = tuple(sorted(constructive_allowed_spins(n, n_sym, irrep)))
     return spins

@@ -8,6 +8,7 @@ integer arithmetic; no floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -244,8 +245,9 @@ _S4_TABLE = dict(
 _TABLES = {3: _S3_TABLE, 4: _S4_TABLE}
 
 
+@functools.lru_cache(maxsize=None)
 def character_table(n: int) -> CharacterTable:
-    """The shipped character table for S3 or S4, validated at load."""
+    """The shipped character table for S3 or S4, validated once per N."""
     if n not in _TABLES:
         raise ValueError(f"no character table shipped for N={n} (supported: 3, 4)")
     data = _TABLES[n]

@@ -73,9 +73,9 @@ def test_criterion_02_irrep_content_n3(model3, t3):
         worst = 0.0
         for n_sym in range(5):
             level = osc.make_level(model3, n_sym, 0)
-            for trace in ls.level_characters(model3, level).values():
+            for trace in ls.level_characters(3, n_sym).values():
                 worst = max(worst, abs(trace - round(trace)))
-            mults = ls.irrep_multiplicities(model3, level, t3)
+            mults = ls.irrep_multiplicities(3, n_sym)
             got = {ir: m for ir, m in mults.items() if m}
             if n_sym in expected:
                 assert got == expected[n_sym], f"n_sym={n_sym}: {got}"
@@ -145,13 +145,13 @@ def test_criterion_06_allowed_irrep_law():
             assert spin.constructive_spatial_irreps(n) == amap, f"N={n}"
 
 
-def test_criterion_07_missing_levels_n3(model3, t3, ci3_m10, tmp_path):
+def test_criterion_07_missing_levels_n3(model3, ci3_m10, tmp_path):
     with _report("7", "N=3, xi=0.1, M=10: lowest CI at the first allowed "
                  "level within 1e-4; E_00j levels missing; compare exits 0"):
         lowest_allowed = 2 * math.sqrt(0.9) + 0.5 * math.sqrt(1.2)
         assert abs(ci3_m10[0].energy - lowest_allowed) < 1e-4
         levels = [
-            ls.attach_multiplicities(model3, lv, t3)
+            ls.attach_multiplicities(model3, lv)
             for lv in osc.enumerate_levels(model3, 4)
         ]
         report = cimod.compare(
@@ -178,14 +178,14 @@ def test_criterion_07_missing_levels_n3(model3, t3, ci3_m10, tmp_path):
         assert json.loads(out.read_text())["ok"] is True
 
 
-def test_criterion_08_missing_levels_n4(model4, t4, ci4_m8):
+def test_criterion_08_missing_levels_n4(model4, ci4_m8):
     with _report("8", "N=4, xi=0.1, M=8: lowest CI state is a singlet at the "
                  "n_sym=2 level within 5e-3; n_sym = 0, 1 levels missing"):
         target = 3.5 * math.sqrt(0.9) + 0.5 * math.sqrt(1.3)
         assert abs(ci4_m8[0].energy - target) < 5e-3
         assert ci4_m8[0].s == 0.0
         levels = [
-            ls.attach_multiplicities(model4, lv, t4)
+            ls.attach_multiplicities(model4, lv)
             for lv in osc.enumerate_levels(model4, 3)
         ]
         report = cimod.compare(
@@ -238,14 +238,9 @@ def test_criterion_10_property_suites(model3, ci3_m10, basis3_m10):
 
         # exhaustive homomorphism for N = 3, 4 up to n_sym = 6
         for n in (3, 4):
-            model = osc.make_model(n, 0.1)
             perms = sg.all_permutations(n)
             for n_sym in range(7):
-                level = osc.make_level(model, n_sym, 0)
-                mats = {
-                    p: osc.permutation_action_matrix(model, level, p)
-                    for p in perms
-                }
+                mats = {p: osc.permutation_action_matrix(n, n_sym, p) for p in perms}
                 for p in perms:
                     for q in perms:
                         lhs = mats[p] @ mats[q]

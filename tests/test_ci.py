@@ -633,16 +633,16 @@ class TestS2Matrix:
         assert np.abs(h @ s2 - s2 @ h).max() < 1e-10
 
 
-def _decorated_levels(model, table, max_quanta):
+def _decorated_levels(model, max_quanta):
     return [
-        ls.attach_multiplicities(model, lv, table)
+        ls.attach_multiplicities(model, lv)
         for lv in osc.enumerate_levels(model, max_quanta)
     ]
 
 
 class TestCompare:
-    def test_n3_missing_levels(self, ci3_m10, model3, t3):
-        levels = _decorated_levels(model3, t3, 4)
+    def test_n3_missing_levels(self, ci3_m10, model3):
+        levels = _decorated_levels(model3, 4)
         allowed = spin.allowed_spatial_irreps(3)
         report = cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
         assert report.ok
@@ -655,8 +655,8 @@ class TestCompare:
         for lv in report.missing:
             assert {l for l, m in lv.irrep_mults.items() if m} == {"A1"}
 
-    def test_n4_missing_levels(self, ci4_m8, model4, t4):
-        levels = _decorated_levels(model4, t4, 3)
+    def test_n4_missing_levels(self, ci4_m8, model4):
+        levels = _decorated_levels(model4, 3)
         allowed = spin.allowed_spatial_irreps(4)
         report = cimod.compare(model4, ci4_m8, levels, allowed, tol=5e-3)
         assert report.ok
@@ -670,13 +670,11 @@ class TestCompare:
         assert first.s == 0.0
         assert first.ci_energy == pytest.approx(3.8904793, abs=5e-3)
 
-    def test_oracle_contains_ci_and_difference_is_forbidden(
-        self, ci3_m10, model3, t3
-    ):
+    def test_oracle_contains_ci_and_difference_is_forbidden(self, ci3_m10, model3):
         """Product-basis oracle realizes the full spectrum; the part absent
         from CI is precisely the pure-A1 (forbidden) levels."""
         oracle = oracles.product_basis_oracle(model3, 8)
-        levels = _decorated_levels(model3, t3, 3)
+        levels = _decorated_levels(model3, 3)
         for lv in levels:
             gap = min(abs(e - lv.energy) for e, _ in oracle)
             assert gap < 1e-4, f"oracle misses level {lv.quanta_key}"
@@ -687,11 +685,11 @@ class TestCompare:
             else:
                 assert ci_gap < 1e-6
 
-    def test_vacuous_tolerance_flagged(self, ci3_m10, model3, t3):
+    def test_vacuous_tolerance_flagged(self, ci3_m10, model3):
         """A tolerance that pushes the horizon below every allowed level
         verifies nothing; tol=5 matches no state at N=3 M=10 (an infinite
         tol is refused, see test_rejects_nonpositive_tol)."""
-        levels = _decorated_levels(model3, t3, 2)
+        levels = _decorated_levels(model3, 2)
         allowed = spin.allowed_spatial_irreps(3)
         report = cimod.compare(model3, ci3_m10, levels, allowed, tol=5.0)
         assert report.vacuous
@@ -704,8 +702,8 @@ class TestCompare:
         with pytest.raises(ValueError, match="irrep multiplicities"):
             cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
 
-    def test_rejects_nonpositive_tol(self, ci3_m10, model3, t3):
-        levels = _decorated_levels(model3, t3, 2)
+    def test_rejects_nonpositive_tol(self, ci3_m10, model3):
+        levels = _decorated_levels(model3, 2)
         allowed = spin.allowed_spatial_irreps(3)
         for tol in (0.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
@@ -721,7 +719,7 @@ class TestCompareLabels:
     def _inputs(n):
         model = osc.make_model(n, 0.1)
         states = cimod.ci_solve(model, cimod.build_basis(n, 4, ms=DEFAULT_MS[n]))
-        return model, states, _decorated_levels(model, symgroup.character_table(n), 2)
+        return model, states, _decorated_levels(model, 2)
 
     @pytest.mark.parametrize("matcher", [cimod.compare, oracles.compare_greedy])
     @pytest.mark.parametrize("n, map_n", [(3, 4), (4, 3)])
@@ -781,7 +779,7 @@ class TestCompareBlocks:
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
         states = cimod.ci_solve(model, basis)
-        levels = _decorated_levels(model, symgroup.character_table(n), 4)
+        levels = _decorated_levels(model, 4)
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
             report = cimod.compare(model, states, levels, allowed, tol)
@@ -805,7 +803,7 @@ class TestCompareBlocks:
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
         states = cimod.ci_solve(model, basis)
-        levels = _decorated_levels(model, symgroup.character_table(n), 4)
+        levels = _decorated_levels(model, 4)
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
             report = cimod.compare(model, states, levels, allowed, tol)
@@ -819,7 +817,7 @@ class TestCompareBlocks:
         on the next predicted level: the list has shifted."""
         model = osc.make_model(n, 0.1)
         states = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
-        levels = _decorated_levels(model, symgroup.character_table(n), 4)
+        levels = _decorated_levels(model, 4)
         allowed = spin.allowed_spatial_irreps(n)
         wrong = {**allowed, "A1": (a1_spin,)}
         report = cimod.compare(model, states, levels, wrong, tol)
@@ -843,7 +841,7 @@ class TestCompareBlocks:
         shell = max_quanta + 1
         unlisted = min(osc.level_energy(model, q, shell - q) for q in range(shell + 1))
         exact = {}
-        for lv in _decorated_levels(model, symgroup.character_table(n), max_quanta):
+        for lv in _decorated_levels(model, max_quanta):
             for label, m in lv.irrep_mults.items():
                 for s in allowed[label]:
                     if lv.energy < unlisted:
@@ -893,13 +891,11 @@ class TestDeterminism:
         )
         assert s1 == s2
 
-    def test_spurious_detected_with_doctored_allowed_map(
-        self, ci3_m10, model3, t3
-    ):
+    def test_spurious_detected_with_doctored_allowed_map(self, ci3_m10, model3):
         """If the E species were forbidden, the converged CI states at the
         E-bearing levels would have nothing to match: flagged spurious."""
         levels = [
-            ls.attach_multiplicities(model3, lv, t3)
+            ls.attach_multiplicities(model3, lv)
             for lv in osc.enumerate_levels(model3, 4)
         ]
         doctored = {"A1": (), "A2": (1.5,), "E": ()}

@@ -135,6 +135,25 @@ class TestIrreps:
         rows = parse_csv(out)
         assert "mult_E" in rows[0]
 
+    def test_each_n_sym_computed_once(self, capsys, monkeypatch):
+        """A level's characters depend on (N, n_sym) alone: at Q = 30 the
+        Molien series runs Q + 1 times per N, not once per level."""
+        series = {3: 0, 4: 0}
+        partitions = levelsym.partitions
+
+        def counted(n):
+            series[n] += 1
+            return partitions(n)
+
+        monkeypatch.setattr(levelsym, "partitions", counted)
+        levelsym.level_characters.cache_clear()
+        for n in (3, 4):
+            rc, _, err = run_cli(
+                capsys, "irreps", "--n", str(n), "--xi", "0.1", "--max-quanta", "30"
+            )
+            assert rc == 0, err
+        assert series == {3: 31, 4: 31}
+
 
 #: every irrep at every level (n_sym, 0) up to n_sym 6 (N=3) and 4 (N=4),
 #: and at N=3 n_sym 68, 72 and 120, where a D(p) whose rounding compounds
@@ -378,6 +397,27 @@ class TestCompare:
         assert rc == 1 and out == ""
         assert "below the horizon" in err and "--orbitals" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--n 4 --xi 0.1 --orbitals 10 --max-quanta 1 --tol 1e-9",
+            "--n 3 --xi 0.1 --orbitals 10 --max-quanta 0 --tol 1e-9",
+        ],
+    )
+    def test_cutoff_without_allowed_level_names_max_quanta(
+        self, capsys, monkeypatch, argv
+    ):
+        """The listed levels hold only forbidden irreps: no --orbitals or
+        --tol can help, so the usage error names --max-quanta, before any CI."""
+
+        def no_ci(*args, **kwargs):
+            raise AssertionError("CI basis built")
+
+        monkeypatch.setattr(cli.cimod, "build_basis", no_ci)
+        rc, out, err = run_cli(capsys, "compare", *argv.split())
+        assert rc == 1 and out == ""
+        assert "--max-quanta" in err and "--orbitals" not in err
+
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -396,12 +436,15 @@ class TestGolden:
             ("ci_n4_m5_xi0.6.json", "ci --n 4 --xi 0.6 --orbitals 5 --ms all"),
             ("allowed_n3.json", "allowed --n 3 --verify constructive"),
             ("allowed_n4.json", "allowed --n 4 --verify constructive"),
+            ("irreps_n4_q10.json", "irreps --n 4 --xi 0.1 --max-quanta 10"),
+            ("irreps_n3_q11.csv",
+             "irreps --n 3 --xi 0.1 --max-quanta 11 --format csv"),
         ],
     )
     def test_reproduces_artifact(self, capsys, name, argv):
         rc, out, err = run_cli(capsys, *argv.split())
         assert rc == 0, err
-        assert out == (GOLDEN / name).read_text()
+        assert out == (GOLDEN / name).read_bytes().decode()  # CSV rows end in \r\n
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -634,15 +677,14 @@ class TestJsonRoundTrip:
         assert rebuilt == sg.character_table(4)
 
     def test_irreps_rebuilds_levels(self, capsys):
-        from permsym import levelsym, oscillator, symgroup
+        from permsym import levelsym, oscillator
 
         data = run_json(
             capsys, "irreps", "--n", "3", "--xi", "0.1", "--max-quanta", "2"
         )
         model = oscillator.make_model(3, 0.1)
-        table = symgroup.character_table(3)
         direct = [
-            levelsym.attach_multiplicities(model, lv, table)
+            levelsym.attach_multiplicities(model, lv)
             for lv in oscillator.enumerate_levels(model, 2)
         ]
         assert len(data["levels"]) == len(direct)

@@ -198,14 +198,14 @@ class TestEigenfunction:
 class TestPermutationAction:
     def test_identity(self, model3):
         lv = osc.make_level(model3, 2, 0)
-        d = osc.permutation_action_matrix(model3, lv, oracles.identity(3))
+        d = osc.permutation_action_matrix(3, lv.n_sym, oracles.identity(3))
         assert np.allclose(d, np.eye(3), atol=1e-12)
 
     def test_scalar_one_on_symmetric_level(self, model3, model4):
         for model in (model3, model4):
             lv = osc.make_level(model, 0, 2)
             for p in sg.all_permutations(model.n_particles):
-                d = osc.permutation_action_matrix(model, lv, p)
+                d = osc.permutation_action_matrix(model.n_particles, lv.n_sym, p)
                 assert d.shape == (1, 1)
                 assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -214,7 +214,7 @@ class TestPermutationAction:
         for i in range(1, 3):
             for j in range(i + 1, 4):
                 d = osc.permutation_action_matrix(
-                    model3, lv, oracles.transposition(3, i, j)
+                    3, lv.n_sym, oracles.transposition(3, i, j)
                 )
                 assert abs(np.trace(d)) < 1e-12
 
@@ -224,9 +224,7 @@ class TestPermutationAction:
         perms = sg.all_permutations(n)
         for n_sym in range(max_nsym + 1):
             lv = osc.make_level(model, n_sym, 0)
-            mats = {
-                p: osc.permutation_action_matrix(model, lv, p) for p in perms
-            }
+            mats = {p: osc.permutation_action_matrix(n, n_sym, p) for p in perms}
             dim = lv.degeneracy
             for p in perms:
                 dp = mats[p]
@@ -242,7 +240,7 @@ class TestPermutationAction:
         matrices stay an orthogonal representation to 1e-12."""
         lv = osc.make_level(model3, 200, 0)
         perms = sg.all_permutations(3)
-        mats = {p: osc.permutation_action_matrix(model3, lv, p) for p in perms}
+        mats = {p: osc.permutation_action_matrix(3, lv.n_sym, p) for p in perms}
         for p in perms:
             dp = mats[p]
             assert np.abs(dp @ dp.T - np.eye(lv.degeneracy)).max() <= 1e-12
@@ -269,7 +267,7 @@ class TestPermutationAction:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(25, n))
         for p in sg.all_permutations(n):
-            d = osc.permutation_action_matrix(model, lv, p)
+            d = osc.permutation_action_matrix(model.n_particles, lv.n_sym, p)
             # (p f)(x) = f(x_{p[0]}, ..., x_{p[N-1]})
             permuted_pts = pts[:, [i - 1 for i in p]]
             lhs = funcs[col].evaluate(permuted_pts)
@@ -284,7 +282,7 @@ class TestPermutationAction:
         # permuting an eigenfunction stays inside its level's span
         lv = osc.make_level(model3, 3, 1)
         for p in sg.all_permutations(3):
-            d = osc.permutation_action_matrix(model3, lv, p)
+            d = osc.permutation_action_matrix(3, lv.n_sym, p)
             # columns must have unit norm: nothing leaks out of the span
             norms = np.linalg.norm(d, axis=0)
             assert np.abs(norms - 1.0).max() < 1e-9
@@ -345,7 +343,7 @@ class TestMoreEdges:
     def test_action_matrix_size_mismatch(self, model4):
         lv = osc.make_level(model4, 1, 0)
         with pytest.raises(ValueError):
-            osc.permutation_action_matrix(model4, lv, (2, 1, 3))
+            osc.permutation_action_matrix(4, lv.n_sym, (2, 1, 3))
 
 
 class TestModeActionCorrespondence:
@@ -355,8 +353,8 @@ class TestModeActionCorrespondence:
         (1, 0) carries the mode representation itself, in the basis y2, y1."""
         lv = osc.make_level(model3, 1, 0)
         assert osc.level_patterns(3, 1) == [(0, 1), (1, 0)]
-        d = osc.permutation_action_matrix(model3, lv, (1, 3, 2))
+        d = osc.permutation_action_matrix(3, lv.n_sym, (1, 3, 2))
         assert np.abs(d - np.diag([1.0, -1.0])).max() < 1e-12
-        d = osc.permutation_action_matrix(model3, lv, (3, 1, 2))
+        d = osc.permutation_action_matrix(3, lv.n_sym, (3, 1, 2))
         assert np.trace(d) == pytest.approx(-1.0, abs=1e-12)   # 2 cos(120deg)
         assert np.linalg.det(d) == pytest.approx(1.0, abs=1e-12)

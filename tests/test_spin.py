@@ -335,9 +335,10 @@ class TestExactRoute:
     def test_first_levels_match_float_oracle(self, n):
         model, table = osc.make_model(n, 0.1), sg.character_table(n)
         for irrep in table.irreps:
-            level = spin.first_level_with_irrep(model, table, irrep)
+            n_sym = spin.first_level_with_irrep(n, irrep)
+            level = osc.make_level(model, n_sym, 0)
             want = oracles.constructive_spins_by_floats(model, level, table, irrep)
-            assert spin.constructive_allowed_spins(model, level, table, irrep) == want
+            assert spin.constructive_allowed_spins(n, n_sym, irrep) == want
 
     @pytest.mark.parametrize("n, top", EXACT_TOPS)
     def test_shell_rank_is_trace_times_dim_over_order(self, n, top):
@@ -348,7 +349,7 @@ class TestExactRoute:
         for irrep in table.irreps:
             for quanta in range(top + 1):
                 for n_beta in range(n // 2 + 1):
-                    rank, trace = spin._shell_rank(table, irrep, quanta, n_beta)
+                    rank, trace = spin._shell_rank(n, irrep, quanta, n_beta)
                     assert rank * order == trace * table.dimension(irrep)
                     shells, total = shells + 1, total + rank
         assert shells == {3: 78, 4: 135}[n]  # 213 in all
@@ -358,13 +359,12 @@ class TestExactRoute:
     def test_multiplets_at_every_level(self, n, top):
         """n_S is the level's multiplicity of Gamma for each spin the
         character route allows with Gamma, and 0 for every other S."""
-        model, table = osc.make_model(n, 0.1), sg.character_table(n)
+        table = sg.character_table(n)
         allowed = spin.allowed_spatial_irreps(n)
         for n_sym in range(top + 1):
-            level = osc.make_level(model, n_sym, 0)
-            mults = ls.irrep_multiplicities(model, level, table)
+            mults = ls.irrep_multiplicities(n, n_sym)
             for irrep in table.irreps:
-                got = spin._level_multiplets(table, irrep, n_sym)
+                got = spin._level_multiplets(n, irrep, n_sym)
                 want = {
                     s: mults[irrep] if s in allowed[irrep] else 0
                     for s in sorted(spin.multiplet_table(n))
@@ -374,42 +374,40 @@ class TestExactRoute:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_multiplicity_off_by_one_raises(self, n, delta, monkeypatch):
-        model, table = osc.make_model(n, 0.1), sg.character_table(n)
         levels = {
-            irrep: spin.first_level_with_irrep(model, table, irrep)
+            irrep: spin.first_level_with_irrep(n, irrep)
             for irrep, spins in spin.allowed_spatial_irreps(n).items()
             if spins
         }
         true_mults = spin.irrep_multiplicities
 
-        def shifted(model, level, table):
-            return {ir: m + delta for ir, m in true_mults(model, level, table).items()}
+        def shifted(n, n_sym):
+            return {ir: m + delta for ir, m in true_mults(n, n_sym).items()}
 
         monkeypatch.setattr(spin, "irrep_multiplicities", shifted)
-        for irrep, level in levels.items():
+        for irrep, n_sym in levels.items():
             with pytest.raises(NumericalIntegrityError, match="multiplets per S"):
-                spin.constructive_allowed_spins(model, level, table, irrep)
+                spin.constructive_allowed_spins(n, n_sym, irrep)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_dropped_sort_sign_loses_a2(self, n, monkeypatch):
         """Without the sort's sign the images are symmetric, not
         antisymmetric: A2 (the space-spin partner of the all-alpha spin
         function) vanishes, and the CLI reports an integrity failure."""
-        model, table = osc.make_model(n, 0.1), sg.character_table(n)
-        level = spin.first_level_with_irrep(model, table, "A2")
+        n_sym = spin.first_level_with_irrep(n, "A2")
         sort_sign = spin._sort_sign
         monkeypatch.setattr(spin, "_sort_sign", lambda codes: abs(sort_sign(codes)))
-        assert spin.constructive_allowed_spins(model, level, table, "A2") == set()
+        assert spin.constructive_allowed_spins(n, n_sym, "A2") == set()
         argv = ["allowed", "--n", str(n), "--verify", "constructive"]
         assert cli.main(argv) == cli.EXIT_INTEGRITY
 
-    def test_a2_image_of_the_all_alpha_determinant(self, t3):
+    def test_a2_image_of_the_all_alpha_determinant(self):
         """Each of the 6 permutations maps |0a 1a 2a| to itself signed by its
         parity, which the A2 character repeats; A1 cancels it."""
         det = (0, 2, 4)
-        a2 = spin.antisymmetrize_space_spin(det, t3, "A2")
+        a2 = spin.antisymmetrize_space_spin(det, "A2")
         assert a2.nonzero and a2.determinants == {det: 6}
-        assert not spin.antisymmetrize_space_spin(det, t3, "A1").nonzero
+        assert not spin.antisymmetrize_space_spin(det, "A1").nonzero
 
     @pytest.mark.parametrize("n, quanta", [(3, 6), (4, 5)])
     def test_shells_are_the_ci_basis_rows_of_their_quanta(self, n, quanta):
@@ -442,9 +440,9 @@ class TestSpinProduct:
         with pytest.raises(ValueError):
             oracles.SpinProduct(("a", "x"))
 
-    def test_first_level_with_irrep(self, model4, t4):
-        assert spin.first_level_with_irrep(model4, t4, "A2").n_sym == 6
-        assert spin.first_level_with_irrep(model4, t4, "T1").n_sym == 3
+    def test_first_level_with_irrep(self):
+        assert spin.first_level_with_irrep(4, "A2") == 6
+        assert spin.first_level_with_irrep(4, "T1") == 3
 
 
 class TestMoreEdges:
@@ -469,13 +467,14 @@ class TestMoreEdges:
     [
         lambda model, level, table: ls.character_projector(model, level, table, "T1"),
         lambda model, level, table: ls.salc(model, level, table, "T1"),
-        lambda model, level, table: spin.first_level_with_irrep(model, table, "T1"),
+        lambda model, level, table: spin.first_level_with_irrep(table.n, "T1"),
         lambda model, level, table: spin.constructive_allowed_spins(
-            model, level, table, "T1"
+            table.n, level.n_sym, "T1"
         ),
+        lambda model, level, table: spin.antisymmetrize_space_spin((0, 1, 2), "T1"),
     ],
     ids=["character_projector", "salc", "first_level_with_irrep",
-         "constructive_allowed_spins"],
+         "constructive_allowed_spins", "antisymmetrize_space_spin"],
 )
 def test_unknown_label_is_one_value_error(model3, t3, call):
     """S3 has no T1: every function that takes a label rejects it with the
