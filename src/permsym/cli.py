@@ -244,9 +244,8 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if not 0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
-    if args.ms is None:
-        # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
-        args.ms = "1/2" if args.n % 2 else "0"
+    # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
+    args.ms = "1/2" if args.n % 2 else "0"
     model, levels = _decorated_levels(args)
     allowed = spin.allowed_spatial_irreps(args.n)
     if not any(lv.irrep_mults[ir] for lv in levels for ir, s in allowed.items() if s):
@@ -264,9 +263,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     _emit_json(report.to_dict(), args)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
-
-
-_MS_HELP = "M_s sector: all, or a number such as 1/2, -1/2 or -1"
 
 
 def build_parser() -> _Parser:
@@ -314,14 +310,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ci", help="configuration-interaction spectrum")
     add_common(p, xi=True, fmt=True, orbitals=True)
-    p.add_argument("--ms", default="all", help=_MS_HELP + " (default: all)")
+    p.add_argument("--ms", default="all", help="M_s sector: all, or a number like -1/2")
 
     p = sub.add_parser("compare", help="missing-level experiment")
     add_common(p, xi=True, quanta=True, orbitals=True)
     p.add_argument("--tol", type=float, required=True)
-    p.add_argument(
-        "--ms", default=None, help=_MS_HELP + " (default: 1/2 for N=3, 0 for N=4)"
-    )
 
     return parser
 

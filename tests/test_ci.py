@@ -709,6 +709,22 @@ class TestCompare:
             with pytest.raises(ValueError):
                 cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
 
+    @pytest.mark.parametrize(
+        "n,orbitals,ms,lowest",
+        [(3, 8, 1.5, "S=0.5"), (4, 6, 1.0, "S=0"), (4, 4, 2.0, "S=0")],
+        ids=["n3-ms3/2", "n4-ms1", "n4-ms2"],
+    )
+    def test_compare_sector_without_allowed_spin(self, n, orbitals, ms, lowest):
+        """CI states whose |M_s| all lie above the smallest allowed spin hold
+        none of that spin's states, so nothing of it would be verified; the
+        error names both."""
+        model = osc.make_model(n, 0.1)
+        states = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=ms))
+        allowed = spin.allowed_spatial_irreps(n)
+        message = f"allowed spin {lowest} has no state with |M_s| >= {ms:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cimod.compare(model, states, _decorated_levels(model, 3), allowed, 1e-4)
+
 
 class TestCompareLabels:
     """The allowed map passed to compare must hold exactly the irrep labels

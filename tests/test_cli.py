@@ -97,10 +97,12 @@ class TestSpectrum:
         assert data["levels"][0]["energy"] == float("1.49640586")
 
     def test_negative_xi_in_exponent_notation(self, capsys):
-        """A bare -1e-05 is a value, not an option."""
+        """A bare -1e-05 is a value, not an option, and a coupling this close
+        to zero prints strict JSON (no NaN or Infinity)."""
         argv = ("spectrum", "--n", "3", "--max-quanta", "1")
         rc, out, err = run_cli(capsys, *argv, "--xi", "-1e-05")
         assert rc == 0, err
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
         assert out == run_cli(capsys, *argv, "--xi=-1e-05")[1]
 
 
@@ -420,45 +422,37 @@ class TestCompare:
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+#: the reference invocations: argv, exit code, and either the file of the
+#: expected stdout or, with stdout empty, the start of the expected stderr
+INVOCATIONS = json.loads((GOLDEN / "invocations.json").read_text())
 
 
-class TestGolden:
-    """The CLI reproduces each committed artifact byte for byte."""
+@pytest.mark.parametrize("entry", INVOCATIONS, ids=lambda e: " ".join(e["argv"]))
+def test_reference_invocation(capsys, entry):
+    """The CLI reproduces each pinned output byte for byte.  Vectors of
+    ``project`` depend on the projector alone, so they hold to the entry's
+    float_tol (their last printed digit) on any numpy build; every other
+    field is exact."""
+    rc, out, err = run_cli(capsys, *entry["argv"])
+    assert rc == entry["exit"], err
+    if "stderr" in entry:
+        assert out == "" and err.startswith(entry["stderr"]), err
+    elif "float_tol" in entry:
+        expected = json.loads((GOLDEN / entry["stdout"]).read_text())
+        assert same_within(json.loads(out), expected, entry["float_tol"])
+    else:  # CSV rows end in \r\n
+        assert out == (GOLDEN / entry["stdout"]).read_bytes().decode()
 
-    @pytest.mark.parametrize(
-        "name,argv",
-        [
-            ("compare_n3_m10.json",
-             "compare --n 3 --xi 0.1 --orbitals 10 --max-quanta 4 --tol 1e-4"),
-            ("compare_n4_m8.json",
-             "compare --n 4 --xi 0.1 --orbitals 8 --max-quanta 4 --tol 1e-4"),
-            ("ci_n3_m6_xi0.45.json", "ci --n 3 --xi 0.45 --orbitals 6 --ms all"),
-            ("ci_n4_m5_xi0.6.json", "ci --n 4 --xi 0.6 --orbitals 5 --ms all"),
-            ("allowed_n3.json", "allowed --n 3 --verify constructive"),
-            ("allowed_n4.json", "allowed --n 4 --verify constructive"),
-            ("irreps_n4_q10.json", "irreps --n 4 --xi 0.1 --max-quanta 10"),
-            ("irreps_n3_q11.csv",
-             "irreps --n 3 --xi 0.1 --max-quanta 11 --format csv"),
-        ],
-    )
-    def test_reproduces_artifact(self, capsys, name, argv):
-        rc, out, err = run_cli(capsys, *argv.split())
-        assert rc == 0, err
-        assert out == (GOLDEN / name).read_bytes().decode()  # CSV rows end in \r\n
 
-    @pytest.mark.parametrize(
-        "name,argv",
-        [
-            ("project_n4_nsym8_T1.json", "project --n 4 --nsym 8 --irrep T1"),
-            ("project_n3_nsym12_E.json", "project --n 3 --nsym 12 --irrep E"),
-        ],
-    )
-    def test_reproduces_project_reference(self, capsys, name, argv):
-        """The vectors depend on the projector alone, so they hold to 2e-9
-        (their last printed digit) on any numpy build; every other field is
-        exact."""
-        got = run_json(capsys, *argv.split())
-        assert same_within(got, json.loads((GOLDEN / name).read_text()), 2e-9)
+def test_every_golden_is_one_invocation():
+    """Each file in tests/golden/ is the stdout of exactly one entry, each
+    entry pins stdout or stderr, and no argv is listed twice."""
+    fields = {"argv", "exit", "stdout", "stderr", "float_tol", "note"}
+    assert all(set(e) <= fields and ("stdout" in e) != ("stderr" in e) for e in INVOCATIONS)
+    named = sorted(e["stdout"] for e in INVOCATIONS if "stdout" in e)
+    assert named == sorted(p.name for p in GOLDEN.iterdir() if p.name != "invocations.json")
+    argvs = [tuple(e["argv"]) for e in INVOCATIONS]
+    assert len(set(argvs)) == len(argvs)
 
 
 def same_within(a, b, tol):
@@ -521,12 +515,10 @@ class TestExitCodes:
         "argv,ms",
         [
             (["ci", "--n", "4", "--xi", "0.1", "--orbitals", "2", "--ms", "2"], "2"),
-            (["compare", "--n", "4", "--xi", "0.1", "--orbitals", "4",
-              "--max-quanta", "2", "--tol", "1e-4", "--ms", "1/2"], "1/2"),
             (["ci", "--n", "3", "--xi", "0.1", "--orbitals", "3",
               "--ms", "nan"], "nan"),
         ],
-        ids=["ci-n4-ms2-m2", "compare-n4-ms1/2", "ci-ms-nan"],
+        ids=["ci-n4-ms2-m2", "ci-ms-nan"],
     )
     def test_empty_ms_sector_is_a_usage_error(self, capsys, argv, ms):
         """No determinant has this M_s; the error says which sector of which
@@ -536,27 +528,6 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error:")
         assert f"--ms {ms}" in err and "N=" in err and "orbitals" in err
-
-    @pytest.mark.parametrize(
-        "argv,spin,ms",
-        [
-            (["--n", "3", "--orbitals", "8", "--ms", "3/2"], "S=0.5", "1.5"),
-            (["--n", "4", "--orbitals", "6", "--ms", "1"], "S=0", "1"),
-            (["--n", "4", "--orbitals", "4", "--ms", "2"], "S=0", "2"),
-        ],
-        ids=["n3-ms3/2", "n4-ms1", "n4-ms2"],
-    )
-    def test_compare_sector_without_allowed_spin(self, capsys, argv, spin, ms):
-        """An M_s sector above the smallest allowed spin verified nothing
-        and still reported ok; it is a usage error naming both."""
-        rc, out, err = run_cli(
-            capsys, "compare", "--xi", "0.1", "--max-quanta", "3", "--tol", "1e-4",
-            *argv,
-        )
-        assert rc == 1
-        assert out == ""
-        assert err.startswith("error:")
-        assert spin in err and f"|M_s| >= {ms}" in err
 
     def test_integrity_error_exits_2(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -757,6 +728,7 @@ sys.exit(cli.main(sys.argv[2:]))
         ["spectrum", "--n", "4", "--xi", "0.1", "--max-quanta", "6"],
         ["irreps", "--n", "3", "--xi", "0.1", "--max-quanta", "20"],
         ["irreps", "--n", "4", "--xi", "0.1", "--max-quanta", "10"],
+        ["irreps", "--n", "3", "--xi", "0.1", "--max-quanta", "11", "--format", "csv"],
         ["allowed", "--n", "3"],
         ["allowed", "--n", "4"],
         ["allowed", "--n", "3", "--verify", "constructive"],
