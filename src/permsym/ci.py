@@ -405,53 +405,26 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
 
 
 @dataclass(frozen=True)
-class MatchedState:
-    ci_energy: float
-    exact_energy: float
-    quanta_key: tuple[int, int]
-    s: float
-    parity: int
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Outcome of matching CI states against the exact level list.
 
-    ``missing`` holds the given exact levels below the convergence horizon
-    that no CI state matched; on a successful experiment every one of them
-    carries only forbidden irrep content and ``spurious`` is empty.
-    ``vacuous`` is set when no allowed exact state lies below the horizon,
-    so nothing was verified.
+    ``matched`` rows pair a CI state with its exact state.  ``missing``
+    holds the given exact levels below the convergence horizon that no CI
+    state matched; ``ok`` holds when each carries only forbidden irrep
+    content and ``spurious`` is empty.  ``vacuous`` is set when no allowed
+    exact state lies below the horizon, so nothing was verified.
     """
 
-    matched: tuple[MatchedState, ...]
+    matched: tuple[dict, ...]
     missing: tuple[LevelDescriptor, ...]
     spurious: tuple[float, ...]
     horizon: float
     vacuous: bool
-    forbidden_irreps: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        forbidden = set(self.forbidden_irreps)
-        for lv in self.missing:
-            content = {lbl for lbl, m in lv.irrep_mults.items() if m}
-            if not content <= forbidden:
-                return False
-        return not self.spurious
+    ok: bool
 
     def to_dict(self) -> dict:
         return {
-            "matched": [
-                {
-                    "ci_energy": m.ci_energy,
-                    "exact_energy": m.exact_energy,
-                    "quanta_key": list(m.quanta_key),
-                    "S": m.s,
-                    "parity": m.parity,
-                }
-                for m in self.matched
-            ],
+            "matched": [dict(m) for m in self.matched],
             "missing": [
                 {
                     "quanta_key": list(lv.quanta_key),
@@ -552,29 +525,36 @@ def compare(
                 skipped.append(float(evals[k]))
             break
 
-    matched: list[MatchedState] = []
+    matched: list[dict] = []
     spurious: list[float] = []
     for state, k in zip(states, ranks):
         ex = exact[state.ms, state.s, state.parity]
         exact_e = ex[k].energy if k < len(ex) else math.inf
         if abs(state.energy - exact_e) <= tol and min(state.energy, exact_e) < horizon:
-            matched.append(
-                MatchedState(
-                    state.energy, exact_e, ex[k].quanta_key, state.s, state.parity
-                )
-            )
+            matched.append({
+                "ci_energy": state.energy,
+                "exact_energy": exact_e,
+                "quanta_key": ex[k].quanta_key,
+                "S": state.s,
+                "parity": state.parity,
+            })
         elif state.energy < horizon:
             spurious.append(state.energy)
 
-    matched_keys = {m.quanta_key for m in matched}
+    matched_keys = {m["quanta_key"] for m in matched}
     missing = tuple(
         lv for lv in levels if lv.energy < horizon and lv.quanta_key not in matched_keys
+    )
+    spurious += sorted(skipped)
+    forbidden = {lbl for lbl, ss in allowed.items() if not ss}
+    ok = not spurious and all(
+        lbl in forbidden for lv in missing for lbl, m in lv.irrep_mults.items() if m
     )
     return ComparisonReport(
         matched=tuple(matched),
         missing=missing,
-        spurious=tuple(spurious + sorted(skipped)),
+        spurious=tuple(spurious),
         horizon=float(horizon),
         vacuous=not any(ex and ex[0].energy < horizon for ex in exact.values()),
-        forbidden_irreps=tuple(sorted(lbl for lbl, ss in allowed.items() if not ss)),
+        ok=ok,
     )

@@ -40,9 +40,6 @@ from .symgroup import (
     sign_irrep,
 )
 
-#: highest n_sym searched for the first level that holds an irrep
-_MAX_FIRST_N_SYM = 8
-
 _MULTIPLET_NAMES = {
     1: "singlet",
     2: "doublet",
@@ -96,10 +93,7 @@ def multiplet_table(n: int) -> dict[float, int]:
 
 
 def _spin_traces(table: CharacterTable, s: float) -> dict[CycleType, int]:
-    return {
-        cls.cycle_type: spin_character(table.n, s, cls.cycle_type)
-        for cls in table.classes
-    }
+    return {ct: spin_character(table.n, s, ct) for ct in table.classes}
 
 
 def allowed_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
@@ -112,7 +106,7 @@ def allowed_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     spin_traces = {s: _spin_traces(table, s) for s in _spins(n)}
     spins: dict[str, tuple[float, ...]] = {}
     for spatial, row in zip(table.irreps, table.chars):
-        chi = {c.cycle_type: x for c, x in zip(table.classes, row)}
+        chi = dict(zip(table.classes, row))
         spins[spatial] = tuple(
             s
             for s, traces in spin_traces.items()
@@ -137,14 +131,15 @@ class SpaceSpinFunction:
         return bool(self.determinants)
 
 
-def _shell(n: int, quanta: int, n_beta: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _shell(n: int, quanta: int, n_beta: int) -> tuple[tuple[int, ...], ...]:
     """The determinants with n_beta beta electrons whose orbital quanta sum
     to ``quanta``, as CI rows: 2a is orbital a with alpha spin, 2a + 1 beta."""
-    return [
+    return tuple(
         det
         for det in itertools.combinations(range(2 * quanta + 2), n)
         if sum(c >> 1 for c in det) == quanta and sum(c & 1 for c in det) == n_beta
-    ]
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -258,20 +253,32 @@ def constructive_allowed_spins(n: int, n_sym: int, irrep: str) -> set[float]:
 
 
 def first_level_with_irrep(n: int, irrep: str) -> int:
-    """The lowest n_sym whose levels contain the irrep."""
+    """The lowest n_sym whose levels contain the irrep.  The scan ends by
+    n_sym = N(N - 1)/2: S_N acts on the N - 1 normal modes as a reflection
+    group, whose coinvariants, of top degree its number of reflections, are
+    its regular representation (Chevalley, Am. J. Math. 77, 778 (1955))."""
     character_table(n).dimension(irrep)  # an unknown label fails before any work
-    for n_sym in range(_MAX_FIRST_N_SYM + 1):
-        if irrep_multiplicities(n, n_sym)[irrep]:
-            return n_sym
-    raise ValueError(f"irrep {irrep} not found up to n_sym={_MAX_FIRST_N_SYM}")
+    return next(q for q in itertools.count() if irrep_multiplicities(n, q)[irrep])
 
 
 def constructive_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     """Constructive route: each irrep's spins are those of its antisymmetric
-    states at the first level holding it (any coupling: a level's symmetry
-    depends on n_sym alone); it must equal :func:`allowed_spatial_irreps`."""
+    states at every level that holds it, up to the first level of the last
+    irrep to appear (any coupling: a level's symmetry depends on n_sym
+    alone); it must equal :func:`allowed_spatial_irreps`.  Raises
+    NumericalIntegrityError unless an irrep's spins agree at all its levels."""
+    irreps = character_table(n).irreps
+    top = max(first_level_with_irrep(n, irrep) for irrep in irreps)
     spins = {}
-    for irrep in character_table(n).irreps:
-        n_sym = first_level_with_irrep(n, irrep)
-        spins[irrep] = tuple(sorted(constructive_allowed_spins(n, n_sym, irrep)))
+    for irrep in irreps:
+        per_level = {
+            n_sym: tuple(sorted(constructive_allowed_spins(n, n_sym, irrep)))
+            for n_sym in range(top + 1)
+            if irrep_multiplicities(n, n_sym)[irrep]
+        }
+        if len(set(per_level.values())) != 1:
+            raise NumericalIntegrityError(
+                f"{irrep}: spins differ between its levels, by n_sym {per_level}"
+            )
+        spins[irrep] = per_level[min(per_level)]
     return spins

@@ -76,13 +76,6 @@ def all_permutations(n: int) -> list[Permutation]:
 # conjugacy classes
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    cycle_type: CycleType
-    size: int
-    order: int          # lcm of cycle lengths (period of every member)
-
-
 def partitions(n: int) -> list[CycleType]:
     """All partitions of n as weakly decreasing tuples."""
     if n == 0:
@@ -111,6 +104,7 @@ def class_size(ct: CycleType) -> int:
 
 
 def element_order(ct: CycleType) -> int:
+    """The lcm of the cycle lengths: the period of every member."""
     return math.lcm(*ct)
 
 
@@ -137,16 +131,16 @@ def _class_sort_key(ct: CycleType):
     return (moved, nontrivial, tuple(-length for length in ct))
 
 
-def conjugacy_classes(n: int) -> tuple[ConjClass, ...]:
-    """Conjugacy classes of S_N with sizes and element orders.
+def conjugacy_classes(n: int) -> tuple[CycleType, ...]:
+    """Conjugacy classes of S_N, each as its cycle type (its size and
+    element order are :func:`class_size` and :func:`element_order`).
 
     Ordering is canonical (documented in :func:`_class_sort_key`); class
     sizes always sum to N!.
     """
     if n < 2:
         raise ValueError(f"conjugacy classes require N >= 2, got {n}")
-    cts = sorted(partitions(n), key=_class_sort_key)
-    return tuple(ConjClass(ct, class_size(ct), element_order(ct)) for ct in cts)
+    return tuple(sorted(partitions(n), key=_class_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +159,15 @@ class CharacterTable:
 
     group_name: str
     n: int
-    classes: tuple[ConjClass, ...]
+    classes: tuple[CycleType, ...]
     class_labels: tuple[str, ...]
     irreps: tuple[str, ...]                     # labels, in row order
     chars: tuple[tuple[int, ...], ...]          # rows = irreps, cols = classes
 
-    def class_index(self, ct: CycleType) -> int:
-        for i, c in enumerate(self.classes):
-            if c.cycle_type == ct:
-                return i
-        raise KeyError(f"no class with cycle type {ct}")
-
     def char(self, label: str, ct: CycleType) -> int:
         if label not in self.irreps:
             raise ValueError(f"no irrep labelled {label!r}")
-        return self.chars[self.irreps.index(label)][self.class_index(ct)]
+        return self.chars[self.irreps.index(label)][self.classes.index(ct)]
 
     def dimension(self, label: str) -> int:
         """The irrep's dimension: its character on the identity class."""
@@ -191,12 +179,12 @@ class CharacterTable:
             "n": self.n,
             "classes": [
                 {
-                    "cycle_type": list(c.cycle_type),
-                    "size": c.size,
-                    "order": c.order,
+                    "cycle_type": list(ct),
+                    "size": class_size(ct),
+                    "order": element_order(ct),
                     "label": lbl,
                 }
-                for c, lbl in zip(self.classes, self.class_labels)
+                for ct, lbl in zip(self.classes, self.class_labels)
             ],
             "irreps": [
                 {"label": ir, "dimension": row[0]}
@@ -265,7 +253,7 @@ def validate_table(table: CharacterTable) -> Optional[str]:
     first violated relation (with the indices involved).
     """
     order = math.factorial(table.n)
-    sizes = [c.size for c in table.classes]
+    sizes = [class_size(ct) for ct in table.classes]
     if sum(sizes) != order:
         return f"class sizes sum to {sum(sizes)}, expected {order}"
     dim_sum = sum(row[0] ** 2 for row in table.chars)
@@ -310,8 +298,7 @@ def decompose(
     out = {}
     for irrep, row in zip(table.irreps, table.chars):
         acc = sum(
-            cls.size * chi * traces[cls.cycle_type]
-            for cls, chi in zip(table.classes, row)
+            class_size(ct) * chi * traces[ct] for ct, chi in zip(table.classes, row)
         )
         m, rem = divmod(acc, order)
         if rem or m < 0:
@@ -330,7 +317,7 @@ def sign_irrep(table: CharacterTable) -> str:
     (up to normalization) its projector.  A2 for both shipped tables.
     """
     # a permutation with c cycles is a product of N - c transpositions
-    parities = tuple((-1) ** (table.n - len(c.cycle_type)) for c in table.classes)
+    parities = tuple((-1) ** (table.n - len(ct)) for ct in table.classes)
     for ir, row in zip(table.irreps, table.chars):
         if row == parities:
             return ir

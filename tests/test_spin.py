@@ -401,6 +401,41 @@ class TestExactRoute:
         argv = ["allowed", "--n", str(n), "--verify", "constructive"]
         assert cli.main(argv) == cli.EXIT_INTEGRITY
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dropped_lower_shell_fails_the_cli(self, n, monkeypatch):
+        """Without R_(n_sym - 1) subtracted, a level's counts are those of
+        every level up to it (the differences telescope, R_(-1) = 0).  At
+        each irrep's first level nothing changes, so only the levels above
+        it, which the CLI ranks too, can show the fault."""
+        level_multiplets = spin._level_multiplets
+
+        def upper_shell_only(n, irrep, n_sym):
+            per_level = [level_multiplets(n, irrep, q) for q in range(n_sym + 1)]
+            return {s: sum(m[s] for m in per_level) for s in per_level[0]}
+
+        monkeypatch.setattr(spin, "_level_multiplets", upper_shell_only)
+        argv = ["allowed", "--n", str(n), "--verify", "constructive"]
+        assert cli.main(argv) == cli.EXIT_INTEGRITY
+
+    @pytest.mark.parametrize("n, irrep, n_sym", [(3, "E", 2), (4, "T2", 2)])
+    def test_other_spins_above_the_first_level_fail_the_cli(
+        self, n, irrep, n_sym, monkeypatch
+    ):
+        """An irrep's spins must agree at all its levels, not only its first
+        (n_sym = 1 for both doctored irreps)."""
+        true_spins = spin.constructive_allowed_spins
+
+        def doctored(n, q, label):
+            if (q, label) == (n_sym, irrep):
+                return {n / 2}
+            return true_spins(n, q, label)
+
+        monkeypatch.setattr(spin, "constructive_allowed_spins", doctored)
+        with pytest.raises(NumericalIntegrityError, match="spins differ"):
+            spin.constructive_spatial_irreps(n)
+        argv = ["allowed", "--n", str(n), "--verify", "constructive"]
+        assert cli.main(argv) == cli.EXIT_INTEGRITY
+
     def test_a2_image_of_the_all_alpha_determinant(self):
         """Each of the 6 permutations maps |0a 1a 2a| to itself signed by its
         parity, which the A2 character repeats; A1 cancels it."""
@@ -414,7 +449,7 @@ class TestExactRoute:
         for n_beta in range(n // 2 + 1):
             basis = cimod.build_basis(n, quanta + 1, ms=n / 2 - n_beta)
             want = [tuple(r) for r in basis.tolist() if sum(c // 2 for c in r) == quanta]
-            assert spin._shell(n, quanta, n_beta) == want
+            assert spin._shell(n, quanta, n_beta) == tuple(want)
 
     def test_rank_against_floats(self):
         rng = np.random.default_rng(7)

@@ -130,7 +130,7 @@ class TestCycleType:
 class TestConjugacyClasses:
     def test_n3(self):
         classes = sg.conjugacy_classes(3)
-        assert [(c.cycle_type, c.size, c.order) for c in classes] == [
+        assert [(c, sg.class_size(c), sg.element_order(c)) for c in classes] == [
             ((1, 1, 1), 1, 1),
             ((2, 1), 3, 2),
             ((3,), 2, 3),
@@ -138,16 +138,17 @@ class TestConjugacyClasses:
 
     def test_n4(self):
         classes = sg.conjugacy_classes(4)
-        assert [c.size for c in classes] == [1, 6, 8, 6, 3]
-        assert [c.order for c in classes] == [1, 2, 3, 4, 2]
+        assert [sg.class_size(ct) for ct in classes] == [1, 6, 8, 6, 3]
+        assert [sg.element_order(ct) for ct in classes] == [1, 2, 3, 4, 2]
 
     def test_n2(self):
         classes = sg.conjugacy_classes(2)
-        assert [c.size for c in classes] == [1, 1]
+        assert [sg.class_size(ct) for ct in classes] == [1, 1]
 
     def test_sizes_sum_to_order(self):
         for n in (2, 3, 4, 5):
-            assert sum(c.size for c in sg.conjugacy_classes(n)) == math.factorial(n)
+            sizes = map(sg.class_size, sg.conjugacy_classes(n))
+            assert sum(sizes) == math.factorial(n)
 
     def test_class_size_matches_enumeration(self):
         for n in (3, 4):
@@ -155,8 +156,8 @@ class TestConjugacyClasses:
             for p in sg.all_permutations(n):
                 ct = sg.cycle_type(p)
                 counts[ct] = counts.get(ct, 0) + 1
-            for c in sg.conjugacy_classes(n):
-                assert counts[c.cycle_type] == c.size
+            for ct in sg.conjugacy_classes(n):
+                assert counts[ct] == sg.class_size(ct)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -164,16 +165,15 @@ class TestConjugacyClasses:
 
     def test_representative_has_right_type(self):
         for n in (3, 4, 5):
-            for c in sg.conjugacy_classes(n):
-                rep = sg.class_representative(c.cycle_type)
-                assert sg.cycle_type(rep) == c.cycle_type
+            for ct in sg.conjugacy_classes(n):
+                assert sg.cycle_type(sg.class_representative(ct)) == ct
 
 
 def derive_s4_table_by_orthogonality():
     """Pre-build oracle: reconstruct the S4 character rows from the
     orthogonality relations alone (no table data)."""
     classes = sg.conjugacy_classes(4)
-    sizes = [c.size for c in classes]
+    sizes = [sg.class_size(ct) for ct in classes]
     order = 24
     rows = []
     for dim in range(1, 5):
@@ -222,10 +222,10 @@ class TestCharacterTables:
     def test_n4_coordinate_triple_is_t2(self, t4):
         # the permutation rep on coordinates minus the symmetric mode:
         # chi(g) = fix(g) - 1 must match the T2 row
-        for cls in t4.classes:
-            rep = sg.class_representative(cls.cycle_type)
+        for ct in t4.classes:
+            rep = sg.class_representative(ct)
             fixed = sum(1 for i, img in enumerate(rep, start=1) if img == i)
-            assert t4.char("T2", cls.cycle_type) == fixed - 1
+            assert t4.char("T2", ct) == fixed - 1
 
     def test_validate_ok(self, t3, t4):
         assert sg.validate_table(t3) is None
