@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import lazy_numpy
-from .errors import BasisTooSmallError, NumericalIntegrityError
-from .oscillator import LevelDescriptor, OscillatorModel, level_energy
+from .errors import NumericalIntegrityError
+from .oscillator import LevelDescriptor, level_energy
 from .symgroup import character_table
 
 np = lazy_numpy()
@@ -57,7 +57,7 @@ def build_basis(
     2a + 1 is orbital a with spin beta.
     """
     if 2 * n_orbitals < n_particles:
-        raise BasisTooSmallError(
+        raise ValueError(
             f"{2 * n_orbitals} spin-orbitals cannot hold {n_particles} particles"
         )
     if n_orbitals > _MASK_BITS // 2:
@@ -157,7 +157,7 @@ def _s_plus(occ: np.ndarray):
     return _one_body(occ, s_plus)
 
 
-def _hamiltonian_entries(model: OscillatorModel, basis: np.ndarray):
+def _hamiltonian_entries(model: tuple[int, float], basis: np.ndarray):
     """The entries of H over any set of determinants: (rows, columns,
     values), one per position reached, in ascending row-major order.
 
@@ -170,17 +170,15 @@ def _hamiltonian_entries(model: OscillatorModel, basis: np.ndarray):
     may be a full sector, a reordering or a subset.  One bincount sums the
     terms at each position, so no dim x dim array is built.
     """
+    n, xi = model
     occ = _occupations(basis)
     dim = len(occ)
-    if occ.shape[1] != model.n_particles:
-        raise ValueError(
-            f"determinants have {occ.shape[1]} particles, "
-            f"model has {model.n_particles}"
-        )
+    if occ.shape[1] != n:
+        raise ValueError(f"determinants have {occ.shape[1]} particles, model has {n}")
     n_orb = int(occ.max()) // 2 + 1
     x = _position(n_orb)
     h1 = np.diag(np.arange(2 * n_orb) // 2 + 0.5)  # orbital a: a + 1/2
-    targets, src, values = _one_body(occ, h1 - 0.5 * model.xi * (x @ x))
+    targets, src, values = _one_body(occ, h1 - 0.5 * xi * (x @ x))
     masks = _masks(occ)
     order = np.argsort(masks)
     pos = order[np.searchsorted(masks, targets, sorter=order).clip(max=dim - 1)]
@@ -188,11 +186,11 @@ def _hamiltonian_entries(model: OscillatorModel, basis: np.ndarray):
     rows, cols, pairs = _gram_entries(*_one_body(occ, x))
     rows, cols = np.concatenate([pos[hit], rows]), np.concatenate([src[hit], cols])
     flat, at = np.unique(rows * dim + cols, return_inverse=True)
-    values = np.concatenate([values[hit], 0.5 * model.xi * pairs])
+    values = np.concatenate([values[hit], 0.5 * xi * pairs])
     return flat // dim, flat % dim, np.bincount(at, weights=values)
 
 
-def hamiltonian_matrix(model: OscillatorModel, basis: np.ndarray) -> np.ndarray:
+def hamiltonian_matrix(model: tuple[int, float], basis: np.ndarray) -> np.ndarray:
     """Dense symmetric CI matrix of :func:`_hamiltonian_entries`."""
     return _dense(len(basis), _hamiltonian_entries(model, basis))
 
@@ -252,14 +250,6 @@ def spin_functions(k: int, n_beta: int, s: float) -> np.ndarray:
         )
     funcs.setflags(write=False)
     return funcs
-
-
-@dataclass(frozen=True)
-class CIState:
-    energy: float
-    s: float
-    ms: float
-    parity: int
 
 
 def _csf_block(entries, start: int, groups) -> np.ndarray:
@@ -355,9 +345,10 @@ def _sectors(occ: np.ndarray):
         yield m, p, rows, blocks
 
 
-def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
+def ci_solve(model: tuple[int, float], basis: np.ndarray) -> list[dict]:
     """The CI states over the determinant basis: spin-adapted dense
-    eigenvalues, each labelled (S, M_s, parity), in a deterministic order.
+    eigenvalues, each a row {"energy", "S", "Ms", "parity"}, in a
+    deterministic order.
 
     H conserves M_s, the parity of the total orbital quanta and the total
     spin S.  Each (M_s, parity) sector of the basis is ordered by open-shell
@@ -397,7 +388,7 @@ def ci_solve(model: OscillatorModel, basis: np.ndarray) -> tuple[CIState, ...]:
     entries.sort()
     for i, j in _runs(np.array([t[0] for t in entries])):
         entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:])
-    return tuple(CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, s, _ in entries)
+    return [{"energy": e, "S": s, "Ms": m, "parity": p} for e, m, p, s, _ in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +432,8 @@ class ComparisonReport:
 
 
 def compare(
-    model: OscillatorModel,
-    states: Sequence[CIState],
+    model: tuple[int, float],
+    states: Sequence[dict],
     exact_levels: Sequence[LevelDescriptor],
     allowed: Mapping[str, Sequence[float]],
     tol: float,
@@ -469,19 +460,20 @@ def compare(
     unmatched CI state below the horizon is spurious.  Levels below the
     horizon with no matched state are reported missing, as given.  CI
     states that all have |M_s| above some allowed spin cannot hold that
-    spin's states, so they raise ValueError, as does an allowed map (label
-    -> spins) whose labels are not the irreps of S_N.
+    spin's states, so they raise ValueError, as do an empty state list and
+    an allowed map (label -> spins) whose labels are not the irreps of S_N.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    labels = character_table(model.n_particles).irreps
+    labels = character_table(model[0]).irreps
     if set(allowed) != set(labels):
         raise ValueError(
-            f"allowed map has irreps {sorted(allowed)}, "
-            f"S{model.n_particles} has {sorted(labels)}"
+            f"allowed map has irreps {sorted(allowed)}, S{model[0]} has {sorted(labels)}"
         )
+    if not states:
+        raise ValueError("the list of CI states is empty: nothing to compare")
     spins = [s for ss in allowed.values() for s in ss]
-    lowest_ms = min(abs(st.ms) for st in states)
+    lowest_ms = min(abs(st["Ms"]) for st in states)
     if spins and min(spins) < lowest_ms:
         raise ValueError(
             f"allowed spin S={min(spins):g} has no state with |M_s| >= "
@@ -496,11 +488,11 @@ def compare(
     levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
     ci, ranks = {}, []  # block eigenvalues ascending; each state's rank
     for st in states:
-        block = ci.setdefault((st.ms, st.s, st.parity), [])
+        block = ci.setdefault((st["Ms"], st["S"], st["parity"]), [])
         ranks.append(len(block))
-        block.append(st.energy)
+        block.append(st["energy"])
     exact = {key: [] for key in ci}
-    ms_values = {st.ms for st in states}
+    ms_values = {st["Ms"] for st in states}
     for lv in levels:
         for label, m in lv.irrep_mults.items():
             for s, ms in itertools.product(allowed[label], ms_values):
@@ -528,18 +520,19 @@ def compare(
     matched: list[dict] = []
     spurious: list[float] = []
     for state, k in zip(states, ranks):
-        ex = exact[state.ms, state.s, state.parity]
+        energy, s, parity = state["energy"], state["S"], state["parity"]
+        ex = exact[state["Ms"], s, parity]
         exact_e = ex[k].energy if k < len(ex) else math.inf
-        if abs(state.energy - exact_e) <= tol and min(state.energy, exact_e) < horizon:
+        if abs(energy - exact_e) <= tol and min(energy, exact_e) < horizon:
             matched.append({
-                "ci_energy": state.energy,
+                "ci_energy": energy,
                 "exact_energy": exact_e,
                 "quanta_key": ex[k].quanta_key,
-                "S": state.s,
-                "parity": state.parity,
+                "S": s,
+                "parity": parity,
             })
-        elif state.energy < horizon:
-            spurious.append(state.energy)
+        elif energy < horizon:
+            spurious.append(energy)
 
     matched_keys = {m["quanta_key"] for m in matched}
     missing = tuple(

@@ -230,10 +230,7 @@ def _determinant_basis(args: argparse.Namespace):
 def _cmd_ci(args: argparse.Namespace) -> int:
     model = oscillator.make_model(args.n, args.xi)
     basis = _determinant_basis(args)
-    rows = [
-        {"energy": st.energy, "S": st.s, "Ms": st.ms, "parity": st.parity}
-        for st in cimod.ci_solve(model, basis)
-    ]
+    rows = cimod.ci_solve(model, basis)
     if args.format == "csv":
         _emit_csv(rows, args)
     else:
@@ -257,9 +254,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     states = cimod.ci_solve(model, basis)
     report = cimod.compare(model, states, levels, allowed, args.tol)
     if report.vacuous:
+        # an unconverged block draws the horizon at its level; otherwise it is
+        # the clip at tol below the first level past the cutoff
+        drawn = report.horizon in {lv.energy for lv in levels}
         raise UsageError(
             f"no allowed exact state lies below the horizon {report.horizon:.9g}, "
-            "so nothing is verified: use more --orbitals or a smaller --tol"
+            "so nothing is verified: use more --orbitals or a "
+            f"{'larger' if drawn else 'smaller'} --tol"
         )
     _emit_json(report.to_dict(), args)
     return EXIT_OK if report.ok else EXIT_VERIFICATION

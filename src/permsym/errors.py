@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""The exception of a failed exactness check; bad input raises ValueError."""
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -12,10 +12,3 @@ class NumericalIntegrityError(RuntimeError):
     so this is never silently recovered from.
     """
 
-
-class UnboundModelError(ValueError):
-    """Coupling strength lies outside the bound-state window."""
-
-
-class BasisTooSmallError(ValueError):
-    """Fewer spin-orbitals than particles; no determinant can be formed."""

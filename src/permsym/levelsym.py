@@ -21,12 +21,7 @@ from types import MappingProxyType
 
 from . import lazy_numpy
 from .errors import NumericalIntegrityError
-from .oscillator import (
-    LevelDescriptor,
-    OscillatorModel,
-    level_degeneracy,
-    permutation_action_matrix,
-)
+from .oscillator import LevelDescriptor, level_degeneracy, permutation_action_matrix
 from .symgroup import (
     CharacterTable,
     CycleType,
@@ -76,36 +71,29 @@ def irrep_multiplicities(n: int, n_sym: int) -> dict[str, int]:
     return out
 
 
-def attach_multiplicities(
-    model: OscillatorModel, level: LevelDescriptor
-) -> LevelDescriptor:
+def attach_multiplicities(model: tuple[int, float], level: LevelDescriptor):
     """Level descriptor with irrep_mults filled in."""
-    mults = irrep_multiplicities(model.n_particles, level.n_sym)
+    mults = irrep_multiplicities(model[0], level.n_sym)
     return dataclasses.replace(level, irrep_mults=mults)
 
 
 def character_projector(
-    model: OscillatorModel,
-    level: LevelDescriptor,
-    table: CharacterTable,
-    irrep: str,
+    model: tuple[int, float], level: LevelDescriptor, table: CharacterTable, irrep: str
 ) -> np.ndarray:
-    """P_Gamma = (dim/N!) sum_g chi_Gamma(g) D(g) on the level basis."""
+    """P_Gamma = (dim/N!) sum_g chi_Gamma(g) D(g) on the level basis, N read
+    from the table."""
     dimension = table.dimension(irrep)
     order = math.factorial(table.n)
     proj = np.zeros((level.degeneracy, level.degeneracy))
-    for p in all_permutations(model.n_particles):
+    for p in all_permutations(table.n):
         chi = table.char(irrep, cycle_type(p))
         if chi:
-            proj += chi * permutation_action_matrix(model.n_particles, level.n_sym, p)
+            proj += chi * permutation_action_matrix(table.n, level.n_sym, p)
     return proj * (dimension / order)
 
 
 def salc(
-    model: OscillatorModel,
-    level: LevelDescriptor,
-    table: CharacterTable,
-    irrep: str,
+    model: tuple[int, float], level: LevelDescriptor, table: CharacterTable, irrep: str
 ) -> np.ndarray:
     """Orthonormal basis of the irrep's isotypic subspace of a level, as rows
     over the level's basis: shape (copies * dimension, degeneracy), with copies

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import lazy_numpy
-from .errors import NumericalIntegrityError, UnboundModelError
+from .errors import NumericalIntegrityError
 from .symgroup import Permutation, all_permutations
 
 np = lazy_numpy()
@@ -75,39 +75,26 @@ def normal_modes(n_particles: int) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class OscillatorModel:
-    """Model parameters: the coupling and the two force constants."""
-
-    n_particles: int
-    xi: float
-    k: float
-    k_prime: float
-
-
-def make_model(n_particles: int, xi: float) -> OscillatorModel:
-    """Build a model, rejecting couplings outside the bound-state window."""
+def make_model(n_particles: int, xi: float) -> tuple[int, float]:
+    """The model (N, xi), rejecting couplings outside the bound-state window
+    with ValueError."""
     if n_particles not in BOUND_WINDOWS:
         raise ValueError(f"supported particle counts are 3 and 4, got {n_particles}")
     lo, hi = BOUND_WINDOWS[n_particles]
     if not (lo < xi < hi):
-        raise UnboundModelError(
+        raise ValueError(
             f"xi={xi} outside the bound-state window ({lo:.6g}, {hi:.6g}) "
             f"for N={n_particles}"
         )
-    return OscillatorModel(
-        n_particles=n_particles,
-        xi=float(xi),
-        k=1.0 - xi,
-        k_prime=1.0 + (n_particles - 1) * xi,
-    )
+    return n_particles, float(xi)
 
 
-def level_energy(model: OscillatorModel, n_sym: int, n_last: int) -> float:
-    half_modes = (model.n_particles - 1) / 2.0
-    return math.sqrt(model.k) * (n_sym + half_modes) + math.sqrt(model.k_prime) * (
-        n_last + 0.5
-    )
+def level_energy(model: tuple[int, float], n_sym: int, n_last: int) -> float:
+    """sqrt(k) (n_sym + (N-1)/2) + sqrt(k') (n_last + 1/2), with the force
+    constants k = 1 - xi and k' = 1 + (N-1) xi."""
+    n, xi = model
+    k, k_prime = 1.0 - xi, 1.0 + (n - 1) * xi
+    return math.sqrt(k) * (n_sym + (n - 1) / 2.0) + math.sqrt(k_prime) * (n_last + 0.5)
 
 
 def level_degeneracy(n_particles: int, n_sym: int) -> int:
@@ -138,19 +125,21 @@ class LevelDescriptor:
         return (self.n_sym, self.n_last)
 
 
-def make_level(model: OscillatorModel, n_sym: int, n_last: int) -> LevelDescriptor:
+def make_level(model: tuple[int, float], n_sym: int, n_last: int) -> LevelDescriptor:
     if n_sym < 0 or n_last < 0:
         raise ValueError(f"negative quanta in level ({n_sym}, {n_last})")
     return LevelDescriptor(
         n_sym=n_sym,
         n_last=n_last,
         energy=level_energy(model, n_sym, n_last),
-        degeneracy=level_degeneracy(model.n_particles, n_sym),
+        degeneracy=level_degeneracy(model[0], n_sym),
         parity=(-1) ** (n_sym + n_last),
     )
 
 
-def enumerate_levels(model: OscillatorModel, max_total_quanta: int) -> list[LevelDescriptor]:
+def enumerate_levels(
+    model: tuple[int, float], max_total_quanta: int
+) -> list[LevelDescriptor]:
     """All levels with n_sym + n_last <= cutoff, sorted by energy ascending
     with (n_sym, n_last) lexicographic tie-break.
 
@@ -176,7 +165,7 @@ def enumerate_levels(model: OscillatorModel, max_total_quanta: int) -> list[Leve
         if abs(a.energy - b.energy) < 1e-9:
             warnings.warn(
                 f"accidental energy coincidence between levels {a.quanta_key} "
-                f"and {b.quanta_key} at xi={model.xi}",
+                f"and {b.quanta_key} at xi={model[1]}",
                 stacklevel=2,
             )
     return levels

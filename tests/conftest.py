@@ -51,7 +51,7 @@ def ci4_m8(model4):
 
 def energies(states):
     """The energies of CI states as an array, in state order."""
-    return np.array([st.energy for st in states])
+    return np.array([st["energy"] for st in states])
 
 
 def perm_sign(p):
@@ -72,7 +72,7 @@ def first_quantized_determinant_matrix(model, n_orbitals):
     each determinant basis vector by the explicit N!-term sum, and projects.
     Entirely free of Slater-Condon logic.
     """
-    n = model.n_particles
+    n, xi = model
     nso = 2 * n_orbitals
     h1 = np.zeros((nso, nso))
     x1 = np.zeros((nso, nso))
@@ -94,7 +94,7 @@ def first_quantized_determinant_matrix(model, n_orbitals):
     for site in range(n):
         h += chain(h1 if k == site else eye for k in range(n))
     for i, j in itertools.combinations(range(n), 2):
-        h += model.xi * chain(x1 if k in (i, j) else eye for k in range(n))
+        h += xi * chain(x1 if k in (i, j) else eye for k in range(n))
 
     basis = cimod.build_basis(n, n_orbitals)
     cols = np.zeros((dim, len(basis)))

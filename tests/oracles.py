@@ -42,7 +42,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from permsym.ci import (
-    CIState,
     ComparisonReport,
     _occupations,
     _runs,
@@ -54,7 +53,6 @@ from permsym.ci import (
 from permsym.errors import NumericalIntegrityError
 from permsym.oscillator import (
     LevelDescriptor,
-    OscillatorModel,
     level_energy,
     normal_modes,
     uncoupled_expansion,
@@ -125,11 +123,9 @@ def hamiltonian_element(d1: Sequence[int], d2: Sequence[int], model) -> float:
     occ1, occ2 = tuple(map(int, d1)), tuple(map(int, d2))
     if len(occ1) != len(occ2):
         raise ValueError(f"determinant sizes differ: {len(occ1)} vs {len(occ2)}")
-    if len(occ1) != model.n_particles:
-        raise ValueError(
-            f"determinants have {len(occ1)} particles, model has {model.n_particles}"
-        )
-    xi = model.xi
+    n, xi = model
+    if len(occ1) != n:
+        raise ValueError(f"determinants have {len(occ1)} particles, model has {n}")
     set1, set2 = set(occ1), set(occ2)
     only1 = sorted(set1 - set2)
     only2 = sorted(set2 - set1)
@@ -212,7 +208,7 @@ def product_basis_oracle(model, n_orbitals, cluster_tol=1e-7):
     eigenvalues converge to the closed form.  Returns (energy, degeneracy)
     pairs with eigenvalues clustered within ``cluster_tol``.
     """
-    n = model.n_particles
+    n, xi = model
     cap = _ORACLE_CAPS.get(n)
     if cap is None or n_orbitals > cap:
         raise DimensionCapError(
@@ -237,7 +233,7 @@ def product_basis_oracle(model, n_orbitals, cluster_tol=1e-7):
     for site in range(n):
         h += kron_chain(h1 if k == site else eye for k in range(n))
     for i, j in itertools.combinations(range(n), 2):
-        h += model.xi * kron_chain(
+        h += xi * kron_chain(
             x1 if k in (i, j) else eye for k in range(n)
         )
     evals = np.linalg.eigvalsh(h)
@@ -295,7 +291,7 @@ def ci_solve_dense(model, basis, guard=1e-6):
     entries.sort()
     for i, j in _runs(np.array([t[0] for t in entries])):
         entries[i:j] = sorted(entries[i:j], key=lambda t: t[1:4])
-    states = tuple(CIState(energy=e, s=s, ms=m, parity=p) for e, m, p, _, s in entries)
+    states = [{"energy": e, "S": s, "Ms": m, "parity": p} for e, m, p, _, s in entries]
     return np.array([t[0] for t in entries]), states
 
 
@@ -312,9 +308,7 @@ def _to_csf(groups, x: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def eigenvectors(
-    model: OscillatorModel, basis, states: Sequence[CIState]
-) -> np.ndarray:
+def eigenvectors(model: tuple[int, float], basis, states: Sequence[dict]) -> np.ndarray:
     """The dense eigenvector matrix of the CI states ``ci_solve`` gave on
     ``basis``, column j for states[j], rows in the order of ``basis``: each
     (M_s, parity, S) block is rebuilt from the package's sectors and spin
@@ -325,7 +319,7 @@ def eigenvectors(
     out = np.zeros((len(occ), len(occ)))
     cols = {}  # (M_s, parity, S) -> state indices in order
     for j, st in enumerate(states):
-        cols.setdefault((st.ms, st.parity, st.s), []).append(j)
+        cols.setdefault((st["Ms"], st["parity"], st["S"]), []).append(j)
     for ms, parity, rows, blocks in _sectors(occ):
         for s, start, block, _ in blocks:
             block_rows = rows[start:]
@@ -412,7 +406,7 @@ class FloatSpaceSpinFunction:
 
 
 def antisymmetrize_space_spin(
-    model: OscillatorModel,
+    model: tuple[int, float],
     level: LevelDescriptor,
     spatial: np.ndarray,
     spin_product: SpinProduct,
@@ -431,7 +425,7 @@ def antisymmetrize_space_spin(
     orbital products reach orbital 31 with beta spin (beyond a determinant
     mask), raises ValueError.
     """
-    n = model.n_particles
+    n = model[0]
     if spin_product.n != n:
         raise ValueError(f"spin product has {spin_product.n} labels, model N={n}")
     if np.linalg.norm(spatial) < _ZERO_TOL:
@@ -468,13 +462,13 @@ def antisymmetrize_space_spin(
 
 
 def constructive_spins_by_floats(
-    model: OscillatorModel, level: LevelDescriptor, table: CharacterTable, irrep: str
+    model: tuple[int, float], level: LevelDescriptor, table: CharacterTable, irrep: str
 ) -> set[float]:
     """The spins of the survivors of every (spin product, projector column)
     pair of a level (:func:`antisymmetrize_space_spin`)."""
     proj = character_projector(model, level, table, irrep)
     spins: set[float] = set()
-    for labels in spin_basis(model.n_particles):
+    for labels in spin_basis(model[0]):
         for seed in range(level.degeneracy):
             product = SpinProduct(labels)
             res = antisymmetrize_space_spin(model, level, proj[:, seed], product)
@@ -653,18 +647,16 @@ def spin_irrep_multiplicities(n: int, table: CharacterTable) -> dict[str, int]:
 QuantaPattern = tuple[int, ...]
 
 
-def _check_pattern(model: OscillatorModel, pattern: Sequence[int]) -> QuantaPattern:
+def _check_pattern(model: tuple[int, float], pattern: Sequence[int]) -> QuantaPattern:
     pattern = tuple(int(q) for q in pattern)
-    if len(pattern) != model.n_particles:
-        raise ValueError(
-            f"quanta pattern must have {model.n_particles} entries, got {pattern}"
-        )
+    if len(pattern) != model[0]:
+        raise ValueError(f"quanta pattern must have {model[0]} entries, got {pattern}")
     if any(q < 0 for q in pattern):
         raise ValueError(f"negative quanta in {pattern}")
     return pattern
 
 
-def exact_energy(model: OscillatorModel, pattern: Sequence[int]) -> float:
+def exact_energy(model: tuple[int, float], pattern: Sequence[int]) -> float:
     """Closed-form eigenvalue for a full quanta pattern (degenerate modes
     first, symmetric mode last)."""
     pattern = _check_pattern(model, pattern)
@@ -738,9 +730,12 @@ def _norm_constant(pattern: QuantaPattern, k: float, k_prime: float) -> float:
     return out
 
 
-def eigenfunction(model: OscillatorModel, pattern: Sequence[int]) -> HermiteGaussian:
-    """Exact normalized eigenfunction as Hermite polynomial x Gaussian."""
+def eigenfunction(model: tuple[int, float], pattern: Sequence[int]) -> HermiteGaussian:
+    """Exact normalized eigenfunction as Hermite polynomial x Gaussian, with
+    the force constants k = 1 - xi and k' = 1 + (N-1) xi."""
     pattern = _check_pattern(model, pattern)
+    n, xi = model
+    k, k_prime = 1.0 - xi, 1.0 + (n - 1) * xi
     coeffs = [hermite_poly(q) for q in pattern[:-1]]
     terms = (
         (exps, math.prod(c[e] for c, e in zip(coeffs, exps)))
@@ -750,10 +745,10 @@ def eigenfunction(model: OscillatorModel, pattern: Sequence[int]) -> HermiteGaus
     return HermiteGaussian(
         pattern=pattern,
         poly=poly,
-        normalization=_norm_constant(pattern, model.k, model.k_prime),
-        k=model.k,
-        k_prime=model.k_prime,
-        U=normal_modes(model.n_particles),
+        normalization=_norm_constant(pattern, k, k_prime),
+        k=k,
+        k_prime=k_prime,
+        U=normal_modes(n),
     )
 
 
@@ -846,8 +841,8 @@ def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[str]:
 
 
 def compare_greedy(
-    model: OscillatorModel,
-    states: Sequence[CIState],
+    model: tuple[int, float],
+    states: Sequence[dict],
     exact_levels: Sequence[LevelDescriptor],
     allowed: dict[str, tuple[float, ...]],
     tol: float,
@@ -867,14 +862,13 @@ def compare_greedy(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    labels = character_table(model.n_particles).irreps
+    labels = character_table(model[0]).irreps
     if set(allowed) != set(labels):
         raise ValueError(
-            f"allowed map has irreps {sorted(allowed)}, "
-            f"S{model.n_particles} has {sorted(labels)}"
+            f"allowed map has irreps {sorted(allowed)}, S{model[0]} has {sorted(labels)}"
         )
     spins = [s for ss in allowed.values() for s in ss]
-    lowest_ms = min(abs(st.ms) for st in states)
+    lowest_ms = min(abs(st["Ms"]) for st in states)
     if spins and min(spins) < lowest_ms:
         raise ValueError(
             f"allowed spin S={min(spins):g} has no state with |M_s| >= "
@@ -892,7 +886,7 @@ def compare_greedy(
     def has_allowed_content(lv: LevelDescriptor) -> bool:
         return any(m and lbl not in forbidden for lbl, m in lv.irrep_mults.items())
 
-    evals = np.array([st.energy for st in states])
+    evals = np.array([st["energy"] for st in states])
     horizon = levels[-1].energy + tol if levels else 0.0
     if levels:
         shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
@@ -928,8 +922,8 @@ def compare_greedy(
                 "ci_energy": float(e),
                 "exact_energy": best.energy,
                 "quanta_key": best.quanta_key,
-                "S": state.s,
-                "parity": state.parity,
+                "S": state["S"],
+                "parity": state["parity"],
             }
         )
         matched_keys.add(best.quanta_key)

@@ -149,7 +149,7 @@ def test_criterion_07_missing_levels_n3(model3, ci3_m10, tmp_path):
     with _report("7", "N=3, xi=0.1, M=10: lowest CI at the first allowed "
                  "level within 1e-4; E_00j levels missing; compare exits 0"):
         lowest_allowed = 2 * math.sqrt(0.9) + 0.5 * math.sqrt(1.2)
-        assert abs(ci3_m10[0].energy - lowest_allowed) < 1e-4
+        assert abs(ci3_m10[0]["energy"] - lowest_allowed) < 1e-4
         levels = [
             ls.attach_multiplicities(model3, lv)
             for lv in osc.enumerate_levels(model3, 4)
@@ -182,8 +182,8 @@ def test_criterion_08_missing_levels_n4(model4, ci4_m8):
     with _report("8", "N=4, xi=0.1, M=8: lowest CI state is a singlet at the "
                  "n_sym=2 level within 5e-3; n_sym = 0, 1 levels missing"):
         target = 3.5 * math.sqrt(0.9) + 0.5 * math.sqrt(1.3)
-        assert abs(ci4_m8[0].energy - target) < 5e-3
-        assert ci4_m8[0].s == 0.0
+        assert abs(ci4_m8[0]["energy"] - target) < 5e-3
+        assert ci4_m8[0]["S"] == 0.0
         levels = [
             ls.attach_multiplicities(model4, lv)
             for lv in osc.enumerate_levels(model4, 3)
@@ -251,7 +251,7 @@ def test_criterion_10_property_suites(model3, ci3_m10, basis3_m10):
         previous = None
         for m_orb in (4, 6, 8, 10):
             basis = cimod.build_basis(3, m_orb, ms=0.5)
-            e0 = cimod.ci_solve(model3, basis)[0].energy
+            e0 = cimod.ci_solve(model3, basis)[0]["energy"]
             if previous is not None:
                 assert e0 <= previous + 1e-12
             previous = e0
@@ -261,4 +261,4 @@ def test_criterion_10_property_suites(model3, ci3_m10, basis3_m10):
         vecs = oracles.eigenvectors(model3, basis3_m10, ci3_m10)
         for j, state in enumerate(ci3_m10):
             vec = vecs[:, j]
-            assert abs(vec @ s2 @ vec - state.s * (state.s + 1)) < 1e-6
+            assert abs(vec @ s2 @ vec - state["S"] * (state["S"] + 1)) < 1e-6

@@ -12,7 +12,6 @@ from permsym import ci as cimod
 from permsym import levelsym as ls
 from permsym import oscillator as osc
 from permsym import spin, symgroup
-from permsym.errors import BasisTooSmallError
 
 
 def quadrature_x_element(a, b, nodes=64):
@@ -134,7 +133,7 @@ class TestBuildBasis:
         assert cimod.build_basis(4, 3, ms=0.0).tolist() == [list(c) for c in sel]
 
     def test_too_small(self):
-        with pytest.raises(BasisTooSmallError):
+        with pytest.raises(ValueError, match="2 spin-orbitals cannot hold 3 particles"):
             cimod.build_basis(3, 1)
 
 
@@ -253,8 +252,8 @@ class TestCISolve:
 
     def test_lowest_allowed_n3(self, ci3_m10, model3):
         exact = osc.level_energy(model3, 1, 0)
-        assert ci3_m10[0].energy == pytest.approx(exact, abs=1e-4)
-        assert ci3_m10[0].energy == pytest.approx(2.4450892, abs=1e-6)
+        assert ci3_m10[0]["energy"] == pytest.approx(exact, abs=1e-4)
+        assert ci3_m10[0]["energy"] == pytest.approx(2.4450892, abs=1e-6)
 
     def test_no_eigenvalue_near_forbidden_n3(self, ci3_m10, model3):
         for j in range(4):
@@ -270,8 +269,8 @@ class TestCISolve:
 
     def test_s2_labels_are_half_integers(self, ci3_m10):
         for st in ci3_m10:
-            assert st.s in (0.5, 1.5)
-            assert st.ms == pytest.approx(0.5)
+            assert st["S"] in (0.5, 1.5)
+            assert st["Ms"] == pytest.approx(0.5)
 
     def test_s2_expectation_guard(self, model3):
         basis = cimod.build_basis(3, 4, ms=0.5)
@@ -281,7 +280,7 @@ class TestCISolve:
         for j in range(len(basis)):
             vec = vecs[:, j]
             s2v = vec @ s2 @ vec
-            s = states[j].s
+            s = states[j]["S"]
             assert abs(s2v - s * (s + 1)) < 1e-6
 
     def test_energy_invariant_under_basis_order(self, model3):
@@ -311,7 +310,7 @@ class TestCISolve:
             width = 1e-9 * max(1.0, abs(values[start]))
             if k < len(values) and values[k] - values[start] <= width:
                 continue
-            keys = [(st.ms, st.parity) for st in states[start:k]]
+            keys = [(st["Ms"], st["parity"]) for st in states[start:k]]
             assert keys == sorted(keys)
             quintets += k - start >= 5  # the M_s members of S=2 share a run
             start = k
@@ -324,14 +323,14 @@ class TestCISolve:
         vecs = oracles.eigenvectors(model4, basis, states)
         for j, st in enumerate(states):
             support = np.abs(vecs[:, j]) > 0
-            assert set(det_parity[support]) == {st.parity}
+            assert set(det_parity[support]) == {st["parity"]}
 
     def test_variational_bound_and_monotonicity(self, model3):
         lowest_allowed = osc.level_energy(model3, 1, 0)
         previous = None
         for m_orb in (4, 6, 8, 10):
             basis = cimod.build_basis(3, m_orb, ms=0.5)
-            e0 = cimod.ci_solve(model3, basis)[0].energy
+            e0 = cimod.ci_solve(model3, basis)[0]["energy"]
             assert e0 >= lowest_allowed - 1e-12
             if previous is not None:
                 assert e0 <= previous + 1e-12
@@ -342,19 +341,19 @@ class TestCISolve:
         states = cimod.ci_solve(model3, cimod.build_basis(3, 3))
         by_ms: dict[float, list] = {}
         for st in states:
-            by_ms.setdefault(st.ms, []).append(st)
+            by_ms.setdefault(st["Ms"], []).append(st)
         for st in states:
-            for ms2 in np.arange(-st.s, st.s + 0.5, 1.0):
+            for ms2 in np.arange(-st["S"], st["S"] + 0.5, 1.0):
                 partners = [
                     o
                     for o in by_ms[float(ms2)]
-                    if abs(o.energy - st.energy) < 1e-8 and o.s == st.s
+                    if abs(o["energy"] - st["energy"]) < 1e-8 and o["S"] == st["S"]
                 ]
-                assert partners, f"no Ms={ms2} partner for S={st.s} E={st.energy}"
+                assert partners, f"no Ms={ms2} partner for S={st['S']} E={st['energy']}"
 
     def test_parity_labels(self, ci3_m10):
         # lowest state comes from the odd level n_sym=1
-        assert ci3_m10[0].parity == -1
+        assert ci3_m10[0]["parity"] == -1
 
     def test_empty_basis(self, model3):
         with pytest.raises(ValueError, match="empty"):
@@ -483,7 +482,7 @@ class TestSpinAdaptedSolve:
         assert np.abs(energies(ci_states) - evals).max() < 1e-10
 
         def labelled(sts):
-            return sorted((st.s, st.ms, st.parity, st.energy) for st in sts)
+            return sorted((st["S"], st["Ms"], st["parity"], st["energy"]) for st in sts)
 
         ours, theirs = labelled(ci_states), labelled(states)
         assert [t[:3] for t in ours] == [t[:3] for t in theirs]
@@ -506,7 +505,7 @@ class TestSpinAdaptedSolve:
         def blocks(sts):
             out = {}
             for st in sts:
-                out.setdefault((st.ms, st.parity, st.s), []).append(st.energy)
+                out.setdefault((st["Ms"], st["parity"], st["S"]), []).append(st["energy"])
             return out
 
         ours, theirs = blocks(cimod.ci_solve(model, basis)), blocks(states)
@@ -520,8 +519,8 @@ class TestSpinAdaptedSolve:
         states = cimod.ci_solve(osc.make_model(n, xi), cimod.build_basis(n, m_orb))
         by_block: dict = {}
         for st in states:
-            sectors = by_block.setdefault((st.s, st.parity), {})
-            sectors.setdefault(st.ms, []).append(st.energy)
+            sectors = by_block.setdefault((st["S"], st["parity"]), {})
+            sectors.setdefault(st["Ms"], []).append(st["energy"])
         for (s, _), sectors in by_block.items():
             assert sorted(sectors) == np.arange(-s, s + 0.5).tolist()
             first = sorted(sectors[s])
@@ -564,8 +563,8 @@ class TestSpinAdaptedSolve:
         h = cimod.hamiltonian_matrix(model3, basis3_m10)
         assert np.abs(h @ vecs - vecs * energies(ci3_m10)).max() < 1e-10
         quartet = [
-            st.energy for st in ci3_m10
-            if abs(st.energy - 7.1885056) < 1e-6 and st.s == 1.5
+            st["energy"] for st in ci3_m10
+            if abs(st["energy"] - 7.1885056) < 1e-6 and st["S"] == 1.5
         ]
         assert quartet == [pytest.approx(7.188505643877, abs=1e-11)]
 
@@ -583,7 +582,7 @@ class TestSpinAdaptedSolve:
         assert np.abs(vecs.T @ vecs - np.eye(len(basis))).max() < 1e-12
         ms = np.array([oracles.det_ms(det) for det in basis])
         for j, st in enumerate(states):
-            assert set(ms[np.abs(vecs[:, j]) > 0]) == {st.ms}
+            assert set(ms[np.abs(vecs[:, j]) > 0]) == {st["Ms"]}
 
 
 @pytest.mark.parametrize("n,m_orb", [(3, 6), (3, 8), (4, 5), (4, 6)])
@@ -609,9 +608,9 @@ def test_csf_blocks_match_dense_transform(n, m_orb, where):
 class TestLowestN4:
     def test_lowest_is_singlet(self, ci4_m8, model4):
         exact = osc.level_energy(model4, 2, 0)
-        assert ci4_m8[0].energy == pytest.approx(exact, abs=5e-3)
-        assert ci4_m8[0].energy == pytest.approx(3.8904793, abs=1e-6)
-        assert ci4_m8[0].s == 0.0
+        assert ci4_m8[0]["energy"] == pytest.approx(exact, abs=5e-3)
+        assert ci4_m8[0]["energy"] == pytest.approx(3.8904793, abs=1e-6)
+        assert ci4_m8[0]["S"] == 0.0
 
 
 class TestS2Matrix:
@@ -708,6 +707,13 @@ class TestCompare:
         for tol in (0.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
                 cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
+
+    def test_rejects_empty_state_list(self, model3):
+        """No CI states: the error names the empty list, not min()."""
+        levels = _decorated_levels(model3, 2)
+        allowed = spin.allowed_spatial_irreps(3)
+        with pytest.raises(ValueError, match="list of CI states is empty"):
+            cimod.compare(model3, [], levels, allowed, tol=1e-4)
 
     @pytest.mark.parametrize(
         "n,orbitals,ms,lowest",
@@ -864,7 +870,7 @@ class TestCompareBlocks:
                         exact.setdefault((s, lv.parity), []).extend([lv.energy] * m)
         blocks = {}  # (M_s, S, parity) -> its states' energies, ascending
         for st in states:
-            blocks.setdefault((st.ms, st.s, st.parity), []).append(st.energy)
+            blocks.setdefault((st["Ms"], st["S"], st["parity"]), []).append(st["energy"])
         compared = 0
         for (_, s, parity), evals in blocks.items():
             ex = sorted(exact.get((s, parity), []))
@@ -942,11 +948,11 @@ class TestDegenerateSpinResolution:
         target = osc.level_energy(model3, 3, 0)
         idx = np.nonzero(np.abs(energies(ci3_m10) - target) < 1e-8)[0]
         assert len(idx) == 2
-        spins = {ci3_m10[j].s for j in idx}
+        spins = {ci3_m10[j]["S"] for j in idx}
         assert spins == {0.5, 1.5}
         s2 = cimod.s_squared_matrix(basis3_m10)
         vecs = oracles.eigenvectors(model3, basis3_m10, ci3_m10)
         for j in idx:
             vec = vecs[:, j]
-            s = ci3_m10[j].s
+            s = ci3_m10[j]["S"]
             assert abs(vec @ s2 @ vec - s * (s + 1)) < 1e-9

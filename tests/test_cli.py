@@ -38,19 +38,6 @@ def parse_csv(out):
     return list(csv.DictReader(io.StringIO(body)))
 
 
-class TestTable:
-    def test_json(self, capsys):
-        data = run_json(capsys, "table", "--n", "3")
-        assert data["config"]["command"] == "table"
-        assert data["config"]["n"] == 3
-        assert data["table"]["characters"]["E"] == [2, 0, -1]
-
-    def test_n4(self, capsys):
-        data = run_json(capsys, "table", "--n", "4")
-        sizes = [c["size"] for c in data["table"]["classes"]]
-        assert sizes == [1, 6, 8, 6, 3]
-
-
 class TestSpectrum:
     def test_json_roundtrip(self, capsys):
         data = run_json(
@@ -235,27 +222,6 @@ class TestProject:
 
 
 class TestAllowed:
-    def test_character_route(self, capsys):
-        data = run_json(capsys, "allowed", "--n", "3")
-        assert data["allowed"]["A2"] == {
-            "allowed": True, "spins": [1.5], "multiplets": ["quadruplet"]
-        }
-        assert data["allowed"]["E"]["multiplets"] == ["doublet"]
-        assert data["allowed"]["A1"] == {
-            "allowed": False, "spins": [], "multiplets": []
-        }
-        assert data["multiplets"] == {"0.5": 2, "1.5": 1}
-
-    def test_constructive_verification(self, capsys):
-        data = run_json(capsys, "allowed", "--n", "3", "--verify", "constructive")
-        assert data["routes_agree"] is True
-        assert data["constructive"]["A2"] == [1.5]
-
-    def test_n4(self, capsys):
-        data = run_json(capsys, "allowed", "--n", "4")
-        assert data["allowed"]["T1"]["spins"] == [1.0]
-        assert data["allowed"]["T2"]["allowed"] is False
-
     def test_routes_disagreeing_exit_2(self, capsys, monkeypatch):
         def wrong(n):
             return {**spin.allowed_spatial_irreps(n), "A1": (0.5,)}
@@ -294,6 +260,17 @@ class TestCi:
         rows = parse_csv(out)
         assert set(rows[0]) == {"energy", "S", "Ms", "parity"}
 
+    @pytest.mark.parametrize("n,xi,orbitals", [(3, -0.3, 5), (4, 0.6, 5)])
+    def test_json_states_are_the_solved_rows(self, capsys, n, xi, orbitals):
+        """``ci`` prints the rows ``ci_solve`` returns, keys in order, with
+        only the floats rounded to 9 significant digits."""
+        data = run_json(
+            capsys, "ci", "--n", str(n), "--xi", str(xi), "--orbitals", str(orbitals)
+        )
+        rows = cimod.ci_solve(osc.make_model(n, xi), cimod.build_basis(n, orbitals))
+        assert [list(row) for row in rows] == [["energy", "S", "Ms", "parity"]] * len(rows)
+        assert data["states"] == cli._round9(rows)
+
     def test_infeasible_basis_exits_1(self, capsys):
         rc, _, err = run_cli(
             capsys, "ci", "--n", "3", "--xi", "0.1", "--orbitals", "1"
@@ -313,19 +290,6 @@ class TestCi:
 
 
 class TestCompare:
-    def test_n3_experiment(self, capsys):
-        data = run_json(
-            capsys,
-            "compare", "--n", "3", "--xi", "0.1", "--orbitals", "10",
-            "--max-quanta", "4", "--tol", "1e-4",
-        )
-        missing_keys = [tuple(m["quanta_key"]) for m in data["missing"]]
-        assert all(k[0] == 0 for k in missing_keys)
-        assert (0, 0) in missing_keys
-        assert data["spurious"] == []
-        assert data["ok"] is True
-        assert data["config"]["ms"] == "1/2"
-
     @pytest.mark.parametrize(
         "n,xi,orbitals,max_quanta",
         [(3, 0.3, 12, 3), (3, -0.3, 12, 3), (4, 0.3, 8, 4), (4, 0.1, 8, 5)],
@@ -383,14 +347,21 @@ class TestCompare:
             "--n 3 --xi 0.1 --orbitals 8 --max-quanta 4 --tol 10",
             "--n 3 --xi 0.999 --orbitals 8 --max-quanta 4 --tol 1e-4",
             "--n 4 --xi -0.333 --orbitals 8 --max-quanta 4 --tol 1e-4",
+            "--n 3 --xi 0.1 --orbitals 6 --max-quanta 3 --tol 1e-300",
         ],
     )
     def test_vacuous_comparison_is_a_usage_error(self, capsys, argv):
         """No allowed exact state below the horizon: nothing is verified,
-        so the run exits 1 instead of reading as a pass."""
+        so the run exits 1 instead of reading as a pass.  Only where the
+        horizon is the clip at tol below the first unlisted level can a
+        smaller --tol help; where an unconverged block draws it at a listed
+        level (xi = 0.999 and tol = 1e-300), a larger one can."""
         rc, out, err = run_cli(capsys, "compare", *argv.split())
         assert rc == 1 and out == ""
         assert "below the horizon" in err and "--orbitals" in err
+        clipped = argv.endswith("--tol 10") or "-0.333" in argv
+        assert ("smaller --tol" in err) == clipped
+        assert ("larger --tol" in err) != clipped
 
     @pytest.mark.parametrize(
         "argv",
@@ -739,7 +710,7 @@ import permsym.cli
 from permsym import ci, oscillator
 print(json.dumps(["numpy.linalg" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
 states = ci.ci_solve(oscillator.make_model(3, 0.1), ci.build_basis(3, 6))
-print(json.dumps([st.energy for st in states]))
+print(json.dumps([st["energy"] for st in states]))
 """
 
 

@@ -7,26 +7,40 @@ import pytest
 import oracles
 from permsym import oscillator as osc
 from permsym import symgroup as sg
-from permsym.errors import NumericalIntegrityError, UnboundModelError
+from permsym.errors import NumericalIntegrityError
+
+
+def spacings(model):
+    """(sqrt(k), sqrt(k')): the level spacing in n_sym and in n_last."""
+    ground = osc.level_energy(model, 0, 0)
+    return osc.level_energy(model, 1, 0) - ground, osc.level_energy(model, 0, 1) - ground
 
 
 class TestMakeModel:
     def test_n3_constants(self):
         m = osc.make_model(3, 0.1)
-        assert m.k == pytest.approx(0.9, abs=1e-15)
-        assert m.k_prime == pytest.approx(1.2, abs=1e-15)
+        assert m == (3, 0.1)
+        root_k, root_k_prime = spacings(m)
+        assert root_k**2 == pytest.approx(0.9, abs=1e-15)
+        assert root_k_prime**2 == pytest.approx(1.2, abs=1e-15)
 
     def test_n4_constants(self):
         m = osc.make_model(4, 0.1)
-        assert m.k == pytest.approx(0.9, abs=1e-15)
-        assert m.k_prime == pytest.approx(1.3, abs=1e-15)
+        assert m == (4, 0.1)
+        root_k, root_k_prime = spacings(m)
+        assert root_k**2 == pytest.approx(0.9, abs=1e-15)
+        assert root_k_prime**2 == pytest.approx(1.3, abs=1e-15)
+
+    def test_xi_is_a_float(self):
+        assert osc.make_model(4, 0) == (4, 0.0)
+        assert type(osc.make_model(4, 0)[1]) is float
 
     def test_outside_window(self):
-        with pytest.raises(UnboundModelError, match="window"):
+        with pytest.raises(ValueError, match="window"):
             osc.make_model(3, 1.5)
-        with pytest.raises(UnboundModelError):
+        with pytest.raises(ValueError):
             osc.make_model(3, -0.5)
-        with pytest.raises(UnboundModelError):
+        with pytest.raises(ValueError):
             osc.make_model(4, -0.34)
 
     def test_bad_n(self):
@@ -204,8 +218,8 @@ class TestPermutationAction:
     def test_scalar_one_on_symmetric_level(self, model3, model4):
         for model in (model3, model4):
             lv = osc.make_level(model, 0, 2)
-            for p in sg.all_permutations(model.n_particles):
-                d = osc.permutation_action_matrix(model.n_particles, lv.n_sym, p)
+            for p in sg.all_permutations(model[0]):
+                d = osc.permutation_action_matrix(model[0], lv.n_sym, p)
                 assert d.shape == (1, 1)
                 assert d[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -267,7 +281,7 @@ class TestPermutationAction:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(25, n))
         for p in sg.all_permutations(n):
-            d = osc.permutation_action_matrix(model.n_particles, lv.n_sym, p)
+            d = osc.permutation_action_matrix(model[0], lv.n_sym, p)
             # (p f)(x) = f(x_{p[0]}, ..., x_{p[N-1]})
             permuted_pts = pts[:, [i - 1 for i in p]]
             lhs = funcs[col].evaluate(permuted_pts)
