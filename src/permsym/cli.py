@@ -290,15 +290,19 @@ def build_parser() -> _Parser:
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("table", help="dump a character table")
+    p.set_defaults(handler=_cmd_table)
     add_common(p)
 
     p = sub.add_parser("spectrum", help="exact level table")
+    p.set_defaults(handler=_cmd_spectrum)
     add_common(p, xi=True, quanta=True, fmt=True)
 
     p = sub.add_parser("irreps", help="level table with irrep multiplicities")
+    p.set_defaults(handler=_cmd_irreps)
     add_common(p, xi=True, quanta=True, fmt=True)
 
     p = sub.add_parser("project", help="symmetry-adapted combination vectors")
+    p.set_defaults(handler=_cmd_project)
     add_common(p)
     p.add_argument("--xi", type=float, default=0.1)
     p.add_argument("--nsym", dest="n_sym", type=int, required=True)
@@ -306,43 +310,35 @@ def build_parser() -> _Parser:
     p.add_argument("--irrep", required=True)
 
     p = sub.add_parser("allowed", help="Pauli-allowed spatial irreps")
+    p.set_defaults(handler=_cmd_allowed)
     add_common(p)
     p.add_argument("--verify", choices=("constructive",), default=None)
 
     p = sub.add_parser("ci", help="configuration-interaction spectrum")
+    p.set_defaults(handler=_cmd_ci)
     add_common(p, xi=True, fmt=True, orbitals=True)
     p.add_argument("--ms", default="all", help="M_s sector: all, or a number like -1/2")
 
     p = sub.add_parser("compare", help="missing-level experiment")
+    p.set_defaults(handler=_cmd_compare)
     add_common(p, xi=True, quanta=True, orbitals=True)
     p.add_argument("--tol", type=float, required=True)
 
     return parser
 
 
-_HANDLERS = {
-    "table": _cmd_table,
-    "spectrum": _cmd_spectrum,
-    "irreps": _cmd_irreps,
-    "project": _cmd_project,
-    "allowed": _cmd_allowed,
-    "ci": _cmd_ci,
-    "compare": _cmd_compare,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalIntegrityError as exc:
         print(f"numerical integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

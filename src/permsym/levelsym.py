@@ -7,9 +7,10 @@ coupling and n_last, so its characters (:func:`level_characters`, a read-only
 generating function.  :func:`irrep_multiplicities` turns them into irrep
 multiplicities by the exact character inner product
 (:func:`symgroup.decompose`), checked to account for the whole degeneracy.
-Character projectors, built from the float representation matrices, yield
-symmetry-adapted linear combinations (SALCs) fixed by their span; a guard's
-breach is a hard :class:`NumericalIntegrityError`, never a silent round.
+Character projectors, the terms of :func:`symgroup.character_weights` summed
+over the float representation matrices, yield symmetry-adapted linear
+combinations (SALCs) fixed by their span; a guard's breach is a hard
+:class:`NumericalIntegrityError`, never a silent round.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .oscillator import LevelDescriptor, level_degeneracy, permutation_action_ma
 from .symgroup import (
     CharacterTable,
     CycleType,
-    all_permutations,
     character_table,
-    cycle_type,
+    character_weights,
     decompose,
     partitions,
 )
@@ -85,10 +85,8 @@ def character_projector(
     dimension = table.dimension(irrep)
     order = math.factorial(table.n)
     proj = np.zeros((level.degeneracy, level.degeneracy))
-    for p in all_permutations(table.n):
-        chi = table.char(irrep, cycle_type(p))
-        if chi:
-            proj += chi * permutation_action_matrix(table.n, level.n_sym, p)
+    for p, chi in character_weights(table.n, irrep):
+        proj += chi * permutation_action_matrix(table.n, level.n_sym, p)
     return proj * (dimension / order)
 
 

@@ -143,8 +143,8 @@ def enumerate_levels(
     """All levels with n_sym + n_last <= cutoff, sorted by energy ascending
     with (n_sym, n_last) lexicographic tie-break.
 
-    Accidental energy coincidences between distinct keys are reported as a
-    warning, never merged.  A cutoff above ``MAX_TOTAL_QUANTA`` raises
+    Accidental energy coincidences between distinct keys are reported in
+    one warning per call, never merged.  A cutoff above ``MAX_TOTAL_QUANTA`` raises
     ValueError before any level is built.
     """
     if max_total_quanta < 0:
@@ -161,13 +161,19 @@ def enumerate_levels(
         for n_last in range(max_total_quanta - n_sym + 1)
     ]
     levels.sort(key=lambda lv: (lv.energy, lv.quanta_key))
-    for a, b in itertools.pairwise(levels):
-        if abs(a.energy - b.energy) < 1e-9:
-            warnings.warn(
-                f"accidental energy coincidence between levels {a.quanta_key} "
-                f"and {b.quanta_key} at xi={model[1]}",
-                stacklevel=2,
-            )
+    pairs = [
+        (a, b)
+        for a, b in itertools.pairwise(levels)
+        if abs(a.energy - b.energy) < 1e-9
+    ]
+    if pairs:
+        (a, b), more = pairs[0], len(pairs) - 1
+        warnings.warn(
+            f"accidental energy coincidence between levels {a.quanta_key} "
+            f"and {b.quanta_key} at xi={model[1]}"
+            + (f", and {more} more adjacent pair{'s' * (more > 1)}" if more else ""),
+            stacklevel=2,
+        )
     return levels
 
 

@@ -10,8 +10,9 @@ survive total antisymmetrization:
   span the levels with n_sym + n_last = Q once each, as an equal-frequency
   shell is closed under the change to normal modes (Moshinsky, The Harmonic
   Oscillator in Modern Physics, 1969).  N!/dim times an irrep's character
-  projector maps each determinant to an integer row; differences of exact
-  ranks, between shells and then between M_s, count a level's multiplets.
+  projector, its terms from :func:`symgroup.character_weights`, maps each
+  determinant to an integer row; differences of exact ranks, between
+  shells and then between M_s, count a level's multiplets.
 
 The two must agree pair by pair; their agreement is the module's central
 cross-validation (a test failure, not a runtime recovery).  Each count n_S
@@ -31,11 +32,9 @@ from typing import Mapping
 from .errors import NumericalIntegrityError
 from .levelsym import irrep_multiplicities
 from .symgroup import (
-    CharacterTable,
     CycleType,
-    all_permutations,
     character_table,
-    cycle_type,
+    character_weights,
     decompose,
     sign_irrep,
 )
@@ -92,10 +91,6 @@ def multiplet_table(n: int) -> dict[float, int]:
     return counts
 
 
-def _spin_traces(table: CharacterTable, s: float) -> dict[CycleType, int]:
-    return {ct: spin_character(table.n, s, ct) for ct in table.classes}
-
-
 def allowed_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     """Character route: for each spatial irrep label, the total spins S it
     combines with into a totally antisymmetric space-spin function (empty
@@ -103,7 +98,9 @@ def allowed_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     occurs in Gamma (x) (the spin functions of total spin S)."""
     table = character_table(n)
     sign = sign_irrep(table)
-    spin_traces = {s: _spin_traces(table, s) for s in _spins(n)}
+    spin_traces = {
+        s: {ct: spin_character(n, s, ct) for ct in table.classes} for s in _spins(n)
+    }
     spins: dict[str, tuple[float, ...]] = {}
     for spatial, row in zip(table.irreps, table.chars):
         chi = dict(zip(table.classes, row))
@@ -142,17 +139,6 @@ def _shell(n: int, quanta: int, n_beta: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _class_weights(n: int, irrep: str) -> tuple[tuple, ...]:
-    """(zero-based images, chi_Gamma(p)) of each p in S_N with chi_Gamma(p) != 0."""
-    table = character_table(n)
-    weights = [
-        (tuple(i - 1 for i in p), table.char(irrep, cycle_type(p)))
-        for p in all_permutations(n)
-    ]
-    return tuple(w for w in weights if w[1])
-
-
 def _sort_sign(codes: list[int]) -> int:
     """The parity (+1 or -1) of the sort that orders the codes; 0 when one
     repeats (the Pauli principle)."""
@@ -168,16 +154,17 @@ def antisymmetrize_space_spin(
     N = len(determinant) electrons, p permuting their orbitals and leaving
     their spins.
 
-    P_Gamma commutes with the antisymmetrizer, so each term is the
-    determinant in which electron i takes the orbital of electron p(i): one
-    determinant signed by :func:`_sort_sign`, or zero.  The image has
-    integer coefficients, and no sum over space-spin relabelings is formed.
+    P_Gamma commutes with the antisymmetrizer, so each term of
+    :func:`symgroup.character_weights` is the determinant in which electron
+    i takes the orbital of electron p(i): one determinant signed by
+    :func:`_sort_sign`, or zero.  The image has integer coefficients, and
+    no sum over space-spin relabelings is formed.
     """
     orbitals = [code >> 1 for code in determinant]
     spins = [code & 1 for code in determinant]
     image: dict[tuple[int, ...], int] = {}
-    for images, chi in _class_weights(len(determinant), irrep):
-        codes = [2 * orbitals[j] + s for j, s in zip(images, spins)]
+    for p, chi in character_weights(len(determinant), irrep):
+        codes = [2 * orbitals[j - 1] + s for j, s in zip(p, spins)]
         if sign := _sort_sign(codes):
             key = tuple(sorted(codes))
             image[key] = image.get(key, 0) + sign * chi

@@ -78,8 +78,6 @@ def all_permutations(n: int) -> list[Permutation]:
 
 def partitions(n: int) -> list[CycleType]:
     """All partitions of n as weakly decreasing tuples."""
-    if n == 0:
-        return [()]
     out = []
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
@@ -244,6 +242,16 @@ def character_table(n: int) -> CharacterTable:
     if violation is not None:
         raise NumericalIntegrityError(f"shipped table for N={n} invalid: {violation}")
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def character_weights(n: int, irrep: str) -> tuple[tuple[Permutation, int], ...]:
+    """The terms (p, chi_Gamma(p)) of (N!/dim) P_Gamma = sum_p chi_Gamma(p) p,
+    for each p in S_N with chi_Gamma(p) != 0, in :func:`all_permutations`
+    order (identity first).  Cached per (N, label)."""
+    table = character_table(n)
+    weights = ((p, table.char(irrep, cycle_type(p))) for p in all_permutations(n))
+    return tuple((p, chi) for p, chi in weights if chi)
 
 
 def validate_table(table: CharacterTable) -> Optional[str]:

@@ -58,7 +58,7 @@ from permsym.oscillator import (
     uncoupled_expansion,
 )
 from permsym.levelsym import character_projector
-from permsym.spin import _spin_traces, _spins
+from permsym.spin import _spins, spin_character
 from permsym.symgroup import (
     CharacterTable,
     Permutation,
@@ -625,7 +625,8 @@ def spin_content_by_s(n: int, table: CharacterTable) -> dict[float, dict[str, in
         raise ValueError(f"table is for N={table.n}, not N={n}")
     content = {}
     for s in _spins(n):
-        mults = decompose(table, _spin_traces(table, s))
+        traces = {ct: spin_character(n, s, ct) for ct in table.classes}
+        mults = decompose(table, traces)
         content[s] = {ir: (round(2 * s) + 1) * m for ir, m in mults.items()}
     return content
 

@@ -496,6 +496,15 @@ class TestExitCodes:
         assert rc == 2
         assert "integrity" in err
 
+    def test_key_error_is_a_defect_not_a_usage_error(self, monkeypatch):
+        """Bad labels raise ValueError; a KeyError keeps its traceback."""
+        def boom(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "_cmd_table", boom)
+        with pytest.raises(KeyError, match="x"):
+            cli.main(["table", "--n", "3"])
+
 
 class TestConfigEcho:
     @pytest.mark.parametrize(

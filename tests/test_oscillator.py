@@ -159,6 +159,16 @@ class TestEnumerateLevels:
         keys = {lv.quanta_key for lv in levels}
         assert (2, 0) in keys and (0, 1) in keys
 
+    def test_coincidences_warn_once_per_call(self):
+        # at xi = 0 every shell of 66 levels is degenerate: 55 adjacent pairs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            osc.enumerate_levels(osc.make_model(4, 0.0), 10)
+        assert [str(w.message) for w in caught] == [
+            "accidental energy coincidence between levels (0, 1) and (1, 0) "
+            "at xi=0.0, and 54 more adjacent pairs"
+        ]
+
 
 class TestHermite:
     def test_first_three(self):

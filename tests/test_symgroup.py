@@ -163,6 +163,10 @@ class TestConjugacyClasses:
         with pytest.raises(ValueError):
             sg.conjugacy_classes(1)
 
+    def test_partitions(self):
+        assert sg.partitions(0) == [()]
+        assert sg.partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
     def test_representative_has_right_type(self):
         for n in (3, 4, 5):
             for ct in sg.conjugacy_classes(n):
@@ -293,6 +297,28 @@ class TestProjectors:
     def test_unknown_irrep(self, t3):
         with pytest.raises(ValueError, match="no irrep labelled 'T1'"):
             oracles.projector_coefficients(t3, "T1")
+
+    @pytest.mark.parametrize(
+        "n,irrep",
+        [(3, ir) for ir in ("A1", "A2", "E")]
+        + [(4, ir) for ir in ("A1", "A2", "E", "T1", "T2")],
+    )
+    def test_character_weights(self, n, irrep):
+        """The nonzero terms of sum_p chi(p) p, identity first and in
+        all_permutations order; row orthogonality gives sum chi^2 = N!."""
+        table = sg.character_table(n)
+        weights = sg.character_weights(n, irrep)
+        perms = [p for p, _ in weights]
+        assert perms[0] == tuple(range(1, n + 1))
+        order = {p: i for i, p in enumerate(sg.all_permutations(n))}
+        assert [order[p] for p in perms] == sorted(order[p] for p in perms)
+        assert all(chi != 0 for _, chi in weights)
+        assert all(chi == table.char(irrep, sg.cycle_type(p)) for p, chi in weights)
+        assert sum(chi**2 for _, chi in weights) == math.factorial(n)
+
+    def test_character_weights_unknown_irrep(self):
+        with pytest.raises(ValueError, match="no irrep labelled 'T1'"):
+            sg.character_weights(3, "T1")
 
 
 def regular_projectors(table):
