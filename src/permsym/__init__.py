@@ -1,7 +1,9 @@
 """Permutation symmetry of exactly solvable N-particle oscillator models.
 
-The package imports none of its modules, and they load numpy on first use
-(:func:`lazy_numpy`), so the CLI's PERMSYM_THREADS cap acts before numpy loads.
+The package imports none of its modules. The CLI binds them, and they bind
+numpy, with :func:`lazy_import`: each runs on first use, so a command runs
+only the modules it calls, and the CLI's PERMSYM_THREADS cap acts before
+numpy loads.
 """
 
 import importlib.util
@@ -10,14 +12,18 @@ import sys
 __version__ = "0.1.0"
 
 
-def lazy_numpy():
-    """numpy, run on its first attribute access unless imported (or blocked) already."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def lazy_import(name):
+    """Module ``name``, run on its first attribute access unless imported (or
+    blocked) already; a submodule is bound on its parent, as ``import`` does."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)  # before it runs
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # before it runs
     spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
     return module

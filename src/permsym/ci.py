@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import lazy_numpy
+from . import lazy_import
 from .errors import NumericalIntegrityError
 from .oscillator import LevelDescriptor, level_energy
 from .symgroup import character_table
 
-np = lazy_numpy()
+np = lazy_import("numpy")
 #: largest |S^2 f - S(S+1) f| a spin function may show
 _SPIN_GUARD = 1e-10
 #: relative width of a run of degenerate energies

@@ -17,7 +17,6 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -25,9 +24,15 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import ci as cimod
-from . import levelsym, oscillator, spin, symgroup
+from . import lazy_import
 from .errors import NumericalIntegrityError
+
+# each runs when a handler first touches it, so a command runs only what it calls
+cimod = lazy_import("permsym.ci")
+levelsym = lazy_import("permsym.levelsym")
+oscillator = lazy_import("permsym.oscillator")
+spin = lazy_import("permsym.spin")
+symgroup = lazy_import("permsym.symgroup")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,6 +92,8 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
 
 
 def _emit_csv(rows: list[dict], args: argparse.Namespace) -> None:
+    import csv
+
     buf = io.StringIO()
     for key, value in _echo(args).items():
         buf.write(f"# {key}={value}\n")

@@ -20,7 +20,7 @@ import functools
 import math
 from types import MappingProxyType
 
-from . import lazy_numpy
+from . import lazy_import
 from .errors import NumericalIntegrityError
 from .oscillator import LevelDescriptor, level_degeneracy, permutation_action_matrix
 from .symgroup import (
@@ -32,7 +32,7 @@ from .symgroup import (
     partitions,
 )
 
-np = lazy_numpy()
+np = lazy_import("numpy")
 _RANK_TOL = 1e-8
 #: largest level :func:`salc` projects (README, "Numerical conventions")
 MAX_SALC_DEGENERACY = 500

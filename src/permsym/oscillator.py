@@ -21,11 +21,11 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from . import lazy_numpy
+from . import lazy_import
 from .errors import NumericalIntegrityError
 from .symgroup import Permutation, all_permutations
 
-np = lazy_numpy()
+np = lazy_import("numpy")
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
 #: largest cutoff :func:`enumerate_levels` accepts (README, "Command line")

@@ -675,14 +675,24 @@ def test_package_import_loads_nothing():
     assert _fresh_import("permsym", loaded) == "[]"
 
 
-#: runs the CLI on ``argv[2:]``, with numpy blocked when ``argv[1]`` is "1"
+#: runs the CLI on ``argv[2:]`` with the comma-separated modules of ``argv[1]``
+#: blocked, as ``import`` of a name mapped to None in ``sys.modules`` fails
 _CLI_PROBE = """
 import sys
-if sys.argv[1] == "1":
-    sys.modules["numpy"] = None
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
 from permsym import cli
 sys.exit(cli.main(sys.argv[2:]))
 """
+
+#: the modules the CLI binds lazily, and those each integer command never runs
+_CLI_MODULES = ("ci", "levelsym", "oscillator", "spin", "symgroup")
+_UNUSED_MODULES = {
+    "table": ("ci", "spin", "levelsym", "oscillator"),
+    "spectrum": ("ci", "spin", "levelsym"),
+    "irreps": ("ci", "spin"),
+    "allowed": ("ci",),
+}
 
 
 @pytest.mark.parametrize(
@@ -702,12 +712,64 @@ sys.exit(cli.main(sys.argv[2:]))
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
 def test_integer_commands_load_no_numpy(argv):
-    """The integer commands never touch numpy: with it blocked they exit 0
-    and print, byte for byte, what they print without the block."""
-    blocked, free = (_fresh(_CLI_PROBE, flag, *argv) for flag in ("1", "0"))
+    """The integer commands never touch numpy, nor the package modules they
+    do not call: with those blocked they exit 0 and print, byte for byte,
+    what they print without the block."""
+    names = ",".join(["numpy", *(f"permsym.{m}" for m in _UNUSED_MODULES[argv[0]])])
+    blocked, free = (_fresh(_CLI_PROBE, block, *argv) for block in (names, ""))
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout
     assert (free.returncode, free.stdout) == (0, blocked.stdout)
+
+
+def test_cli_import_runs_no_package_module():
+    """``import permsym.cli`` and its parser run none of the modules the CLI
+    binds: with all of them blocked, ``--help`` still exits 0."""
+    run = _fresh(_CLI_PROBE, ",".join(f"permsym.{m}" for m in _CLI_MODULES), "--help")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: permsym")
+
+
+#: imports the CLI, then ``permsym.ci``, then runs ``allowed --n 3`` with
+#: spin's multiplet table patched through the CLI's lazy binding of spin
+_BINDING_PROBE = """
+import sys
+import pytest
+from permsym import cli
+import permsym.ci
+assert permsym.ci is sys.modules["permsym.ci"] is cli.cimod
+assert callable(permsym.ci.ci_solve)
+with pytest.MonkeyPatch.context() as mp:
+    mp.setattr(cli.spin, "multiplet_table", lambda n: {0.5: 99})
+    sys.exit(cli.main(["allowed", "--n", "3"]))
+"""
+
+
+def test_lazily_bound_modules_are_the_imported_ones():
+    """A lazily bound module is the one ``import`` gives, bound on the
+    package as ``import`` binds it, and a patch on it reaches the handlers."""
+    run = _fresh(_BINDING_PROBE)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["multiplets"] == {"0.5": 99}
+
+
+def _first_exact_entries():
+    """The first reference invocation of each command pinning stdout exactly
+    (``project`` pins its vectors to a tolerance only, so it has none)."""
+    firsts = {}
+    for entry in INVOCATIONS:
+        if "stdout" in entry and "float_tol" not in entry:
+            firsts.setdefault(entry["argv"][0], entry)
+    return list(firsts.values())
+
+
+@pytest.mark.parametrize("entry", _first_exact_entries(), ids=lambda e: " ".join(e["argv"]))
+def test_reference_invocation_in_fresh_interpreter(entry):
+    """Each command reproduces its pinned output where the CLI runs its
+    modules lazily: in-process, the test modules have imported them all."""
+    run = _fresh(_CLI_PROBE, "", *entry["argv"])
+    assert run.returncode == entry["exit"], run.stderr
+    assert run.stdout == (GOLDEN / entry["stdout"]).read_text()
 
 
 #: imports numpy first when ``argv[1]`` is "1", then the CLI, then solves
