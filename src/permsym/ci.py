@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from . import lazy_import
 from .errors import NumericalIntegrityError
-from .oscillator import LevelDescriptor, level_energy
+from .oscillator import enumerate_levels, level_energy
 from .symgroup import character_table
 
 np = lazy_import("numpy")
@@ -397,72 +397,53 @@ def ci_solve(model: tuple[int, float], basis: np.ndarray) -> list[dict]:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of matching CI states against the exact level list.
+    """Outcome of :func:`compare`; its fields are what the CLI prints.
 
-    ``matched`` rows pair a CI state with its exact state.  ``missing``
-    holds the given exact levels below the convergence horizon that no CI
-    state matched; ``ok`` holds when each carries only forbidden irrep
-    content and ``spurious`` is empty.  ``vacuous`` is set when no allowed
-    exact state lies below the horizon, so nothing was verified.
+    ``matched`` rows pair a CI state with its exact state; ``missing`` rows
+    ({"quanta_key", "energy", "irrep_mults"}) are the levels below the
+    horizon that no CI state matched.  ``ok`` holds when each carries only
+    forbidden irrep content and ``spurious`` is empty; ``vacuous``, when no
+    allowed exact state lies below the horizon, so nothing was verified.
     """
 
     matched: tuple[dict, ...]
-    missing: tuple[LevelDescriptor, ...]
+    missing: tuple[dict, ...]
     spurious: tuple[float, ...]
     horizon: float
     vacuous: bool
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "matched": [dict(m) for m in self.matched],
-            "missing": [
-                {
-                    "quanta_key": list(lv.quanta_key),
-                    "energy": lv.energy,
-                    "irrep_mults": dict(lv.irrep_mults),
-                }
-                for lv in self.missing
-            ],
-            "spurious": list(self.spurious),
-            "horizon": self.horizon,
-            "vacuous": self.vacuous,
-            "ok": self.ok,
-        }
-
 
 def compare(
     model: tuple[int, float],
     states: Sequence[dict],
-    exact_levels: Sequence[LevelDescriptor],
+    max_quanta: int,
     allowed: Mapping[str, Sequence[float]],
     tol: float,
 ) -> ComparisonReport:
-    """Pair the CI states (as :func:`ci_solve` orders them) with exact states
-    rank by rank in each (M_s, S, parity) block.
+    """Pair the CI states (as :func:`ci_solve` orders them) with the exact
+    states of every level with n_sym + n_last <= ``max_quanta``, rank by
+    rank in each (M_s, S, parity) block.
 
-    Every exact level must carry irrep multiplicities.  A level holding m
-    copies of irrep Gamma puts m exact states into block (M_s, S, its
-    parity) for each M_s of the CI states and each allowed spin S >= |M_s|
-    of Gamma.  Both lists of a block ascend, and by the Hylleraas-Undheim-
-    MacDonald theorem (MacDonald, Phys. Rev. 43, 830 (1933)) CI_k >=
-    exact_k, so the k-th CI state of a block can only reproduce the k-th
-    exact state.  A block's horizon is exact_k at its first rank k with no
-    CI state or with CI_k - exact_k > tol; if that CI_k lies within tol of
-    the block's next distinct exact energy, the list has shifted (it
-    predicts a state the CI lacks), and that CI state is spurious.  The
-    horizon is the lowest block horizon, clipped to the top of the
-    enumerated list and to tol below the lowest level the list leaves out:
-    with cutoff the largest n_sym + n_last given, that is the lowest level
-    of the cutoff+1 shell, since energies rise with both quanta.  A CI state
-    is matched when its same-rank exact state lies within tol and the lower
-    of the two energies (normally the exact one) is below the horizon; an
-    unmatched CI state below the horizon is spurious.  Levels below the
-    horizon with no matched state are reported missing, as given.  CI
-    states that all have |M_s| above some allowed spin cannot hold that
-    spin's states, so they raise ValueError, as do an empty state list and
-    an allowed map (label -> spins) whose labels are not the irreps of S_N.
+    A level holding m copies of irrep Gamma puts m exact states into each
+    block (M_s, S, its parity) with S >= |M_s| an allowed spin of Gamma.
+    Both lists of a block ascend, and CI_k >= exact_k (Hylleraas-Undheim-
+    MacDonald; MacDonald, Phys. Rev. 43, 830 (1933)), so the k-th CI state
+    can only reproduce the k-th exact state.  A block's horizon is exact_k
+    at its first rank k with no CI state or with CI_k - exact_k > tol; if
+    that CI_k lies within tol of the block's next distinct exact energy,
+    the list has shifted and that CI state is spurious.  The horizon is the
+    lowest block horizon, clipped to the top level plus tol and to tol
+    below the lowest level of the max_quanta + 1 shell.  A CI state is
+    matched when its same-rank exact state lies within tol and the lower of
+    the two energies is below the horizon; an unmatched CI state below the
+    horizon is spurious, and an unmatched level below it is missing.
+    ValueError is raised for a bad tol or cutoff, an empty state list, an
+    allowed map (label -> spins) whose labels are not the irreps of S_N,
+    and CI states whose |M_s| all exceed some allowed spin.
     """
+    from . import levelsym  # here, so the ci command never runs it
+
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     labels = character_table(model[0]).irreps
@@ -479,13 +460,10 @@ def compare(
             f"allowed spin S={min(spins):g} has no state with |M_s| >= "
             f"{lowest_ms:g}, the smallest |M_s| of the CI states"
         )
-    for lv in exact_levels:
-        if lv.irrep_mults is None:
-            raise ValueError(
-                f"level {lv.quanta_key} lacks irrep multiplicities; decorate "
-                "levels before comparing"
-            )
-    levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
+    levels = [
+        levelsym.attach_multiplicities(model, lv)
+        for lv in enumerate_levels(model, max_quanta)
+    ]
     ci, ranks = {}, []  # block eigenvalues ascending; each state's rank
     for st in states:
         block = ci.setdefault((st["Ms"], st["S"], st["parity"]), [])
@@ -499,11 +477,9 @@ def compare(
                 if s >= abs(ms):
                     exact.setdefault((ms, s, lv.parity), []).extend([lv] * m)
 
-    horizon = levels[-1].energy + tol if levels else 0.0
-    if levels:
-        shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
-        unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
-        horizon = min(horizon, unlisted - tol)
+    shell = max_quanta + 1
+    unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
+    horizon = min(levels[-1].energy + tol, unlisted - tol)
     skipped = []  # CI states at the next level of a shifted exact list
     for key, ex in exact.items():
         evals = ci.get(key, ())
@@ -536,12 +512,13 @@ def compare(
 
     matched_keys = {m["quanta_key"] for m in matched}
     missing = tuple(
-        lv for lv in levels if lv.energy < horizon and lv.quanta_key not in matched_keys
+        dict(quanta_key=lv.quanta_key, energy=lv.energy, irrep_mults=lv.irrep_mults)
+        for lv in levels
+        if lv.energy < horizon and lv.quanta_key not in matched_keys
     )
     spurious += sorted(skipped)
-    forbidden = {lbl for lbl, ss in allowed.items() if not ss}
-    ok = not spurious and all(
-        lbl in forbidden for lv in missing for lbl, m in lv.irrep_mults.items() if m
+    ok = not spurious and not any(
+        m and allowed[lbl] for row in missing for lbl, m in row["irrep_mults"].items()
     )
     return ComparisonReport(
         matched=tuple(matched),

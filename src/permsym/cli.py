@@ -163,17 +163,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return _emit_levels(oscillator.enumerate_levels(model, args.max_quanta), args)
 
 
-def _decorated_levels(args: argparse.Namespace):
-    model = oscillator.make_model(args.n, args.xi)
-    levels = [
-        levelsym.attach_multiplicities(model, lv)
-        for lv in oscillator.enumerate_levels(model, args.max_quanta)
-    ]
-    return model, levels
-
-
 def _cmd_irreps(args: argparse.Namespace) -> int:
-    return _emit_levels(_decorated_levels(args)[1], args)
+    model = oscillator.make_model(args.n, args.xi)
+    levels = oscillator.enumerate_levels(model, args.max_quanta)
+    decorated = [levelsym.attach_multiplicities(model, lv) for lv in levels]
+    return _emit_levels(decorated, args)
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
@@ -250,26 +244,31 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("--tol must be positive and finite")
     # one M_s sector sees every multiplet: S >= 1/2 for odd N, S >= 0 for even
     args.ms = "1/2" if args.n % 2 else "0"
-    model, levels = _decorated_levels(args)
+    model = oscillator.make_model(args.n, args.xi)
+    q = args.max_quanta
+    oscillator.check_cutoff(q)
     allowed = spin.allowed_spatial_irreps(args.n)
-    if not any(lv.irrep_mults[ir] for lv in levels for ir, s in allowed.items() if s):
+    if all(
+        spin.first_level_with_irrep(args.n, ir) > q for ir, s in allowed.items() if s
+    ):
         raise UsageError(
-            f"no level up to --max-quanta {args.max_quanta} holds an allowed "
+            f"no level up to --max-quanta {q} holds an allowed "
             "irrep, so nothing can be verified: raise --max-quanta"
         )
     basis = _determinant_basis(args)
     states = cimod.ci_solve(model, basis)
-    report = cimod.compare(model, states, levels, allowed, args.tol)
+    report = cimod.compare(model, states, q, allowed, args.tol)
     if report.vacuous:
         # an unconverged block draws the horizon at its level; otherwise it is
         # the clip at tol below the first level past the cutoff
-        drawn = report.horizon in {lv.energy for lv in levels}
+        keys = [(a, b) for a in range(q + 1) for b in range(q + 1 - a)]
+        drawn = report.horizon in {oscillator.level_energy(model, *k) for k in keys}
+        knob = "larger --tol" if drawn else "smaller --tol, or a larger --max-quanta"
         raise UsageError(
             f"no allowed exact state lies below the horizon {report.horizon:.9g}, "
-            "so nothing is verified: use more --orbitals or a "
-            f"{'larger' if drawn else 'smaller'} --tol"
+            f"so nothing is verified: use more --orbitals or a {knob}"
         )
-    _emit_json(report.to_dict(), args)
+    _emit_json(vars(report), args)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 

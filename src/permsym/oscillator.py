@@ -137,16 +137,8 @@ def make_level(model: tuple[int, float], n_sym: int, n_last: int) -> LevelDescri
     )
 
 
-def enumerate_levels(
-    model: tuple[int, float], max_total_quanta: int
-) -> list[LevelDescriptor]:
-    """All levels with n_sym + n_last <= cutoff, sorted by energy ascending
-    with (n_sym, n_last) lexicographic tie-break.
-
-    Accidental energy coincidences between distinct keys are reported in
-    one warning per call, never merged.  A cutoff above ``MAX_TOTAL_QUANTA`` raises
-    ValueError before any level is built.
-    """
+def check_cutoff(max_total_quanta: int) -> None:
+    """Raise ValueError unless 0 <= cutoff <= ``MAX_TOTAL_QUANTA``."""
     if max_total_quanta < 0:
         raise ValueError("max_total_quanta must be >= 0")
     if max_total_quanta > MAX_TOTAL_QUANTA:
@@ -155,6 +147,19 @@ def enumerate_levels(
             f"cutoff {max_total_quanta} gives {count} levels, above the "
             f"{MAX_TOTAL_QUANTA}-quanta bound"
         )
+
+
+def enumerate_levels(
+    model: tuple[int, float], max_total_quanta: int
+) -> list[LevelDescriptor]:
+    """All levels with n_sym + n_last <= cutoff, sorted by energy ascending
+    with (n_sym, n_last) lexicographic tie-break.
+
+    Accidental energy coincidences between distinct keys are reported in
+    one warning per call, never merged.  A bad cutoff (:func:`check_cutoff`)
+    raises ValueError before any level is built.
+    """
+    check_cutoff(max_total_quanta)
     levels = [
         make_level(model, n_sym, n_last)
         for n_sym in range(max_total_quanta + 1)

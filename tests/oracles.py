@@ -53,11 +53,12 @@ from permsym.ci import (
 from permsym.errors import NumericalIntegrityError
 from permsym.oscillator import (
     LevelDescriptor,
+    enumerate_levels,
     level_energy,
     normal_modes,
     uncoupled_expansion,
 )
-from permsym.levelsym import character_projector
+from permsym.levelsym import attach_multiplicities, character_projector
 from permsym.spin import _spins, spin_character
 from permsym.symgroup import (
     CharacterTable,
@@ -844,22 +845,22 @@ def all_perm_eigenfunction_irreps(table: CharacterTable) -> set[str]:
 def compare_greedy(
     model: tuple[int, float],
     states: Sequence[dict],
-    exact_levels: Sequence[LevelDescriptor],
+    max_quanta: int,
     allowed: dict[str, tuple[float, ...]],
     tol: float,
 ) -> ComparisonReport:
     """The nearest-level matcher ``permsym.ci.compare`` replaced: greedy
-    energy matching of CI states to exact levels within tol.
+    energy matching of CI states to the levels with n_sym + n_last <=
+    ``max_quanta`` within tol.
 
-    Every exact level must carry irrep multiplicities.  The convergence
-    horizon is the energy of the first allowed level that no CI state
-    reproduces within tol, clipped to the top of the enumerated list and to
-    tol below the lowest level the list leaves out: with cutoff the largest
-    n_sym + n_last given, that is the lowest level of the cutoff+1 shell,
-    since energies rise with both quanta.  Only CI states below the horizon
-    are classified.  Levels below the horizon with no matching CI state are
-    reported missing, as given.  CI states that all have |M_s| above some
-    allowed spin cannot hold that spin's states, so it raises ValueError.
+    The convergence horizon is the energy of the first allowed level that
+    no CI state reproduces within tol, clipped to the top level plus tol
+    and to tol below the lowest level of the max_quanta + 1 shell, since
+    energies rise with both quanta.  Only CI states below the horizon are
+    classified.  Levels below the horizon with no matching CI state are
+    reported missing, as ``compare``'s rows.  CI states that all have |M_s|
+    above some allowed spin cannot hold that spin's states, so it raises
+    ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -875,24 +876,18 @@ def compare_greedy(
             f"allowed spin S={min(spins):g} has no state with |M_s| >= "
             f"{lowest_ms:g}, the smallest |M_s| of the CI states"
         )
-    for lv in exact_levels:
-        if lv.irrep_mults is None:
-            raise ValueError(
-                f"level {lv.quanta_key} lacks irrep multiplicities; decorate "
-                "levels before comparing"
-            )
-    levels = sorted(exact_levels, key=lambda lv: (lv.energy, lv.quanta_key))
+    levels = [
+        attach_multiplicities(model, lv) for lv in enumerate_levels(model, max_quanta)
+    ]
     forbidden = {lbl for lbl, ss in allowed.items() if not ss}
 
     def has_allowed_content(lv: LevelDescriptor) -> bool:
         return any(m and lbl not in forbidden for lbl, m in lv.irrep_mults.items())
 
     evals = np.array([st["energy"] for st in states])
-    horizon = levels[-1].energy + tol if levels else 0.0
-    if levels:
-        shell = max(lv.n_sym + lv.n_last for lv in levels) + 1
-        unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
-        horizon = min(horizon, unlisted - tol)
+    shell = max_quanta + 1
+    unlisted = min(level_energy(model, q, shell - q) for q in range(shell + 1))
+    horizon = min(levels[-1].energy + tol, unlisted - tol)
     for lv in levels:
         if not has_allowed_content(lv):
             continue
@@ -929,14 +924,18 @@ def compare_greedy(
         )
         matched_keys.add(best.quanta_key)
 
-    missing = tuple(
+    lost = [
         lv for lv in levels if lv.energy < horizon and lv.quanta_key not in matched_keys
-    )
+    ]
     return ComparisonReport(
         matched=tuple(matched),
-        missing=missing,
+        missing=tuple(
+            {"quanta_key": lv.quanta_key, "energy": lv.energy,
+             "irrep_mults": lv.irrep_mults}
+            for lv in lost
+        ),
         spurious=tuple(spurious),
         horizon=float(horizon),
         vacuous=not allowed_levels,
-        ok=not spurious and not any(has_allowed_content(lv) for lv in missing),
+        ok=not spurious and not any(has_allowed_content(lv) for lv in lost),
     )

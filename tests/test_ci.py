@@ -632,36 +632,27 @@ class TestS2Matrix:
         assert np.abs(h @ s2 - s2 @ h).max() < 1e-10
 
 
-def _decorated_levels(model, max_quanta):
-    return [
-        ls.attach_multiplicities(model, lv)
-        for lv in osc.enumerate_levels(model, max_quanta)
-    ]
-
-
 class TestCompare:
     def test_n3_missing_levels(self, ci3_m10, model3):
-        levels = _decorated_levels(model3, 4)
         allowed = spin.allowed_spatial_irreps(3)
-        report = cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
+        report = cimod.compare(model3, ci3_m10, 4, allowed, tol=1e-4)
         assert report.ok
         assert not report.spurious
-        missing_keys = {lv.quanta_key for lv in report.missing}
+        missing_keys = {row["quanta_key"] for row in report.missing}
         assert all(key[0] == 0 for key in missing_keys)
         assert (0, 0) in missing_keys and (0, 1) in missing_keys
         # every missing level carries only A1 content
-        for lv in report.missing:
-            assert {l for l, m in lv.irrep_mults.items() if m} == {"A1"}
+        for row in report.missing:
+            assert {l for l, m in row["irrep_mults"].items() if m} == {"A1"}
 
     def test_n4_missing_levels(self, ci4_m8, model4):
-        levels = _decorated_levels(model4, 3)
         allowed = spin.allowed_spatial_irreps(4)
-        report = cimod.compare(model4, ci4_m8, levels, allowed, tol=5e-3)
+        report = cimod.compare(model4, ci4_m8, 3, allowed, tol=5e-3)
         assert report.ok
-        missing_keys = {lv.quanta_key for lv in report.missing}
+        missing_keys = {row["quanta_key"] for row in report.missing}
         assert (0, 0) in missing_keys and (1, 0) in missing_keys
-        for lv in report.missing:  # only the forbidden A1 and T2
-            assert {l for l, m in lv.irrep_mults.items() if m} <= {"A1", "T2"}
+        for row in report.missing:  # only the forbidden A1 and T2
+            assert {l for l, m in row["irrep_mults"].items() if m} <= {"A1", "T2"}
         matched_keys = {m["quanta_key"] for m in report.matched}
         assert (2, 0) in matched_keys
         first = min(report.matched, key=lambda m: m["ci_energy"])
@@ -673,12 +664,11 @@ class TestCompare:
         """Product-basis oracle realizes the full spectrum; the part absent
         from CI is precisely the pure-A1 (forbidden) levels."""
         oracle = oracles.product_basis_oracle(model3, 8)
-        levels = _decorated_levels(model3, 3)
-        for lv in levels:
+        for lv in osc.enumerate_levels(model3, 3):
             gap = min(abs(e - lv.energy) for e, _ in oracle)
             assert gap < 1e-4, f"oracle misses level {lv.quanta_key}"
             ci_gap = np.abs(energies(ci3_m10) - lv.energy).min()
-            content = {l for l, m in lv.irrep_mults.items() if m}
+            content = {l for l, m in ls.irrep_multiplicities(3, lv.n_sym).items() if m}
             if content == {"A1"}:
                 assert ci_gap > 0.05
             else:
@@ -688,32 +678,23 @@ class TestCompare:
         """A tolerance that pushes the horizon below every allowed level
         verifies nothing; tol=5 matches no state at N=3 M=10 (an infinite
         tol is refused, see test_rejects_nonpositive_tol)."""
-        levels = _decorated_levels(model3, 2)
         allowed = spin.allowed_spatial_irreps(3)
-        report = cimod.compare(model3, ci3_m10, levels, allowed, tol=5.0)
+        report = cimod.compare(model3, ci3_m10, 2, allowed, tol=5.0)
         assert report.vacuous
         assert not report.matched
-        assert not cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4).vacuous
-
-    def test_rejects_undecorated_levels(self, ci3_m10, model3):
-        levels = osc.enumerate_levels(model3, 2)
-        allowed = spin.allowed_spatial_irreps(3)
-        with pytest.raises(ValueError, match="irrep multiplicities"):
-            cimod.compare(model3, ci3_m10, levels, allowed, tol=1e-4)
+        assert not cimod.compare(model3, ci3_m10, 2, allowed, tol=1e-4).vacuous
 
     def test_rejects_nonpositive_tol(self, ci3_m10, model3):
-        levels = _decorated_levels(model3, 2)
         allowed = spin.allowed_spatial_irreps(3)
         for tol in (0.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
-                cimod.compare(model3, ci3_m10, levels, allowed, tol=tol)
+                cimod.compare(model3, ci3_m10, 2, allowed, tol=tol)
 
     def test_rejects_empty_state_list(self, model3):
         """No CI states: the error names the empty list, not min()."""
-        levels = _decorated_levels(model3, 2)
         allowed = spin.allowed_spatial_irreps(3)
         with pytest.raises(ValueError, match="list of CI states is empty"):
-            cimod.compare(model3, [], levels, allowed, tol=1e-4)
+            cimod.compare(model3, [], 2, allowed, tol=1e-4)
 
     @pytest.mark.parametrize(
         "n,orbitals,ms,lowest",
@@ -729,7 +710,7 @@ class TestCompare:
         allowed = spin.allowed_spatial_irreps(n)
         message = f"allowed spin {lowest} has no state with |M_s| >= {ms:g}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            cimod.compare(model, states, _decorated_levels(model, 3), allowed, 1e-4)
+            cimod.compare(model, states, 3, allowed, 1e-4)
 
 
 class TestCompareLabels:
@@ -741,25 +722,25 @@ class TestCompareLabels:
     def _inputs(n):
         model = osc.make_model(n, 0.1)
         states = cimod.ci_solve(model, cimod.build_basis(n, 4, ms=DEFAULT_MS[n]))
-        return model, states, _decorated_levels(model, 2)
+        return model, states, 2
 
     @pytest.mark.parametrize("matcher", [cimod.compare, oracles.compare_greedy])
     @pytest.mark.parametrize("n, map_n", [(3, 4), (4, 3)])
     def test_map_of_the_other_n(self, matcher, n, map_n):
-        model, states, levels = self._inputs(n)
+        model, states, max_quanta = self._inputs(n)
         allowed = spin.allowed_spatial_irreps(map_n)
         own = symgroup.character_table(n).irreps
         message = f"allowed map has irreps {sorted(allowed)}, S{n} has {sorted(own)}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            matcher(model, states, levels, allowed, 1e-4)
+            matcher(model, states, max_quanta, allowed, 1e-4)
 
     @pytest.mark.parametrize("matcher", [cimod.compare, oracles.compare_greedy])
     def test_map_lacking_a_label(self, matcher):
-        model, states, levels = self._inputs(3)
+        model, states, max_quanta = self._inputs(3)
         allowed = spin.allowed_spatial_irreps(3)
         del allowed["A1"]
         with pytest.raises(ValueError, match=re.escape("irreps ['A2', 'E'], S3 has")):
-            matcher(model, states, levels, allowed, 1e-4)
+            matcher(model, states, max_quanta, allowed, 1e-4)
 
 
 #: the regression sweep's couplings: 0, 0.1, 0.5 and 15 spread over the
@@ -801,14 +782,13 @@ class TestCompareBlocks:
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
         states = cimod.ci_solve(model, basis)
-        levels = _decorated_levels(model, 4)
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
-            report = cimod.compare(model, states, levels, allowed, tol)
-            assert report.ok, (tol, report.to_dict())
-            greedy = oracles.compare_greedy(model, states, levels, allowed, tol)
+            report = cimod.compare(model, states, 4, allowed, tol)
+            assert report.ok, (tol, vars(report))
+            greedy = oracles.compare_greedy(model, states, 4, allowed, tol)
             if greedy.ok:
-                assert greedy.to_dict() == report.to_dict()
+                assert greedy == report
 
     @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
     @pytest.mark.parametrize(
@@ -825,11 +805,10 @@ class TestCompareBlocks:
         model = osc.make_model(n, xi)
         basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
         states = cimod.ci_solve(model, basis)
-        levels = _decorated_levels(model, 4)
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
-            report = cimod.compare(model, states, levels, allowed, tol)
-            assert report.ok, (tol, report.to_dict())
+            report = cimod.compare(model, states, 4, allowed, tol)
+            assert report.ok, (tol, vars(report))
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-3])
     @pytest.mark.parametrize("n,orbitals,a1_spin", [(3, 8, 0.5), (4, 6, 0.0)])
@@ -839,13 +818,12 @@ class TestCompareBlocks:
         on the next predicted level: the list has shifted."""
         model = osc.make_model(n, 0.1)
         states = cimod.ci_solve(model, cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n]))
-        levels = _decorated_levels(model, 4)
         allowed = spin.allowed_spatial_irreps(n)
         wrong = {**allowed, "A1": (a1_spin,)}
-        report = cimod.compare(model, states, levels, wrong, tol)
+        report = cimod.compare(model, states, 4, wrong, tol)
         assert report.spurious
         assert not report.ok
-        assert cimod.compare(model, states, levels, allowed, tol).ok
+        assert cimod.compare(model, states, 4, allowed, tol).ok
 
     @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
     @pytest.mark.parametrize("xi", [-0.3, 0.0, 0.4, 0.8])
@@ -863,8 +841,8 @@ class TestCompareBlocks:
         shell = max_quanta + 1
         unlisted = min(osc.level_energy(model, q, shell - q) for q in range(shell + 1))
         exact = {}
-        for lv in _decorated_levels(model, max_quanta):
-            for label, m in lv.irrep_mults.items():
+        for lv in osc.enumerate_levels(model, max_quanta):
+            for label, m in ls.irrep_multiplicities(n, lv.n_sym).items():
                 for s in allowed[label]:
                     if lv.energy < unlisted:
                         exact.setdefault((s, lv.parity), []).extend([lv.energy] * m)
@@ -916,12 +894,8 @@ class TestDeterminism:
     def test_spurious_detected_with_doctored_allowed_map(self, ci3_m10, model3):
         """If the E species were forbidden, the converged CI states at the
         E-bearing levels would have nothing to match: flagged spurious."""
-        levels = [
-            ls.attach_multiplicities(model3, lv)
-            for lv in osc.enumerate_levels(model3, 4)
-        ]
         doctored = {"A1": (), "A2": (1.5,), "E": ()}
-        report = cimod.compare(model3, ci3_m10, levels, doctored, tol=1e-4)
+        report = cimod.compare(model3, ci3_m10, 4, doctored, tol=1e-4)
         assert report.spurious
         assert not report.ok
 

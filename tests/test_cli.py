@@ -289,10 +289,15 @@ class TestCi:
         assert {row["parity"] for row in data["states"]} == {-1, 1}
 
 
+def _no_ci(*args, **kwargs):
+    raise AssertionError("CI basis built")
+
+
 class TestCompare:
     @pytest.mark.parametrize(
         "n,xi,orbitals,max_quanta",
-        [(3, 0.3, 12, 3), (3, -0.3, 12, 3), (4, 0.3, 8, 4), (4, 0.1, 8, 5)],
+        [(3, 0.3, 12, 3), (3, -0.3, 12, 3), (4, 0.3, 8, 4), (4, 0.1, 8, 5),
+         (4, -0.27, 8, 8)],
     )
     def test_unlisted_levels_are_not_spurious(
         self, capsys, n, xi, orbitals, max_quanta
@@ -348,25 +353,29 @@ class TestCompare:
             "--n 3 --xi 0.999 --orbitals 8 --max-quanta 4 --tol 1e-4",
             "--n 4 --xi -0.333 --orbitals 8 --max-quanta 4 --tol 1e-4",
             "--n 3 --xi 0.1 --orbitals 6 --max-quanta 3 --tol 1e-300",
+            "--n 4 --xi -0.27 --orbitals 8 --max-quanta 4 --tol 1e-4",
         ],
     )
     def test_vacuous_comparison_is_a_usage_error(self, capsys, argv):
         """No allowed exact state below the horizon: nothing is verified,
         so the run exits 1 instead of reading as a pass.  Only where the
         horizon is the clip at tol below the first unlisted level can a
-        smaller --tol help; where an unconverged block draws it at a listed
-        level (xi = 0.999 and tol = 1e-300), a larger one can."""
+        smaller --tol or a larger --max-quanta help (at xi = -0.27 only the
+        cutoff does: 8 passes above); where an unconverged block draws it
+        at a listed level (xi = 0.999 and tol = 1e-300), a larger --tol can."""
         rc, out, err = run_cli(capsys, "compare", *argv.split())
         assert rc == 1 and out == ""
         assert "below the horizon" in err and "--orbitals" in err
-        clipped = argv.endswith("--tol 10") or "-0.333" in argv
+        clipped = argv.endswith("--tol 10") or "-0.333" in argv or "-0.27" in argv
         assert ("smaller --tol" in err) == clipped
         assert ("larger --tol" in err) != clipped
+        assert ("--max-quanta" in err) == clipped
 
     @pytest.mark.parametrize(
         "argv",
         [
             "--n 4 --xi 0.1 --orbitals 10 --max-quanta 1 --tol 1e-9",
+            "--n 4 --xi 0.1 --orbitals 10 --max-quanta 0 --tol 1e-9",
             "--n 3 --xi 0.1 --orbitals 10 --max-quanta 0 --tol 1e-9",
         ],
     )
@@ -375,14 +384,46 @@ class TestCompare:
     ):
         """The listed levels hold only forbidden irreps: no --orbitals or
         --tol can help, so the usage error names --max-quanta, before any CI."""
-
-        def no_ci(*args, **kwargs):
-            raise AssertionError("CI basis built")
-
-        monkeypatch.setattr(cli.cimod, "build_basis", no_ci)
+        monkeypatch.setattr(cli.cimod, "build_basis", _no_ci)
         rc, out, err = run_cli(capsys, "compare", *argv.split())
         assert rc == 1 and out == ""
         assert "--max-quanta" in err and "--orbitals" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--n 4 --xi 0.1 --orbitals 10 --max-quanta 2 --tol 1e-9",
+            "--n 3 --xi 0.1 --orbitals 10 --max-quanta 1 --tol 1e-9",
+        ],
+    )
+    def test_first_allowed_level_reaches_ci(self, monkeypatch, argv):
+        """From the first level that holds an allowed irrep (the E of n_sym
+        = 2 for N=4, of n_sym = 1 for N=3) the run goes on to the CI."""
+        monkeypatch.setattr(cli.cimod, "build_basis", _no_ci)
+        with pytest.raises(AssertionError, match="CI basis built"):
+            cli.main(["compare", *argv.split()])
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [("-1", "max_total_quanta must be >= 0"), ("201", "cutoff 201 gives 20503")],
+    )
+    def test_bad_cutoff_refused_before_ci(self, capsys, monkeypatch, q, message):
+        """enumerate_levels' refusal comes before the allowed-level check
+        and before any CI."""
+        monkeypatch.setattr(cli.cimod, "build_basis", _no_ci)
+        argv = f"--n 4 --xi 0.1 --orbitals 8 --max-quanta {q} --tol 1e-4"
+        rc, out, err = run_cli(capsys, "compare", *argv.split())
+        assert rc == 1 and out == "" and err.startswith(f"error: {message}"), err
+
+    def test_report_is_the_printed_json(self, capsys, model3, ci3_m10):
+        """The JSON that compare prints, past its config, is the report's
+        fields as they stand, at 9 significant digits."""
+        argv = "--n 3 --xi 0.1 --orbitals 10 --max-quanta 4 --tol 1e-4"
+        data = run_json(capsys, "compare", *argv.split())
+        del data["config"]
+        report = cimod.compare(model3, ci3_m10, 4, spin.allowed_spatial_irreps(3), 1e-4)
+        assert data == json.loads(json.dumps(cli._round9(vars(report))))
+        assert data["matched"] and data["missing"]
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -769,6 +810,16 @@ def test_reference_invocation_in_fresh_interpreter(entry):
     modules lazily: in-process, the test modules have imported them all."""
     run = _fresh(_CLI_PROBE, "", *entry["argv"])
     assert run.returncode == entry["exit"], run.stderr
+    assert run.stdout == (GOLDEN / entry["stdout"]).read_text()
+
+
+def test_ci_runs_no_level_symmetry():
+    """``ci`` solves without the level and spin analysis that only
+    ``compare`` needs: with ``permsym.levelsym`` and ``permsym.spin`` blocked
+    it prints its pinned output."""
+    (entry,) = [e for e in _first_exact_entries() if e["argv"][0] == "ci"]
+    run = _fresh(_CLI_PROBE, "permsym.levelsym,permsym.spin", *entry["argv"])
+    assert run.returncode == 0, run.stderr
     assert run.stdout == (GOLDEN / entry["stdout"]).read_text()
 
 
