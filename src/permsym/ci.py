@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import lazy_import
 from .errors import NumericalIntegrityError
@@ -395,8 +394,7 @@ def ci_solve(model: tuple[int, float], basis: np.ndarray) -> list[dict]:
 # comparison against the exact spectrum
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome of :func:`compare`; its fields are what the CLI prints.
 
     ``matched`` rows pair a CI state with its exact state; ``missing`` rows

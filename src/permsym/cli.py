@@ -268,7 +268,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"no allowed exact state lies below the horizon {report.horizon:.9g}, "
             f"so nothing is verified: use more --orbitals or a {knob}"
         )
-    _emit_json(vars(report), args)
+    _emit_json(report._asdict(), args)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 

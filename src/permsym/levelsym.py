@@ -15,7 +15,6 @@ combinations (SALCs) fixed by their span; a guard's breach is a hard
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from types import MappingProxyType
@@ -74,7 +73,7 @@ def irrep_multiplicities(n: int, n_sym: int) -> dict[str, int]:
 def attach_multiplicities(model: tuple[int, float], level: LevelDescriptor):
     """Level descriptor with irrep_mults filled in."""
     mults = irrep_multiplicities(model[0], level.n_sym)
-    return dataclasses.replace(level, irrep_mults=mults)
+    return level._replace(irrep_mults=mults)
 
 
 def character_projector(

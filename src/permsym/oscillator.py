@@ -18,8 +18,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import lazy_import
 from .errors import NumericalIntegrityError
@@ -103,8 +102,7 @@ def level_degeneracy(n_particles: int, n_sym: int) -> int:
     return math.comb(n_sym + n_particles - 2, n_particles - 2)
 
 
-@dataclass(frozen=True)
-class LevelDescriptor:
+class LevelDescriptor(NamedTuple):
     """One degenerate exact level, keyed by quantum numbers.
 
     Levels are keyed by (n_sym, n_last), never by floating energy: for

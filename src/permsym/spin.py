@@ -26,8 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NumericalIntegrityError
 from .levelsym import irrep_multiplicities
@@ -116,8 +115,7 @@ def allowed_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
 # constructive route: integer rows over total-quanta shells
 
 
-@dataclass(frozen=True)
-class SpaceSpinFunction:
+class SpaceSpinFunction(NamedTuple):
     """Integer coefficients over Slater determinants, keyed by their
     :mod:`permsym.ci` rows (ascending spin-orbital indices)."""
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import NumericalIntegrityError
 
@@ -145,8 +144,7 @@ def conjugacy_classes(n: int) -> tuple[CycleType, ...]:
 # character tables
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Integer character table of S_N, classes in canonical order.
 
     ``class_labels`` carry the point-group alias of each class as display

@@ -785,7 +785,7 @@ class TestCompareBlocks:
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
             report = cimod.compare(model, states, 4, allowed, tol)
-            assert report.ok, (tol, vars(report))
+            assert report.ok, (tol, report._asdict())
             greedy = oracles.compare_greedy(model, states, 4, allowed, tol)
             if greedy.ok:
                 assert greedy == report
@@ -808,7 +808,7 @@ class TestCompareBlocks:
         allowed = spin.allowed_spatial_irreps(n)
         for tol in (1e-4, 1e-3):
             report = cimod.compare(model, states, 4, allowed, tol)
-            assert report.ok, (tol, vars(report))
+            assert report.ok, (tol, report._asdict())
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-3])
     @pytest.mark.parametrize("n,orbitals,a1_spin", [(3, 8, 0.5), (4, 6, 0.0)])

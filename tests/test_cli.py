@@ -333,9 +333,7 @@ class TestCompare:
 
         def doctored(*args, **kwargs):
             report = real_compare(*args, **kwargs)
-            import dataclasses
-
-            return dataclasses.replace(report, spurious=(1.23,), ok=False)
+            return report._replace(spurious=(1.23,), ok=False)
 
         monkeypatch.setattr(cli.cimod, "compare", doctored)
         rc, out, _ = run_cli(
@@ -422,7 +420,7 @@ class TestCompare:
         data = run_json(capsys, "compare", *argv.split())
         del data["config"]
         report = cimod.compare(model3, ci3_m10, 4, spin.allowed_spatial_irreps(3), 1e-4)
-        assert data == json.loads(json.dumps(cli._round9(vars(report))))
+        assert data == json.loads(json.dumps(cli._round9(report._asdict())))
         assert data["matched"] and data["missing"]
 
 
@@ -753,10 +751,11 @@ _UNUSED_MODULES = {
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
 def test_integer_commands_load_no_numpy(argv):
-    """The integer commands never touch numpy, nor the package modules they
-    do not call: with those blocked they exit 0 and print, byte for byte,
-    what they print without the block."""
-    names = ",".join(["numpy", *(f"permsym.{m}" for m in _UNUSED_MODULES[argv[0]])])
+    """The integer commands never touch numpy, ``dataclasses`` or ``inspect``,
+    nor the package modules they do not call: with those blocked they exit 0
+    and print, byte for byte, what they print without the block."""
+    unused = (f"permsym.{m}" for m in _UNUSED_MODULES[argv[0]])
+    names = ",".join(["numpy", "dataclasses", "inspect", *unused])
     blocked, free = (_fresh(_CLI_PROBE, block, *argv) for block in (names, ""))
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout
