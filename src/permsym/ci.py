@@ -23,12 +23,11 @@ import itertools
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from . import lazy_import
+import numpy as np
+
 from .errors import NumericalIntegrityError
 from .oscillator import enumerate_levels, level_energy
 from .symgroup import character_table
-
-np = lazy_import("numpy")
 #: largest |S^2 f - S(S+1) f| a spin function may show
 _SPIN_GUARD = 1e-10
 #: relative width of a run of degenerate energies

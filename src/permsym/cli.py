@@ -17,6 +17,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import importlib.util
 import io
 import json
 import math
@@ -24,15 +25,28 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import lazy_import
 from .errors import NumericalIntegrityError
 
+
+def _lazy(name: str):
+    """The package's module ``name``, run on its first attribute access unless
+    imported (or blocked) already, and bound on the package as ``import`` does."""
+    if (qualname := f"{__package__}.{name}") in sys.modules:
+        return sys.modules[qualname]
+    spec = importlib.util.find_spec(qualname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[qualname] = importlib.util.module_from_spec(spec)  # before it runs
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
 # each runs when a handler first touches it, so a command runs only what it calls
-cimod = lazy_import("permsym.ci")
-levelsym = lazy_import("permsym.levelsym")
-oscillator = lazy_import("permsym.oscillator")
-spin = lazy_import("permsym.spin")
-symgroup = lazy_import("permsym.symgroup")
+cimod = _lazy("ci")
+levelsym = _lazy("levelsym")
+oscillator = _lazy("oscillator")
+spin = _lazy("spin")
+symgroup = _lazy("symgroup")
 
 EXIT_OK = 0
 EXIT_USAGE = 1

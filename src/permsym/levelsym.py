@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 import math
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-from . import lazy_import
 from .errors import NumericalIntegrityError
 from .oscillator import LevelDescriptor, level_degeneracy, permutation_action_matrix
 from .symgroup import (
@@ -31,7 +31,8 @@ from .symgroup import (
     partitions,
 )
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 _RANK_TOL = 1e-8
 #: largest level :func:`salc` projects (README, "Numerical conventions")
 MAX_SALC_DEGENERACY = 500
@@ -81,12 +82,11 @@ def character_projector(
 ) -> np.ndarray:
     """P_Gamma = (dim/N!) sum_g chi_Gamma(g) D(g) on the level basis, N read
     from the table."""
-    dimension = table.dimension(irrep)
-    order = math.factorial(table.n)
-    proj = np.zeros((level.degeneracy, level.degeneracy))
-    for p, chi in character_weights(table.n, irrep):
-        proj += chi * permutation_action_matrix(table.n, level.n_sym, p)
-    return proj * (dimension / order)
+    scale = table.dimension(irrep) / math.factorial(table.n)
+    return scale * sum(
+        chi * permutation_action_matrix(table.n, level.n_sym, p)
+        for p, chi in character_weights(table.n, irrep)
+    )
 
 
 def salc(
@@ -103,6 +103,8 @@ def salc(
     positive at its pivot and zero at every earlier one.  A level above
     ``MAX_SALC_DEGENERACY`` raises ValueError before any work.
     """
+    import numpy as np
+
     dimension = table.dimension(irrep)  # an unknown label fails before any work
     if (deg := level.degeneracy) > MAX_SALC_DEGENERACY:
         order = math.factorial(table.n)

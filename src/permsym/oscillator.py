@@ -18,13 +18,13 @@ import functools
 import itertools
 import math
 import warnings
-from typing import Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
-from . import lazy_import
 from .errors import NumericalIntegrityError
 from .symgroup import Permutation, all_permutations
 
-np = lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
 #: largest cutoff :func:`enumerate_levels` accepts (README, "Command line")
@@ -36,6 +36,8 @@ _ORTHO_TOL = 1e-12
 def _normal_mode_matrix(n_particles: int) -> np.ndarray:
     """Rows map particle coordinates x to normal modes y; the last row is
     the uniform (totally symmetric) mode."""
+    import numpy as np
+
     if n_particles == 3:
         u = np.array(
             [
@@ -64,6 +66,8 @@ def normal_modes(n_particles: int) -> np.ndarray:
     """The shipped normal-mode matrix U for N particles (cached, read-only),
     checked once per N: it must be orthogonal, with the uniform symmetric
     mode as its last row."""
+    import numpy as np
+
     u = _normal_mode_matrix(n_particles)
     if np.abs(u @ u.T - np.eye(n_particles)).max() > _ORTHO_TOL:
         raise NumericalIntegrityError("normal-mode matrix is not orthogonal")
@@ -218,6 +222,8 @@ def _substitution_matrix(rows: np.ndarray, degree: int) -> np.ndarray:
     orthogonal ``rows``, so rounding does not compound with the degree.
     Every term keeps the degree, so nothing leaks out of the level.
     """
+    import numpy as np
+
     k = len(rows)
     states, mat = np.zeros((1, k), dtype=np.int64), np.ones((1, 1))
     for n in range(1, degree + 1):
@@ -245,7 +251,7 @@ def _level_rep_matrices(n_particles: int, n_sym: int) -> dict[Permutation, np.nd
     u = normal_modes(n_particles)[:-1]
     # U P = U[:, images - 1]; p substitutes a†_i -> sum_j W[j, i] a†_j
     return {
-        p: _substitution_matrix((u[:, np.subtract(p, 1)] @ u.T).T, n_sym)
+        p: _substitution_matrix((u[:, [i - 1 for i in p]] @ u.T).T, n_sym)
         for p in all_permutations(n_particles)
     }
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -685,13 +686,13 @@ class TestOutputErrors:
         assert err
 
 
-def _fresh(probe, *argv, env=os.environ):
-    """Run the Python source ``probe`` with ``argv`` in a fresh interpreter on
+def _fresh(probe, *argv, env=os.environ, python=sys.executable):
+    """Run the Python source ``probe`` with ``argv`` in a fresh ``python`` on
     this source tree, in ``env`` with the tree put on PYTHONPATH."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        [python, "-c", probe, *argv],
         env=dict(env, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -707,9 +708,9 @@ def _fresh_import(module, names):
 
 
 def test_package_import_loads_nothing():
-    """``import permsym`` loads no numpy and none of its own modules.  The
-    modules load numpy on first use, so the CLI's PERMSYM_THREADS cap acts
-    before BLAS loads (see ``test_thread_cap_precedes_numpy``)."""
+    """``import permsym`` loads no numpy and none of its own modules.  Numpy
+    loads only with ``ci`` or a float function, after the CLI's
+    PERMSYM_THREADS cap (see ``test_thread_cap_precedes_numpy``)."""
     loaded = "m.split('.')[0] == 'numpy' or m.startswith('permsym.')"
     assert _fresh_import("permsym", loaded) == "[]"
 
@@ -724,14 +725,43 @@ from permsym import cli
 sys.exit(cli.main(sys.argv[2:]))
 """
 
-#: the modules the CLI binds lazily, and those each integer command never runs
+#: prefixed to a probe: numpy cannot be found, as where it is not installed
+_NO_NUMPY = """
+import sys
+assert "numpy" not in sys.modules
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, NoNumpy())
+"""
+
+#: the modules the CLI binds lazily, and those each command never runs
 _CLI_MODULES = ("ci", "levelsym", "oscillator", "spin", "symgroup")
 _UNUSED_MODULES = {
     "table": ("ci", "spin", "levelsym", "oscillator"),
     "spectrum": ("ci", "spin", "levelsym"),
     "irreps": ("ci", "spin"),
     "allowed": ("ci",),
+    "project": ("ci", "spin"),
+    "ci": ("levelsym", "spin"),
+    "compare": (),
 }
+#: a run of each command that computes with floats, and so needs numpy
+_FLOAT_ARGVS = [
+    ["project", "--n", "3", "--nsym", "3", "--irrep", "E"],
+    ["ci", "--n", "3", "--xi", "0.1", "--orbitals", "4"],
+    ["compare", "--n", "3", "--xi", "0.1", "--orbitals", "6", "--max-quanta", "3",
+     "--tol", "1e-3"],
+]
+_FLOAT_COMMANDS = {argv[0] for argv in _FLOAT_ARGVS}
+
+
+def _assert_names_numpy(run):
+    """The run failed on numpy's absence, and said so."""
+    assert run.returncode != 0
+    assert "No module named 'numpy'" in run.stderr
+    assert "cannot import name" not in run.stderr
 
 
 @pytest.mark.parametrize(
@@ -747,16 +777,23 @@ _UNUSED_MODULES = {
         ["allowed", "--n", "4"],
         ["allowed", "--n", "3", "--verify", "constructive"],
         ["allowed", "--n", "4", "--verify", "constructive"],
+        *_FLOAT_ARGVS,
     ],
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
 def test_integer_commands_load_no_numpy(argv):
     """The integer commands never touch numpy, ``dataclasses`` or ``inspect``,
-    nor the package modules they do not call: with those blocked they exit 0
-    and print, byte for byte, what they print without the block."""
+    nor the package modules they do not call: with numpy unfindable and the
+    rest blocked they exit 0 and print, byte for byte, what they print
+    without the block.  The float commands then fail naming numpy, not with
+    an import error that hides it."""
     unused = (f"permsym.{m}" for m in _UNUSED_MODULES[argv[0]])
-    names = ",".join(["numpy", "dataclasses", "inspect", *unused])
-    blocked, free = (_fresh(_CLI_PROBE, block, *argv) for block in (names, ""))
+    names = ",".join(["dataclasses", "inspect", *unused])
+    blocked = _fresh(_NO_NUMPY + _CLI_PROBE, names, *argv)
+    if argv[0] in _FLOAT_COMMANDS:
+        _assert_names_numpy(blocked)
+        return
+    free = _fresh(_CLI_PROBE, "", *argv)
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout
     assert (free.returncode, free.stdout) == (0, blocked.stdout)
@@ -812,6 +849,45 @@ def test_reference_invocation_in_fresh_interpreter(entry):
     assert run.stdout == (GOLDEN / entry["stdout"]).read_text()
 
 
+def _other_pythons():
+    """The CPythons 3.10 to 3.13 that pyenv holds besides this one, by version."""
+    pyenv = shutil.which("pyenv")
+    root = pyenv and subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout
+    if not root:
+        return {}
+    own = "{}.{}.{}".format(*sys.version_info)
+    found = sorted(pathlib.Path(root.strip()).glob("versions/3.1[0-3].*/bin/python3"))
+    return {p.parts[-3]: str(p) for p in found if p.parts[-3] != own}
+
+
+_OTHER_PYTHONS = _other_pythons()
+
+
+@pytest.mark.parametrize(
+    "version",
+    sorted(_OTHER_PYTHONS)
+    or [pytest.param(None, marks=pytest.mark.skip(reason="no other CPython 3.10-3.13"))],
+)
+def test_integer_goldens_on_other_pythons(version):
+    """Every reference invocation of ``table``, ``spectrum``, ``irreps`` and
+    ``allowed`` holds, with numpy unfindable, on each other CPython from
+    3.10 to 3.13, and the float commands fail naming numpy: before 3.13, an
+    error raised while a lazily bound module runs can surface as an
+    unrelated ImportError."""
+    python, probe = _OTHER_PYTHONS[version], _NO_NUMPY + _CLI_PROBE
+    for argv in _FLOAT_ARGVS:
+        _assert_names_numpy(_fresh(probe, "", *argv, python=python))
+    for entry in INVOCATIONS:
+        if entry["argv"][0] in _FLOAT_COMMANDS:
+            continue
+        run = _fresh(probe, "", *entry["argv"], python=python)
+        assert run.returncode == entry["exit"], run.stderr
+        if "stderr" in entry:
+            assert run.stdout == "" and run.stderr.startswith(entry["stderr"]), run.stderr
+        else:
+            assert run.stdout == (GOLDEN / entry["stdout"]).read_text(), entry["argv"]
+
+
 def test_ci_runs_no_level_symmetry():
     """``ci`` solves without the level and spin analysis that only
     ``compare`` needs: with ``permsym.levelsym`` and ``permsym.spin`` blocked
@@ -837,8 +913,9 @@ print(json.dumps([st["energy"] for st in states]))
 
 def test_thread_cap_precedes_numpy():
     """``import permsym.cli`` sets the BLAS thread cap and has not loaded
-    numpy's linear algebra yet; numpy then runs on first use and solves as
-    it does when imported before the package (every test module's case)."""
+    numpy's linear algebra yet; numpy then loads with ``permsym.ci``, which
+    runs on first use, and solves as it does when imported before the
+    package (every test module's case)."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PERMSYM_THREADS"] = "1"
     lazy, eager = (_fresh(_SOLVE_PROBE, flag, env=env) for flag in ("0", "1"))
