@@ -151,8 +151,8 @@ def _dense(dim: int, *parts) -> np.ndarray:
 def _s_plus(occ: np.ndarray):
     """S+ = sum_a a+_(a,alpha) a_(a,beta) on the determinants of ``occ``,
     as :func:`_one_body` entries."""
-    s_plus = np.kron(np.eye(int(occ.max()) // 2 + 1), [[0.0, 1.0], [0.0, 0.0]])
-    return _one_body(occ, s_plus)
+    n_orb = int(occ.max(initial=-1)) // 2 + 1
+    return _one_body(occ, np.kron(np.eye(n_orb), [[0.0, 1.0], [0.0, 0.0]]))
 
 
 def _hamiltonian_entries(model: tuple[int, float], basis: np.ndarray):
@@ -193,8 +193,14 @@ def hamiltonian_matrix(model: tuple[int, float], basis: np.ndarray) -> np.ndarra
     return _dense(len(basis), _hamiltonian_entries(model, basis))
 
 
+def _s_squared(occ: np.ndarray) -> np.ndarray:
+    """S^2 = S-S+ + Sz(Sz+1) over the determinants of ``occ``, S- = S+^T."""
+    ms, diag = _ms(occ), np.arange(len(occ))
+    return _dense(len(occ), _gram_entries(*_s_plus(occ)), (diag, diag, ms * (ms + 1.0)))
+
+
 def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
-    """S^2 = S-S+ + Sz(Sz+1) over the determinant basis, with S- = S+^T.
+    """:func:`_s_squared` over the determinant basis.
 
     S-S+ keeps each configuration and M_s, so the basis is closed under it
     when every configuration comes with all of its spin strings, as
@@ -203,9 +209,7 @@ def s_squared_matrix(basis: np.ndarray) -> np.ndarray:
     """
     occ = _occupations(basis)
     list(_sectors(occ))  # raises on a missing spin partner
-    ms, diag = _ms(occ), np.arange(len(occ))
-    sz = diag, diag, ms * (ms + 1.0)
-    return _dense(len(occ), _gram_entries(*_s_plus(occ)), sz)
+    return _s_squared(occ)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,20 +230,15 @@ def _spin_strings(k: int, n_beta: int) -> np.ndarray:
 def spin_functions(k: int, n_beta: int, s: float) -> np.ndarray:
     """Orthonormal total-spin-``s`` eigenfunctions of k open shells with
     n_beta of them beta, as columns over ``_spin_strings(k, n_beta)``: the
-    S(S+1) eigenvectors of the k-site S^2 = L L^T + M_s(M_s + 1) in this M_s,
-    with L the matrix of S- from the strings of M_s + 1.  Each M_s is solved
-    alone, so columns need not pair up across M_s; each set is checked
-    against S(S+1) once, when it is built.
+    S(S+1) eigenvectors of the S^2 of :func:`s_squared_matrix` on k singly
+    occupied orbitals.  Each M_s is solved alone, so columns need not pair up
+    across M_s; each set is checked against S(S+1) once, when it is built.
     """
     m = k / 2 - n_beta
     if not abs(m) <= s <= k / 2 or (k / 2 - s) % 1:
         raise ValueError(f"no S={s} spin function of {k} shells at M_s={m}")
-    strings = _spin_strings(k, n_beta)
-    above = _spin_strings(k, n_beta - 1)
-    # S- turns one alpha shell beta: string b is reached from a when the
-    # bits of b are those of a plus one
-    lower = (np.bitwise_and(strings[:, None], above) == above) * 1.0
-    s2 = lower @ lower.T + m * (m + 1) * np.eye(len(strings))
+    bits = _spin_strings(k, n_beta)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    s2 = _s_squared(2 * np.arange(k) + bits)
     evals, evecs = np.linalg.eigh(s2)
     funcs = evecs[:, np.abs(evals - s * (s + 1)) < 0.5]
     if np.abs(s2 @ funcs - s * (s + 1) * funcs).max(initial=0.0) > _SPIN_GUARD:

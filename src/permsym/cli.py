@@ -133,16 +133,9 @@ def _parse_ms(text: str):
 
 
 def _level_row(level: oscillator.LevelDescriptor) -> dict:
-    row = {
-        "quanta_key": list(level.quanta_key),
-        "n_sym": level.n_sym,
-        "n_last": level.n_last,
-        "energy": level.energy,
-        "degeneracy": level.degeneracy,
-        "parity": level.parity,
-    }
-    if level.irrep_mults is not None:
-        row["irrep_mults"] = dict(level.irrep_mults)
+    row = {"quanta_key": list(level.quanta_key), **level._asdict()}
+    if row["irrep_mults"] is None:
+        del row["irrep_mults"]
     return row
 
 

@@ -888,6 +888,48 @@ def test_integer_goldens_on_other_pythons(version):
             assert run.stdout == (GOLDEN / entry["stdout"]).read_text(), entry["argv"]
 
 
+#: prefixed to a probe: the package is imported from the directory
+#: ``argv[1]``, popped from argv, so the probe reads its arguments as before
+_FROM_DIR = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+"""
+
+
+def _each_python():
+    """This CPython and the other ones of ``_OTHER_PYTHONS``, by version; on
+    those before 3.13 a package module's error can be masked (item 16)."""
+    own = {"{}.{}.{}".format(*sys.version_info): sys.executable}
+    masked = pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 16: before 3.13 an import via a CLI stub hides it"
+    )
+    for version in sorted({**own, **_OTHER_PYTHONS}):
+        before_313 = tuple(map(int, version.split(".")[:2])) < (3, 13)
+        yield pytest.param(version, marks=masked if before_313 else ())
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+@pytest.mark.parametrize("version", _each_python())
+def test_module_error_is_not_masked(tmp_path, version, at):
+    """A package module that raises while it runs shows its own error: in a
+    copy of the package whose ``levelsym`` raises right after its
+    ``__future__`` import, or at its end, ``allowed --n 3`` exits nonzero
+    with that RuntimeError."""
+    copy = tmp_path / "permsym"
+    shutil.copytree(
+        pathlib.Path(cli.__file__).parent, copy, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    future, boom = "from __future__ import annotations\n", "raise RuntimeError('levelsym')\n"
+    source = (copy / "levelsym.py").read_text()
+    assert future in source
+    source = source.replace(future, future + boom) if at == "first" else source + boom
+    (copy / "levelsym.py").write_text(source)
+    probe, python = _FROM_DIR + _CLI_PROBE, _OTHER_PYTHONS.get(version, sys.executable)
+    run = _fresh(probe, str(tmp_path), "", "allowed", "--n", "3", python=python)
+    assert run.returncode != 0, run.stdout
+    assert "RuntimeError: levelsym" in run.stderr, run.stderr
+
+
 def test_ci_runs_no_level_symmetry():
     """``ci`` solves without the level and spin analysis that only
     ``compare`` needs: with ``permsym.levelsym`` and ``permsym.spin`` blocked
