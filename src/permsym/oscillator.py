@@ -27,7 +27,9 @@ if TYPE_CHECKING:
     import numpy as np
 #: coupling window with all force constants positive, per particle count
 BOUND_WINDOWS: dict[int, tuple[float, float]] = {3: (-0.5, 1.0), 4: (-1.0 / 3.0, 1.0)}
-#: largest cutoff :func:`enumerate_levels` accepts (README, "Command line")
+#: largest cutoff :func:`enumerate_levels` accepts: the level list grows as Q²,
+#: and `spectrum --n 4` took 6.0 s and 513 MiB at Q = 640, so Q = 3000 would
+#: need about 11 GiB
 MAX_TOTAL_QUANTA = 200
 
 _ORTHO_TOL = 1e-12

@@ -251,7 +251,9 @@ def constructive_spatial_irreps(n: int) -> dict[str, tuple[float, ...]]:
     states at every level that holds it, up to the first level of the last
     irrep to appear (any coupling: a level's symmetry depends on n_sym
     alone); it must equal :func:`allowed_spatial_irreps`.  Raises
-    NumericalIntegrityError unless an irrep's spins agree at all its levels."""
+    NumericalIntegrityError unless an irrep's spins agree at all its levels:
+    at an irrep's first level the lower shell holds none of its states, so
+    only the levels above it see a fault in the shell difference."""
     irreps = character_table(n).irreps
     top = max(first_level_with_irrep(n, irrep) for irrep in irreps)
     spins = {}

@@ -3,7 +3,9 @@
 Ships validated integer character tables for S3 (point-group alias C3v) and
 S4 (alias O), and the character inner product that decomposes any
 representation given by its integer traces.  Everything in this module is
-integer arithmetic; no floats.
+integer arithmetic; no floats.  An irrep is its label throughout the
+package, such as "E" or "T2", in the row order of ``CharacterTable.irreps``;
+a label that the table does not hold raises ValueError.
 """
 
 from __future__ import annotations
