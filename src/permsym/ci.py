@@ -401,15 +401,14 @@ class ComparisonReport(NamedTuple):
     ``matched`` rows pair a CI state with its exact state; ``missing`` rows
     ({"quanta_key", "energy", "irrep_mults"}) are the levels below the
     horizon that no CI state matched.  ``ok`` holds when each carries only
-    forbidden irrep content and ``spurious`` is empty; ``vacuous``, when no
-    allowed exact state lies below the horizon, so nothing was verified.
+    forbidden irrep content and ``spurious`` is empty; an empty ``matched``
+    verifies nothing.
     """
 
     matched: tuple[dict, ...]
     missing: tuple[dict, ...]
     spurious: tuple[float, ...]
     horizon: float
-    vacuous: bool
     ok: bool
 
 
@@ -440,7 +439,8 @@ def compare(
     same-rank exact state lies within tol and the lower of the two energies
     is below the horizon, so at a crossing a level just under the horizon
     keeps its CI state just over it; an unmatched CI state below the
-    horizon is spurious, and an unmatched level below it is missing.
+    horizon is spurious, and an unmatched level below it is missing (so
+    nothing is matched iff no allowed exact state lies below the horizon).
     ValueError is raised for a bad tol or cutoff, an empty state list, an
     allowed map (label -> spins) whose labels are not the irreps of S_N,
     and CI states whose |M_s| all exceed some allowed spin.
@@ -528,6 +528,5 @@ def compare(
         missing=missing,
         spurious=tuple(spurious),
         horizon=float(horizon),
-        vacuous=not any(ex and ex[0].energy < horizon for ex in exact.values()),
         ok=ok,
     )

@@ -265,7 +265,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     basis = _determinant_basis(args)
     states = cimod.ci_solve(model, basis)
     report = cimod.compare(model, states, q, allowed, args.tol)
-    if report.vacuous:
+    if not report.matched:
         # an unconverged block draws the horizon at its level; otherwise it is
         # the clip at tol below the first level past the cutoff
         keys = [(a, b) for a in range(q + 1) for b in range(q + 1 - a)]

@@ -936,6 +936,5 @@ def compare_greedy(
         ),
         spurious=tuple(spurious),
         horizon=float(horizon),
-        vacuous=not allowed_levels,
         ok=not spurious and not any(has_allowed_content(lv) for lv in lost),
     )

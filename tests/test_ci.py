@@ -674,15 +674,37 @@ class TestCompare:
             else:
                 assert ci_gap < 1e-6
 
+    @pytest.mark.filterwarnings("ignore:accidental energy coincidence")
     def test_vacuous_tolerance_flagged(self, ci3_m10, model3):
         """A tolerance that pushes the horizon below every allowed level
         verifies nothing; tol=5 matches no state at N=3 M=10 (an infinite
-        tol is refused, see test_rejects_nonpositive_tol)."""
+        tol is refused, see test_rejects_nonpositive_tol).  As CI_k >=
+        exact_k, nothing is matched exactly when the horizon lies at or
+        below the lowest listed level with allowed content, across the
+        bound window, cutoffs and tolerances."""
         allowed = spin.allowed_spatial_irreps(3)
-        report = cimod.compare(model3, ci3_m10, 2, allowed, tol=5.0)
-        assert report.vacuous
-        assert not report.matched
-        assert not cimod.compare(model3, ci3_m10, 2, allowed, tol=1e-4).vacuous
+        assert not cimod.compare(model3, ci3_m10, 2, allowed, tol=5.0).matched
+        assert cimod.compare(model3, ci3_m10, 2, allowed, tol=1e-4).matched
+        for n, orbitals in ((3, 5), (3, 8), (4, 4), (4, 6)):
+            allowed = spin.allowed_spatial_irreps(n)
+            basis = cimod.build_basis(n, orbitals, ms=DEFAULT_MS[n])
+            lo, hi = osc.BOUND_WINDOWS[n]
+            for xi in np.linspace(lo + 1e-3, hi - 1e-3, 9):
+                model = osc.make_model(n, float(xi))
+                states = cimod.ci_solve(model, basis)
+                for q, tol in itertools.product(
+                    range(6), (1e-8, 1e-4, 1e-2, 0.3, 3.0, 30.0)
+                ):
+                    report = cimod.compare(model, states, q, allowed, tol)
+                    e_min = min(
+                        (lv.energy for lv in osc.enumerate_levels(model, q)
+                         if any(m and allowed[lbl] for lbl, m in
+                                ls.irrep_multiplicities(n, lv.n_sym).items())),
+                        default=math.inf,
+                    )
+                    assert (not report.matched) == (report.horizon <= e_min), (
+                        n, orbitals, xi, q, tol
+                    )
 
     def test_rejects_nonpositive_tol(self, ci3_m10, model3):
         allowed = spin.allowed_spatial_irreps(3)

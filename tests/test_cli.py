@@ -548,20 +548,6 @@ class TestExitCodes:
 
 class TestConfigEcho:
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ("table", "--n", "3"),
-            ("allowed", "--n", "4"),
-            ("spectrum", "--n", "3", "--xi", "0.1", "--max-quanta", "1"),
-        ],
-    )
-    def test_echo_matches_flags(self, capsys, argv):
-        data = run_json(capsys, *argv)
-        config = data["config"]
-        assert config["command"] == argv[0]
-        assert config["n"] == int(argv[2])
-
-    @pytest.mark.parametrize(
         "argv, echo",
         [
             (("table", "--n", "3"), [("command", "table"), ("n", 3), ("format", "json")]),
